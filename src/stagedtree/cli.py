@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -62,14 +61,6 @@ def _load_theta(spec: str, tree: StagedTree) -> ParameterVector:
         for j, p in enumerate(probs, start=1):
             vals[(stage, j)] = float(p)
     return ParameterVector(vals)
-
-
-def worker_count() -> int:
-    """Honor the STK_THREADS cap; informational, execution is single-threaded."""
-    try:
-        return max(1, int(os.environ.get("STK_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # -- subcommands --------------------------------------------------------------
@@ -151,6 +142,8 @@ def cmd_select(args) -> dict:
     config = SearchConfig()
     if args.config:
         raw = json.loads(_read_text(args.config))
+        if not isinstance(raw, dict):
+            raise StagedTreeError("search configuration must be a JSON object")
         config = SearchConfig(
             max_merges=raw.get("max_merges"),
             same_depth=raw.get("same_depth", True),
@@ -182,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--output", default=None, help="output path, '-' for stdout")
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized probes")
 
     p = sub.add_parser("inspect", help="summarize a tree-description file")
     p.add_argument("tree")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -95,7 +96,14 @@ def ingest_csv(
         for row in reader:
             if not row or not any(cell.strip() for cell in row):
                 continue
-            atom_id, count = int(row[0]), int(row[1])
+            try:
+                atom_id, count = (int(cell) for cell in row)
+            except ValueError:
+                raise StagedTreeError(
+                    f"line {reader.line_num}: expected two integers 'atom_id,count', got {row}"
+                ) from None
+            if count < 0:
+                raise StagedTreeError(f"line {reader.line_num}: negative count {count}")
             if not 1 <= atom_id <= tree.n:
                 raise StagedTreeError(f"atom_id {atom_id} out of range 1..{tree.n}")
             counts[atom_id - 1] += count
@@ -124,6 +132,19 @@ def ingest_csv(
     return AtomTable(tree, counts)
 
 
+def _vertex_traffic(table: AtomTable) -> dict[str, list[int]]:
+    """Edge-traversal counts per inner vertex, from one pass over the atoms."""
+    tree = table.tree
+    traffic = {v: [0] * tree.out_degree(v) for v in tree.inner}
+    for atom, c in zip(tree.atoms, table.counts):
+        c = int(c)
+        if c == 0:
+            continue
+        for v, j in atom.steps:
+            traffic[v][j - 1] += c
+    return traffic
+
+
 def _stage_traffic(table: AtomTable):
     """Pooled per-stage visit and edge-traversal counts."""
     tree = table.tree
@@ -131,14 +152,11 @@ def _stage_traffic(table: AtomTable):
     edges = {
         (s, j): 0 for s, kappa in tree.stage_degrees.items() for j in range(1, kappa + 1)
     }
-    for atom, c in zip(tree.atoms, table.counts):
-        c = int(c)
-        if c == 0:
-            continue
-        for v, j in atom.steps:
-            s = tree.stage_of[v]
-            visits[s] += c
-            edges[(s, j)] += c
+    for v, counts in _vertex_traffic(table).items():
+        s = tree.stage_of[v]
+        visits[s] += sum(counts)
+        for j, n in enumerate(counts, start=1):
+            edges[(s, j)] += n
     return visits, edges
 
 
@@ -212,6 +230,26 @@ class SearchConfig:
     same_depth: bool = True
     alpha: float = 0.0
 
+    def __post_init__(self):
+        # bool is an int subclass, so it is ruled out explicitly
+        if self.max_merges is not None and (
+            isinstance(self.max_merges, bool)
+            or not isinstance(self.max_merges, numbers.Integral)
+            or self.max_merges < 0
+        ):
+            raise StagedTreeError(
+                f"max_merges must be null or an integer >= 0, got {self.max_merges!r}"
+            )
+        if not isinstance(self.same_depth, bool):
+            raise StagedTreeError(f"same_depth must be a boolean, got {self.same_depth!r}")
+        if (
+            isinstance(self.alpha, bool)
+            or not isinstance(self.alpha, numbers.Real)
+            or not math.isfinite(self.alpha)
+            or self.alpha < 0
+        ):
+            raise StagedTreeError(f"alpha must be a finite number >= 0, got {self.alpha!r}")
+
 
 @dataclass(frozen=True)
 class MergeStep:
@@ -240,6 +278,12 @@ def _depths(tree: StagedTree) -> dict[str, int]:
     return depth
 
 
+def _stage_loglik(counts: Sequence[int], alpha: float) -> float:
+    """Log-likelihood of one stage's pooled edge counts at its (smoothed) MLE."""
+    denom = sum(counts) + alpha * len(counts)
+    return sum(n * math.log((n + alpha) / denom) for n in counts if n)
+
+
 def select_staging(
     tree: StagedTree, table: AtomTable, config: SearchConfig = SearchConfig()
 ) -> SearchResult:
@@ -247,54 +291,88 @@ def select_staging(
 
     Starts from the trivial staging of the given tree graph and repeatedly
     applies the merge with the best (lowest) BIC, until no merge improves
-    the score or ``max_merges`` is reached.  Ties break on the
-    lexicographically smallest (depth, vertex-index) candidate pair, so the
-    search is deterministic.
+    the score by more than 1e-12 or ``max_merges`` is reached.  Ties break
+    on the lexicographically smallest (depth, vertex-index) candidate pair,
+    so the search is deterministic.
+
+    The pooled edge counts n_s of the stages are sufficient statistics, so
+    BIC splits into one term per stage, ``(kappa_s - 1) * log N - 2 * l(n_s)``
+    with l the multinomial log-likelihood at the stage's estimate.  Merging
+    stages a and b therefore changes BIC by
+    ``-(kappa - 1) * log N - 2 * [l(n_a + n_b) - l(n_a) - l(n_b)]``.  The
+    search counts edge traversals in one pass over the atoms, scores the
+    candidate pairs from count vectors in O(S^2 kappa) for S stages, and
+    after each merge rescores only the pairs of the merged stage, in
+    O(S kappa), plus a scan of the cached scores for the best pair.  It
+    builds one tree, for the result, whose fit comes from :func:`bic`.
+    Where two candidates tie in exact arithmetic, they are ordered by
+    floating-point rounding of their scores, as in the refitting search
+    that the tests keep as the reference.
     """
-    current = tree.saturated()
-    table = AtomTable(current, table.counts)
-    current_fit = bic(current, table, alpha=config.alpha)
-    depth = _depths(current)
-    trace: list[MergeStep] = []
+    saturated = tree.saturated()
+    table = AtomTable(saturated, table.counts)
+    start = bic(saturated, table, alpha=config.alpha)
     limit = config.max_merges if config.max_merges is not None else float("inf")
+    log_n = math.log(table.n_obs)
+    alpha = config.alpha
+    depth = _depths(saturated)
+    index = saturated.index
 
-    while len(trace) < limit:
-        best = None  # (bic, sort_key, merged_tree, fit, kept, absorbed)
-        stages = current.stage_ids
-        members = current.stage_members
-        for a_pos, sa in enumerate(stages):
-            for sb in stages[a_pos + 1 :]:
-                if current.stage_degrees[sa] != current.stage_degrees[sb]:
-                    continue
-                if current.downward[sa] != current.downward[sb]:
-                    continue
-                if config.same_depth and depth[members[sa][0]] != depth[members[sb][0]]:
-                    continue
-                merged_stages = {
-                    v: (sa if s == sb else s) for v, s in current.stage_of.items()
-                }
-                candidate = current.with_staging(merged_stages, downward=current.downward)
-                try:
-                    fit = bic(candidate, AtomTable(candidate, table.counts), config.alpha)
-                except ZeroStageTraffic:
-                    continue
-                key = (
-                    fit.bic,
-                    depth[members[sa][0]],
-                    current.index[members[sa][0]],
-                    current.index[members[sb][0]],
-                )
-                if best is None or key < best[0]:
-                    best = (key, candidate, fit, sa, sb)
-        if best is None or best[2].bic >= current_fit.bic - 1e-12:
-            break
-        _, candidate, fit, kept, absorbed = best
-        trace.append(
-            MergeStep(kept=kept, absorbed=absorbed, bic_before=current_fit.bic, bic_after=fit.bic)
+    # A stage is named after its first member in BFS order, and every stage
+    # of the saturated tree has the default (last) downward edge, so equal
+    # out-degrees imply equal downward edges.
+    counts = {v: tuple(c) for v, c in _vertex_traffic(table).items()}
+    loglik = {s: _stage_loglik(c, alpha) for s, c in counts.items()}
+    members = {s: [s] for s in counts}
+
+    def group_key(s: str) -> tuple[int, int]:
+        return len(counts[s]), depth[s] if config.same_depth else 0
+
+    groups: dict[tuple[int, int], list[str]] = {}
+    for s in counts:
+        groups.setdefault(group_key(s), []).append(s)
+
+    def score(a: str, b: str):
+        merged = tuple(x + y for x, y in zip(counts[a], counts[b]))
+        ll = _stage_loglik(merged, alpha)
+        delta = -(len(merged) - 1) * log_n - 2.0 * (ll - loglik[a] - loglik[b])
+        return delta, ll, merged
+
+    cache = {
+        (a, b): score(a, b)
+        for group in groups.values()
+        for i, a in enumerate(group)
+        for b in group[i + 1 :]
+    }
+    current = start.bic
+    trace: list[MergeStep] = []
+    while len(trace) < limit and cache:
+        (kept, absorbed), (delta, ll, merged) = min(
+            cache.items(),
+            key=lambda item: (
+                current + item[1][0], depth[item[0][0]], index[item[0][0]], index[item[0][1]]
+            ),
         )
-        current, current_fit = candidate, fit
+        if current + delta >= current - 1e-12:
+            break
+        trace.append(MergeStep(kept, absorbed, bic_before=current, bic_after=current + delta))
+        current += delta
+        counts[kept], loglik[kept] = merged, ll
+        members[kept] += members.pop(absorbed)
+        group = groups[group_key(kept)]
+        group.remove(absorbed)
+        # the pairs of the kept stage all lie in its group and are rescored
+        cache = {pair: entry for pair, entry in cache.items() if absorbed not in pair}
+        for s in group:
+            if s != kept:
+                pair = (kept, s) if index[kept] < index[s] else (s, kept)
+                cache[pair] = score(*pair)
 
-    return SearchResult(tree=current, fit=current_fit, trace=tuple(trace))
+    if not trace:
+        return SearchResult(tree=saturated, fit=start, trace=())
+    result = saturated.with_staging({v: s for s, vs in members.items() for v in vs})
+    fit = bic(result, AtomTable(result, table.counts), alpha=alpha)
+    return SearchResult(tree=result, fit=fit, trace=tuple(trace))
 
 
 def table_from_rows(tree: StagedTree, rows: Sequence[Sequence[int]]) -> AtomTable:

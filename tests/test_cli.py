@@ -146,3 +146,79 @@ class TestContract:
         capsys.readouterr()
         assert code == 0
         assert json.loads(target.read_text())["k"] == 7
+
+
+class TestSelectGolden:
+    # stdout of the search that refitted a tree per candidate merge
+    @pytest.mark.parametrize(
+        "config, golden",
+        [(None, "select_example1.out"), ({"alpha": 0.5}, "select_example1_alpha.out")],
+    )
+    def test_output_is_byte_identical(self, capsys, tmp_path, config, golden):
+        argv = [
+            "select",
+            "--tree-graph", str(data_path("example1.json")),
+            "--data", str(data_path("atom_counts.csv")),
+        ]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == data_path(golden).read_text()
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "rows",
+        ["1,2.5\n", "1\n", "x,2\n", "1,2,3\n", "1,-1\n"],
+        ids=["fractional-count", "short-row", "text-atom-id", "long-row", "negative-count"],
+    )
+    def test_atom_counts_csv_exits_2(self, capsys, tmp_path, rows):
+        data = tmp_path / "counts.csv"
+        data.write_text("atom_id,count\n" + rows)
+        code, out = invoke(
+            capsys, "fit", "--tree", str(data_path("fig1a.json")), "--data", str(data)
+        )
+        assert code == 2
+        assert out["error"]["type"] == "StagedTreeError"
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            [1],
+            {"alpha": "x"},
+            {"alpha": -1},
+            {"alpha": True},
+            {"max_merges": -1},
+            {"max_merges": 1.5},
+            {"max_merges": True},
+            {"same_depth": 1},
+        ],
+        ids=str,
+    )
+    def test_select_config_exits_2(self, capsys, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out = invoke(
+            capsys,
+            "select",
+            "--tree-graph", str(data_path("example1.json")),
+            "--data", str(data_path("atom_counts.csv")),
+            "--config", str(path),
+        )
+        assert code == 2
+        assert out["error"]["type"] == "StagedTreeError"
+
+    def test_select_config_accepts_valid_values(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"max_merges": 0, "same_depth": False, "alpha": 1}))
+        code, out = invoke(
+            capsys,
+            "select",
+            "--tree-graph", str(data_path("example1.json")),
+            "--data", str(data_path("atom_counts.csv")),
+            "--config", str(path),
+        )
+        assert code == 0
+        assert out["trace"] == [] and out["d"] == 7
