@@ -321,25 +321,17 @@ def check_np_identity(tree: StagedTree, theta: ParameterVector) -> float:
     form = natural_parameters(tree, theta)
     xi = {key: math.exp(val) for key, val in form.eta.items()}
 
-    P: dict[str, float] = {}
-
-    def walk(u: str) -> float:
-        if u in P:
-            return P[u]
-        if tree.is_leaf(u):
-            val = 1.0
-        else:
-            down = tree.downward_edge(u)
-            val = 0.0
-            for j in range(1, tree.out_degree(u) + 1):
-                factor = 1.0 if j == down else xi[(u, j)]
-                val += factor * walk(tree.child(u, j))
-        P[u] = val
+    def combine(u: str, below: list[float]) -> float:
+        down = tree.downward_edge(u)
+        val = 0.0
+        for j, p in enumerate(below, start=1):
+            val += (1.0 if j == down else xi[(u, j)]) * p
         return val
 
+    P = tree.fold(1.0, combine)
     residual = 0.0
     for v in tree.vertices:
-        residual = max(residual, abs(math.exp(form.logN[v]) * walk(v) - 1.0))
+        residual = max(residual, abs(math.exp(form.logN[v]) * P[v] - 1.0))
     return residual
 
 

@@ -78,12 +78,6 @@ class DiscreteBN:
         pos = {v: i for i, v in enumerate(self.variables)}
         return tuple(sorted((a for a, b in self.edges if b == var), key=pos.get))
 
-    def topological_orders(self):
-        g = nx.DiGraph()
-        g.add_nodes_from(self.variables)
-        g.add_edges_from(self.edges)
-        return nx.all_topological_sorts(g)
-
     def default_order(self) -> tuple[str, ...]:
         """The declaration order if topological, else a topological sort."""
         try:

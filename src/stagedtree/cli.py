@@ -3,8 +3,9 @@
 Subcommands: inspect, expfam, check, from-bn, fit, select.  Every command
 reads JSON/CSV inputs, writes a JSON object to stdout (or ``--output``), and
 exits 0 on success, 2 on validation errors (with a machine-readable error
-object), 1 on internal errors.  ``-`` stands for stdin/stdout.  All floats
-are printed with 12 significant digits so outputs are byte-stable.
+object), 1 on internal errors.  ``-`` stands for stdin/stdout.  The commands
+that print floats round them to 12 significant digits so outputs are
+byte-stable.
 """
 
 from __future__ import annotations
@@ -17,23 +18,28 @@ from . import __version__
 from .algebra import classify, stage_equations
 from .bayesnet import DiscreteBN, bn_to_staged_tree
 from .errors import StagedTreeError
-from .expfam import natural_parameters, render_formulas, statistic_layout
+from .expfam import natural_parameters, render_formulas
 from .fit import SearchConfig, bic, ingest_csv, select_staging
 from .tree import ParameterVector, StagedTree, dimensions
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+def _round(x: float) -> float:
+    """12 significant digits, applied where a command emits a float."""
+    return float(f"{x:.12g}")
+
+
+def _fit_dict(fit) -> dict:
+    """A fit's JSON object, floats rounded."""
+    out = fit.as_dict()
+    for key in ("log_likelihood", "bic"):
+        out[key] = _round(out[key])
+    out["theta"] = {key: _round(p) for key, p in out["theta"].items()}
+    out["bic_convention"] = "d*log(N) - 2*loglik"
+    return out
 
 
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(_round_floats(payload), indent=2 if args.pretty else None, sort_keys=False)
+    text = json.dumps(payload, indent=2 if args.pretty else None, sort_keys=False)
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -78,7 +84,7 @@ def cmd_inspect(args) -> dict:
         "inner": list(tree.inner),
         "stages": {v: tree.stage_of[v] for v in tree.inner},
         "downward": dict(tree.downward),
-        "atoms": [[[v, j] for v, j in x.steps] for x in tree.atoms],
+        "atoms": [x.steps for x in tree.atoms],
     }
 
 
@@ -87,9 +93,9 @@ def cmd_expfam(args) -> dict:
     theta = _load_theta(args.theta, tree)
     form = natural_parameters(tree, theta)
     out = {
-        "layout": [[v, j] for v, j in statistic_layout(tree)],
-        "eta": {f"{v},{j}": val for (v, j), val in form.eta.items()},
-        "psi": form.psi,
+        "layout": form.layout,
+        "eta": {f"{v},{j}": _round(val) for (v, j), val in form.eta.items()},
+        "psi": _round(form.psi),
     }
     if args.symbolic:
         out["formulas"] = render_formulas(tree)
@@ -130,10 +136,7 @@ def cmd_from_bn(args) -> dict:
 def cmd_fit(args) -> dict:
     tree = _load_tree(args.tree)
     table = ingest_csv(args.data, tree)
-    result = bic(tree, table, alpha=args.alpha)
-    out = result.as_dict()
-    out["bic_convention"] = "d*log(N) - 2*loglik"
-    return out
+    return _fit_dict(bic(tree, table, alpha=args.alpha))
 
 
 def cmd_select(args) -> dict:
@@ -144,21 +147,19 @@ def cmd_select(args) -> dict:
         raw = json.loads(_read_text(args.config))
         if not isinstance(raw, dict):
             raise StagedTreeError("search configuration must be a JSON object")
-        config = SearchConfig(
-            max_merges=raw.get("max_merges"),
-            same_depth=raw.get("same_depth", True),
-            alpha=raw.get("alpha", 0.0),
-        )
+        unknown = set(raw) - set(SearchConfig.__dataclass_fields__)
+        if unknown:
+            raise StagedTreeError(f"unknown search configuration keys: {sorted(unknown)}")
+        config = SearchConfig(**raw)
     result = select_staging(tree, table, config)
-    out = result.fit.as_dict()
-    out["bic_convention"] = "d*log(N) - 2*loglik"
+    out = _fit_dict(result.fit)
     out["stages"] = {v: result.tree.stage_of[v] for v in result.tree.inner}
     out["trace"] = [
         {
             "kept": step.kept,
             "absorbed": step.absorbed,
-            "bic_before": step.bic_before,
-            "bic_after": step.bic_after,
+            "bic_before": _round(step.bic_before),
+            "bic_after": _round(step.bic_after),
         }
         for step in result.trace
     ]

@@ -24,25 +24,22 @@ from .tree import (
 )
 
 
+def _downward_fold(tree: StagedTree, leaf_value, step) -> dict:
+    """Fold ``step(v, j, below)`` down the all-downward path from every vertex."""
+
+    def combine(v: str, below: list):
+        j = tree.downward_edge(v)
+        return step(v, j, below[j - 1])
+
+    return tree.fold(leaf_value, combine)
+
+
 def log_downward_products(tree: StagedTree, theta: ParameterVector) -> dict[str, float]:
     """log N_v for every vertex; leaves get log 1 = 0."""
     theta.validate_for(tree)
-    logN: dict[str, float] = {}
-
-    def walk(v: str) -> float:
-        if v in logN:
-            return logN[v]
-        if tree.is_leaf(v):
-            logN[v] = 0.0
-            return 0.0
-        j = tree.downward_edge(v)
-        val = math.log(theta.label(tree, v, j)) + walk(tree.child(v, j))
-        logN[v] = val
-        return val
-
-    for v in tree.vertices:
-        walk(v)
-    return logN
+    return _downward_fold(
+        tree, 0.0, lambda v, j, below: math.log(theta.label(tree, v, j)) + below
+    )
 
 
 def downward_products(tree: StagedTree, theta: ParameterVector) -> dict[str, float]:
@@ -59,9 +56,7 @@ def statistic_layout(tree: StagedTree) -> tuple[tuple[str, int], ...]:
     layout = []
     for v in tree.inner:
         down = tree.downward_edge(v)
-        for j in range(1, tree.out_degree(v) + 1):
-            if j != down:
-                layout.append((v, j))
+        layout.extend((v, j) for j in range(1, len(tree.children[v]) + 1) if j != down)
     return tuple(layout)
 
 
@@ -85,11 +80,12 @@ class ExpFamForm:
 def natural_parameters(tree: StagedTree, theta: ParameterVector) -> ExpFamForm:
     """eta_vj = log(theta_vj * N_vj / N_v) for every non-downward edge."""
     logN = log_downward_products(tree, theta)
+    layout = statistic_layout(tree)
     eta = {}
-    for v, j in statistic_layout(tree):
+    for v, j in layout:
         c = tree.child(v, j)
         eta[(v, j)] = math.log(theta.label(tree, v, j)) + logN[c] - logN[v]
-    return ExpFamForm(statistic_layout(tree), eta, -logN[tree.root], logN)
+    return ExpFamForm(layout, eta, -logN[tree.root], logN)
 
 
 def sufficient_statistic(tree: StagedTree, atom: Atom) -> np.ndarray:
@@ -158,16 +154,6 @@ def star_form(tree: StagedTree, theta: ParameterVector) -> StarForm:
 # -- symbolic presentation ----------------------------------------------------
 
 
-def vertex_downward_monomial(tree: StagedTree, v: str) -> tuple[tuple[str, int], ...]:
-    """Vertex-level (v, j) labels along the all-downward path from v."""
-    out = []
-    while not tree.is_leaf(v):
-        j = tree.downward_edge(v)
-        out.append((v, j))
-        v = tree.child(v, j)
-    return tuple(out)
-
-
 def symbolic_natural_parameters(
     tree: StagedTree,
 ) -> dict[tuple[str, int], tuple[tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]]]:
@@ -177,12 +163,11 @@ def symbolic_natural_parameters(
     labels below the child at edge j; the denominator collects the downward
     labels below v itself.
     """
-    out = {}
-    for v, j in statistic_layout(tree):
-        num = ((v, j),) + vertex_downward_monomial(tree, tree.child(v, j))
-        den = vertex_downward_monomial(tree, v)
-        out[(v, j)] = (num, den)
-    return out
+    down = _downward_fold(tree, (), lambda v, j, below: ((v, j),) + below)
+    return {
+        (v, j): (((v, j),) + down[tree.child(v, j)], down[v])
+        for v, j in statistic_layout(tree)
+    }
 
 
 def _render_label(tree: StagedTree, v: str, j: int) -> str:
@@ -198,14 +183,17 @@ def render_formulas(tree: StagedTree) -> dict[str, str]:
     Binary vertices with the default downward edge are printed in single-index
     style, ``t3`` and ``(1-t3)``; other edges as ``th[i,j]``.
     """
-    out = {}
-    for (v, j), (num, den) in symbolic_natural_parameters(tree).items():
-        num_s = "*".join(_render_label(tree, a, b) for a, b in num)
-        den_s = "*".join(_render_label(tree, a, b) for a, b in den)
-        key = f"eta[{tree.index[v]},{j}]"
-        out[key] = f"log({num_s}/({den_s}))" if den_s else f"log({num_s})"
-    psi_s = "*".join(
-        _render_label(tree, a, b) for a, b in vertex_downward_monomial(tree, tree.root)
+
+    def times(label: str, below: str) -> str:
+        return f"{label}*{below}" if below else label
+
+    down = _downward_fold(
+        tree, "", lambda v, j, below: times(_render_label(tree, v, j), below)
     )
-    out["psi"] = f"-log({psi_s})"
+    out = {}
+    for v, j in statistic_layout(tree):
+        num_s = times(_render_label(tree, v, j), down[tree.child(v, j)])
+        key = f"eta[{tree.index[v]},{j}]"
+        out[key] = f"log({num_s}/({down[v]}))"
+    out["psi"] = f"-log({down[tree.root]})"
     return out

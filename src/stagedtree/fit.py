@@ -10,7 +10,6 @@ of free parameters of the staging.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -80,6 +79,8 @@ def ingest_csv(
       path.  Cells hold 0-based integer states, or category names when a
       ``levels`` mapping (column name -> ordered category list) is given.
       Trailing cells beyond the leaf must be empty.
+
+    Counts are aligned with ``tree.atoms``, whose order is unchanged.
     """
     if isinstance(source, (str, bytes)):
         with open(source, newline="", encoding="utf-8") as fh:
@@ -90,9 +91,8 @@ def ingest_csv(
     except StopIteration:
         raise StagedTreeError("empty CSV input") from None
     header = [h.strip() for h in header]
-    counts = np.zeros(tree.n, dtype=np.int64)
-
     if header == ["atom_id", "count"]:
+        counts = np.zeros(tree.n, dtype=np.int64)
         for row in reader:
             if not row or not any(cell.strip() for cell in row):
                 continue
@@ -109,26 +109,33 @@ def ingest_csv(
             counts[atom_id - 1] += count
         return AtomTable(tree, counts)
 
-    atom_index = {x: i for i, x in enumerate(tree.atoms)}
-    for row in reader:
+    return _count_rows(tree, reader, [(levels or {}).get(col) for col in header])
+
+
+def _count_rows(tree: StagedTree, rows, column_levels) -> AtomTable:
+    """Walk each row of state cells from the root and count it at its leaf."""
+    atom_of_leaf = {x.leaf: i for i, x in enumerate(tree.atoms)}
+    counts = [0] * tree.n
+    children = tree.children
+    for row in rows:
         if not row or not any(cell.strip() for cell in row):
             continue
         v = tree.root
-        steps = []
-        for col, cell in zip(header, row):
+        for levels, cell in zip(column_levels, row):
             cell = cell.strip()
-            if tree.is_leaf(v):
+            cs = children.get(v)
+            if cs is None:
                 if cell:
                     raise RowDoesNotReachLeaf(f"row {row} continues past a leaf")
                 continue
             if not cell:
                 raise RowDoesNotReachLeaf(f"row {row} stops before reaching a leaf")
-            j = _resolve_step(cell, tree.out_degree(v), (levels or {}).get(col))
-            steps.append((v, j))
-            v = tree.child(v, j)
-        if not tree.is_leaf(v):
+            j = _resolve_step(cell, len(cs), levels)
+            # a levels list longer than the out-degree reaches tree.child's range check
+            v = cs[j - 1] if j <= len(cs) else tree.child(v, j)
+        if v in children:
             raise RowDoesNotReachLeaf(f"row {row} stops before reaching a leaf")
-        counts[atom_index[Atom(tuple(steps), v)]] += 1
+        counts[atom_of_leaf[v]] += 1
     return AtomTable(tree, counts)
 
 
@@ -167,6 +174,7 @@ def mle(tree: StagedTree, table: AtomTable, alpha: float = 0.0) -> ParameterVect
     that is never visited raises ZeroStageTraffic, and zero-count edges give
     a boundary estimate (the returned vector then reports ``is_boundary()``).
     """
+    _check_alpha(alpha)
     visits, edges = _stage_traffic(table)
     vals: dict[tuple[str, int], float] = {}
     for s, kappa in tree.stage_degrees.items():
@@ -212,6 +220,8 @@ class FitResult:
 def bic(tree: StagedTree, table: AtomTable, alpha: float = 0.0) -> FitResult:
     """Fit the staging and score it with d * log(N) - 2 * log-likelihood."""
     theta = mle(tree, table, alpha=alpha)
+    if table.n_obs == 0:
+        raise StagedTreeError("BIC needs at least one observation, the table is empty")
     ll = log_likelihood(tree, theta, table)
     _, d = dimensions(tree)
     return FitResult(
@@ -222,6 +232,18 @@ def bic(tree: StagedTree, table: AtomTable, alpha: float = 0.0) -> FitResult:
         bic=d * math.log(table.n_obs) - 2.0 * ll,
         boundary=theta.is_boundary(),
     )
+
+
+def _check_alpha(alpha) -> None:
+    """Reject a smoothing constant that is not a finite number >= 0."""
+    # bool is an int subclass, so it is ruled out explicitly
+    if (
+        isinstance(alpha, bool)
+        or not isinstance(alpha, numbers.Real)
+        or not math.isfinite(alpha)
+        or alpha < 0
+    ):
+        raise StagedTreeError(f"alpha must be a finite number >= 0, got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -242,13 +264,7 @@ class SearchConfig:
             )
         if not isinstance(self.same_depth, bool):
             raise StagedTreeError(f"same_depth must be a boolean, got {self.same_depth!r}")
-        if (
-            isinstance(self.alpha, bool)
-            or not isinstance(self.alpha, numbers.Real)
-            or not math.isfinite(self.alpha)
-            or self.alpha < 0
-        ):
-            raise StagedTreeError(f"alpha must be a finite number >= 0, got {self.alpha!r}")
+        _check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -268,14 +284,6 @@ class SearchResult:
     tree: StagedTree
     fit: FitResult
     trace: tuple[MergeStep, ...]
-
-
-def _depths(tree: StagedTree) -> dict[str, int]:
-    depth = {tree.root: 0}
-    for v in tree.vertices:
-        for c in tree.children.get(v, ()):
-            depth[c] = depth[v] + 1
-    return depth
 
 
 def _stage_loglik(counts: Sequence[int], alpha: float) -> float:
@@ -315,7 +323,7 @@ def select_staging(
     limit = config.max_merges if config.max_merges is not None else float("inf")
     log_n = math.log(table.n_obs)
     alpha = config.alpha
-    depth = _depths(saturated)
+    depth = saturated.depth
     index = saturated.index
 
     # A stage is named after its first member in BFS order, and every stage
@@ -377,11 +385,6 @@ def select_staging(
 
 def table_from_rows(tree: StagedTree, rows: Sequence[Sequence[int]]) -> AtomTable:
     """Convenience: build a table from 0-based state rows (testing, notebooks)."""
-    text = io.StringIO()
-    writer = csv.writer(text)
     depth = max(len(x) for x in tree.atoms)
-    writer.writerow([f"c{i}" for i in range(depth)])
-    for row in rows:
-        writer.writerow(list(row))
-    text.seek(0)
-    return ingest_csv(text, tree)
+    cells = ([("" if c is None else str(c)) for c in row] for row in rows)
+    return _count_rows(tree, cells, [None] * depth)

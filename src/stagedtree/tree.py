@@ -38,20 +38,27 @@ SUM_TOL = 1e-12
 
 
 class Atom:
-    """A root-to-leaf path, stored as a tuple of (vertex, edge-index) steps."""
+    """A root-to-leaf path, stored as a tuple of (vertex, edge-index) steps.
+
+    The sets behind ``traverses`` and ``visits`` are built on first use.
+    """
 
     __slots__ = ("steps", "leaf", "_edge_set", "_vertex_set")
 
     def __init__(self, steps: tuple[tuple[str, int], ...], leaf: str):
         self.steps = steps
         self.leaf = leaf
-        self._edge_set = frozenset(steps)
-        self._vertex_set = frozenset(v for v, _ in steps)
+        self._edge_set = None
+        self._vertex_set = None
 
     def traverses(self, vertex: str, j: int) -> bool:
+        if self._edge_set is None:
+            self._edge_set = frozenset(self.steps)
         return (vertex, j) in self._edge_set
 
     def visits(self, vertex: str) -> bool:
+        if self._vertex_set is None:
+            self._vertex_set = frozenset(v for v, _ in self.steps)
         return vertex in self._vertex_set or vertex == self.leaf
 
     def __len__(self) -> int:
@@ -101,6 +108,9 @@ class StagedTree:
         self._validate_shape()
         self.vertices = self._bfs_order()
         self.inner = tuple(v for v in self.vertices if v in self.children)
+        if len(self.inner) != len(self.children):
+            unreachable = set(self.children) - set(self.inner)
+            raise CycleDetected(f"vertices not reachable from root: {sorted(unreachable)}")
         self.leaves = tuple(v for v in self.vertices if v not in self.children)
         self.index = {v: i + 1 for i, v in enumerate(self.inner)}
 
@@ -131,26 +141,13 @@ class StagedTree:
                 parent[c] = v
         if self.root in parent:
             raise CycleDetected(f"root {self.root!r} has a parent")
-        # every declared inner vertex must be reachable from the root
-        seen = set()
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                raise CycleDetected(f"vertex {v!r} reached twice")
-            seen.add(v)
-            stack.extend(self.children.get(v, ()))
-        unreachable = set(self.children) - seen
-        if unreachable:
-            raise CycleDetected(f"vertices not reachable from root: {sorted(unreachable)}")
+        # One parent per vertex and none at the root: no cycle is reachable from
+        # the root, so the BFS ends; __init__ checks that it reaches every vertex.
 
     def _bfs_order(self) -> tuple[str, ...]:
-        order = []
-        queue = [self.root]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            queue.extend(self.children.get(v, ()))
+        order = [self.root]
+        for v in order:  # the loop reaches the children appended behind it
+            order.extend(self.children.get(v, ()))
         return tuple(order)
 
     def _validate_stages(self) -> None:
@@ -232,23 +229,48 @@ class StagedTree:
     def n(self) -> int:
         return len(self.leaves)
 
+    # -- passes over the vertices --------------------------------------------
+
+    @cached_property
+    def depth(self) -> dict[str, int]:
+        """Number of edges from the root to each vertex."""
+        depth = {self.root: 0}
+        for v in self.inner:
+            d = depth[v] + 1
+            for c in self.children[v]:
+                depth[c] = d
+        return depth
+
+    def fold(self, leaf_value, combine) -> dict:
+        """Bottom-up pass in reversed BFS order: each leaf gets ``leaf_value``,
+        each inner v ``combine(v, [children's values in edge order])``.
+        """
+        out: dict = {}
+        children = self.children
+        for v in reversed(self.vertices):
+            cs = children.get(v)
+            out[v] = leaf_value if cs is None else combine(v, [out[c] for c in cs])
+        return out
+
     # -- atoms ----------------------------------------------------------------
 
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
-        """All root-to-leaf paths, depth-first in edge order."""
+        """All root-to-leaf paths, depth-first in edge order.
+
+        The order is that of the recursive walk an explicit stack replaced,
+        so deep trees no longer hit the recursion limit.
+        """
         out: list[Atom] = []
-
-        def walk(v: str, steps: list[tuple[str, int]]) -> None:
-            if self.is_leaf(v):
-                out.append(Atom(tuple(steps), v))
-                return
-            for j, c in enumerate(self.children[v], start=1):
-                steps.append((v, j))
-                walk(c, steps)
-                steps.pop()
-
-        walk(self.root, [])
+        children = self.children
+        stack = [(self.root, ())]
+        while stack:
+            v, steps = stack.pop()
+            cs = children.get(v)
+            if cs is None:
+                out.append(Atom(steps, v))
+            else:
+                stack.extend((cs[j - 1], steps + ((v, j),)) for j in range(len(cs), 0, -1))
         return tuple(out)
 
     def indicator(self, atom: Atom, v: str, j: int) -> int:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from stagedtree import StagedTree
 from stagedtree.cli import run
 from conftest import data_path
 
@@ -194,6 +195,7 @@ class TestMalformedInput:
             {"max_merges": 1.5},
             {"max_merges": True},
             {"same_depth": 1},
+            {"same-depth": False, "maxMerges": 0},
         ],
         ids=str,
     )
@@ -210,6 +212,58 @@ class TestMalformedInput:
         assert code == 2
         assert out["error"]["type"] == "StagedTreeError"
 
+    def test_select_config_names_unknown_keys(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"same-depth": False, "maxMerges": 0, "alpha": 0}))
+        code, out = invoke(
+            capsys,
+            "select",
+            "--tree-graph", str(data_path("example1.json")),
+            "--data", str(data_path("atom_counts.csv")),
+            "--config", str(path),
+        )
+        assert code == 2
+        assert "'maxMerges'" in out["error"]["message"]
+        assert "'same-depth'" in out["error"]["message"]
+
+    @pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
+    def test_fit_alpha_is_validated(self, capsys, alpha):
+        code, out = invoke(
+            capsys,
+            "fit",
+            "--tree", str(data_path("fig1a.json")),
+            "--data", str(data_path("atom_counts.csv")),
+            "--alpha", alpha,
+        )
+        assert code == 2
+        assert out["error"]["type"] == "StagedTreeError"
+        assert out["error"]["message"].startswith("alpha must be")
+
+    def test_fit_empty_table_exits_2(self, capsys, tmp_path):
+        data = tmp_path / "counts.csv"
+        data.write_text("atom_id,count\n1,0\n")
+        code, out = invoke(
+            capsys,
+            "fit", "--tree", str(data_path("fig1a.json")), "--data", str(data), "--alpha", "0.5",
+        )
+        assert code == 2
+        assert out["error"]["type"] == "StagedTreeError"
+
+    def test_select_empty_table_exits_2(self, capsys, tmp_path):
+        data = tmp_path / "counts.csv"
+        data.write_text("atom_id,count\n1,0\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": 0.5}))
+        code, out = invoke(
+            capsys,
+            "select",
+            "--tree-graph", str(data_path("example1.json")),
+            "--data", str(data),
+            "--config", str(config),
+        )
+        assert code == 2
+        assert out["error"]["type"] == "StagedTreeError"
+
     def test_select_config_accepts_valid_values(self, capsys, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"max_merges": 0, "same_depth": False, "alpha": 1}))
@@ -222,3 +276,43 @@ class TestMalformedInput:
         )
         assert code == 0
         assert out["trace"] == [] and out["d"] == 7
+
+
+class TestDeepTree:
+    """A caterpillar 1500 levels deep, beyond Python's default recursion limit."""
+
+    DEPTH = 1500
+
+    @pytest.fixture
+    def deep(self, tmp_path):
+        vertices = [
+            {"id": f"v{i}", "children": [f"l{i}", f"v{i + 1}" if i + 1 < self.DEPTH else "end"]}
+            for i in range(self.DEPTH)
+        ]
+        tree = tmp_path / "deep.json"
+        tree.write_text(json.dumps({"vertices": vertices}))
+        data = tmp_path / "counts.csv"
+        data.write_text(f"atom_id,count\n1,3\n2,1\n{self.DEPTH + 1},2\n")
+        return str(tree), str(data)
+
+    def test_atoms(self, deep):
+        tree = StagedTree.from_json(open(deep[0]).read())
+        atoms = tree.atoms
+        assert len(atoms) == self.DEPTH + 1
+        assert len(atoms[-1]) == self.DEPTH and atoms[-1].leaf == "end"
+
+    def test_inspect(self, capsys, deep):
+        code, out = invoke(capsys, "inspect", deep[0])
+        assert code == 0
+        assert out["n"] == self.DEPTH + 1
+
+    @pytest.mark.parametrize("symbolic", [False, True])
+    def test_expfam(self, capsys, deep, symbolic):
+        code, out = invoke(capsys, "expfam", deep[0], *(["--symbolic"] if symbolic else []))
+        assert code == 0
+        assert out["psi"] == pytest.approx(self.DEPTH * math.log(2))
+
+    def test_fit(self, capsys, deep):
+        code, out = invoke(capsys, "fit", "--tree", deep[0], "--data", deep[1])
+        assert code == 0
+        assert out["n_obs"] == 6

@@ -1,0 +1,294 @@
+"""Differential tests of the tree passes that replaced recursive walkers.
+
+The ``oracle_*`` functions are the recursive or memoized implementations
+that ``StagedTree.atoms``, the row walk of ``ingest_csv``,
+``log_downward_products``, ``symbolic_natural_parameters`` and
+``check_np_identity`` used before they moved onto iterative passes.  They
+are copied unchanged, apart from their names and the oracle atoms they
+index by, and the new code must agree with them exactly.
+"""
+
+import csv
+import io
+import math
+
+import numpy as np
+import pytest
+
+from stagedtree import (
+    Atom,
+    ParameterVector,
+    StagedTree,
+    bn_to_staged_tree,
+    check_np_identity,
+    ingest_csv,
+    natural_parameters,
+    product_tree,
+    symbolic_natural_parameters,
+    table_from_rows,
+)
+from stagedtree.bayesnet import DiscreteBN
+from stagedtree.errors import RowDoesNotReachLeaf, StagedTreeError, UnknownCategory
+from stagedtree.expfam import log_downward_products, statistic_layout
+from stagedtree.fit import _resolve_step
+from stagedtree.random_trees import random_staged_tree
+from conftest import BINARY_GRAPH, data_path, load_json
+
+
+def oracle_atoms(self) -> tuple[Atom, ...]:
+    """All root-to-leaf paths, depth-first in edge order."""
+    out: list[Atom] = []
+
+    def walk(v: str, steps: list[tuple[str, int]]) -> None:
+        if self.is_leaf(v):
+            out.append(Atom(tuple(steps), v))
+            return
+        for j, c in enumerate(self.children[v], start=1):
+            steps.append((v, j))
+            walk(c, steps)
+            steps.pop()
+
+    walk(self.root, [])
+    return tuple(out)
+
+
+def oracle_row_counts(source, tree, levels=None) -> list[int]:
+    """The row walk of ingest_csv, counting into the oracle atom order."""
+    reader = csv.reader(source)
+    header = [h.strip() for h in next(reader)]
+    counts = np.zeros(tree.n, dtype=np.int64)
+    atom_index = {x: i for i, x in enumerate(oracle_atoms(tree))}
+    for row in reader:
+        if not row or not any(cell.strip() for cell in row):
+            continue
+        v = tree.root
+        steps = []
+        for col, cell in zip(header, row):
+            cell = cell.strip()
+            if tree.is_leaf(v):
+                if cell:
+                    raise RowDoesNotReachLeaf(f"row {row} continues past a leaf")
+                continue
+            if not cell:
+                raise RowDoesNotReachLeaf(f"row {row} stops before reaching a leaf")
+            j = _resolve_step(cell, tree.out_degree(v), (levels or {}).get(col))
+            steps.append((v, j))
+            v = tree.child(v, j)
+        if not tree.is_leaf(v):
+            raise RowDoesNotReachLeaf(f"row {row} stops before reaching a leaf")
+        counts[atom_index[Atom(tuple(steps), v)]] += 1
+    return counts.tolist()
+
+
+def oracle_log_downward_products(tree, theta) -> dict[str, float]:
+    """log N_v for every vertex; leaves get log 1 = 0."""
+    theta.validate_for(tree)
+    logN: dict[str, float] = {}
+
+    def walk(v: str) -> float:
+        if v in logN:
+            return logN[v]
+        if tree.is_leaf(v):
+            logN[v] = 0.0
+            return 0.0
+        j = tree.downward_edge(v)
+        val = math.log(theta.label(tree, v, j)) + walk(tree.child(v, j))
+        logN[v] = val
+        return val
+
+    for v in tree.vertices:
+        walk(v)
+    return logN
+
+
+def oracle_vertex_downward_monomial(tree, v):
+    """Vertex-level (v, j) labels along the all-downward path from v."""
+    out = []
+    while not tree.is_leaf(v):
+        j = tree.downward_edge(v)
+        out.append((v, j))
+        v = tree.child(v, j)
+    return tuple(out)
+
+
+def oracle_symbolic_natural_parameters(tree):
+    """(numerator, denominator) label multisets of each eta_vj."""
+    out = {}
+    for v, j in statistic_layout(tree):
+        num = ((v, j),) + oracle_vertex_downward_monomial(tree, tree.child(v, j))
+        den = oracle_vertex_downward_monomial(tree, v)
+        out[(v, j)] = (num, den)
+    return out
+
+
+def oracle_check_np_identity(tree, theta) -> float:
+    """Max residual |N_v * P_v(xi) - 1| over all vertices, xi = exp(eta)."""
+    form = natural_parameters(tree, theta)
+    xi = {key: math.exp(val) for key, val in form.eta.items()}
+
+    P: dict[str, float] = {}
+
+    def walk(u: str) -> float:
+        if u in P:
+            return P[u]
+        if tree.is_leaf(u):
+            val = 1.0
+        else:
+            down = tree.downward_edge(u)
+            val = 0.0
+            for j in range(1, tree.out_degree(u) + 1):
+                factor = 1.0 if j == down else xi[(u, j)]
+                val += factor * walk(tree.child(u, j))
+        P[u] = val
+        return val
+
+    residual = 0.0
+    for v in tree.vertices:
+        residual = max(residual, abs(math.exp(form.logN[v]) * walk(v) - 1.0))
+    return residual
+
+
+def fixture_trees() -> list[StagedTree]:
+    return [
+        StagedTree(BINARY_GRAPH),
+        StagedTree.from_spec(load_json("fig1a.json")),
+        StagedTree.from_json(data_path("fig1b.json").read_text()),
+        StagedTree({"r": ["a", "b"], "b": ["c", "d"]}),
+        StagedTree({"r": ["a", "b", "c"], "a": ["d", "e"], "c": ["f", "g", "h"]}),
+        product_tree([3, 2, 2]),
+        bn_to_staged_tree(DiscreteBN.from_spec(load_json("chain_bn.json"))),
+        bn_to_staged_tree(DiscreteBN.from_spec(load_json("collider_bn.json"))),
+    ]
+
+
+def random_trees(seed: int, count: int) -> list[StagedTree]:
+    """Random staged trees; every other one gets random downward edges."""
+    rng = np.random.default_rng(seed)
+    trees = []
+    for i in range(count):
+        t = random_staged_tree(rng, max_depth=4, max_children=3, leaf_prob=0.3)
+        if i % 2:
+            down = {s: int(rng.integers(1, k + 1)) for s, k in t.stage_degrees.items()}
+            t = t.with_staging(dict(t.stage_of), downward=down)
+        trees.append(t)
+    return trees
+
+
+FAMILIES = {"fixtures": fixture_trees(), "random": random_trees(20261018, 150)}
+
+
+def random_theta(tree: StagedTree, seed: int) -> ParameterVector:
+    return ParameterVector.random(tree, np.random.default_rng(seed))
+
+
+def rows_text(tree: StagedTree, rows) -> str:
+    depth = max(len(x) for x in tree.atoms)
+    lines = [",".join(f"c{i}" for i in range(depth))]
+    lines += [",".join(row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def sampled_rows(tree: StagedTree, rng, n: int) -> list[list[str]]:
+    """Rows of 0-based states along random atoms, padded with empty cells."""
+    depth = max(len(x) for x in tree.atoms)
+    rows = []
+    for i in rng.integers(0, tree.n, size=n):
+        states = [str(j - 1) for _, j in tree.atoms[i].steps]
+        rows.append(states + [""] * (depth - len(states)))
+    return rows
+
+
+def outcome(fn, *args, **kwargs):
+    """The function's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except StagedTreeError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_atoms_match_recursive_enumeration(family):
+    for tree in FAMILIES[family]:
+        fast = tree.atoms
+        slow = oracle_atoms(tree)
+        assert [x.steps for x in fast] == [x.steps for x in slow]
+        assert [x.leaf for x in fast] == [x.leaf for x in slow]
+        for x, y in zip(fast, slow):
+            for v in tree.vertices:
+                assert x.visits(v) == y.visits(v)
+                for j in range(1, tree.out_degree(v) + 1):
+                    assert x.traverses(v, j) == y.traverses(v, j)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_parametrization_matches_recursive_walkers(family):
+    for seed, tree in enumerate(FAMILIES[family]):
+        theta = random_theta(tree, seed)
+        assert log_downward_products(tree, theta) == oracle_log_downward_products(tree, theta)
+        assert symbolic_natural_parameters(tree) == oracle_symbolic_natural_parameters(tree)
+        assert check_np_identity(tree, theta) == oracle_check_np_identity(tree, theta)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_row_walk_matches_atom_lookup(family):
+    rng = np.random.default_rng(5)
+    for tree in FAMILIES[family]:
+        rows = sampled_rows(tree, rng, 40)
+        text = rows_text(tree, rows)
+        expected = oracle_row_counts(io.StringIO(text), tree)
+        assert ingest_csv(io.StringIO(text), tree).counts.tolist() == expected
+        ints = [[int(c) for c in row if c] for row in rows]
+        assert table_from_rows(tree, ints).counts.tolist() == expected
+
+
+def malformed_rows(tree: StagedTree, rng) -> list[list[str]]:
+    """One valid row turned into each kind of bad row the walk rejects."""
+    row = sampled_rows(tree, rng, 1)[0]
+    used = sum(1 for c in row if c)
+    bad = [["9"] + row[1:], ["x"] + row[1:]]  # state out of range, not an integer
+    if used >= 2:  # stops one step short of the leaf
+        bad.append(row[: used - 1] + [""] * (len(row) - used + 1))
+    if used < len(row):  # continues past the leaf
+        bad.append(row[:used] + ["0"] + row[used + 1 :])
+    return bad
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_row_walk_rejects_what_the_atom_lookup_rejected(family):
+    rng = np.random.default_rng(6)
+    for tree in FAMILIES[family]:
+        for row in malformed_rows(tree, rng):
+            text = rows_text(tree, [row])
+            expected = outcome(oracle_row_counts, io.StringIO(text), tree)
+            assert isinstance(expected, tuple), row
+            assert outcome(ingest_csv, io.StringIO(text), tree) == expected
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_levels_mapping_matches_atom_lookup(family):
+    # three category names per column: a binary vertex reached by the third
+    # name fails tree.child's range check in both walks
+    names = ["lo", "mid", "hi"]
+    rng = np.random.default_rng(3)
+    for tree in FAMILIES[family]:
+        depth = max(len(x) for x in tree.atoms)
+        levels = {f"c{i}": names for i in range(depth)}
+        for _ in range(10):
+            row = [names[int(rng.integers(3))] for _ in range(depth)]
+            text = rows_text(tree, [row])
+            slow = outcome(oracle_row_counts, io.StringIO(text), tree, levels)
+            fast = outcome(ingest_csv, io.StringIO(text), tree, levels)
+            if not isinstance(fast, tuple):
+                fast = fast.counts.tolist()
+            assert fast == slow
+
+
+def test_table_from_rows_raises_typed_errors(fig1a):
+    with pytest.raises(UnknownCategory):
+        table_from_rows(fig1a, [[0, 2, 1]])
+    with pytest.raises(UnknownCategory):
+        table_from_rows(fig1a, [[0, 1.5, 1]])
+    with pytest.raises(RowDoesNotReachLeaf):
+        table_from_rows(fig1a, [[0, 1]])
+    with pytest.raises(RowDoesNotReachLeaf):
+        table_from_rows(StagedTree({"r": ["a", "b"], "b": ["c", "d"]}), [[0, 1]])

@@ -15,8 +15,18 @@ import pytest
 
 from stagedtree import AtomTable, SearchConfig, StagedTree, bic, product_tree, select_staging
 from stagedtree.errors import ZeroStageTraffic
-from stagedtree.fit import MergeStep, SearchResult, _depths
+from stagedtree.fit import MergeStep, SearchResult
 from conftest import BINARY_GRAPH
+
+
+# The depth map the search used before ``StagedTree.depth``, kept unchanged
+# for the oracle.
+def _depths(tree: StagedTree) -> dict[str, int]:
+    depth = {tree.root: 0}
+    for v in tree.vertices:
+        for c in tree.children.get(v, ()):
+            depth[c] = depth[v] + 1
+    return depth
 
 
 def oracle_select_staging(
@@ -237,3 +247,9 @@ def test_search_builds_no_tree_per_candidate(monkeypatch):
     result = select_staging(tree, table, SearchConfig(same_depth=False))
     assert len(result.trace) > 1
     assert len(calls) == 2  # the saturated tree and the result
+
+
+@pytest.mark.parametrize("name", TREES)
+def test_tree_depth_matches_oracle_depths(name):
+    tree = TREES[name]()
+    assert tree.depth == _depths(tree)
