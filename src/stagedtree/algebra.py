@@ -1,9 +1,12 @@
 """Symbolic classification of stagings: regular, balanced, simple.
 
-Monomials and polynomials here are purely formal objects over canonical
-(stage id, edge index) labels.  No local sum-to-one simplification is ever
-applied, and all coefficients are nonnegative integers, so polynomials are
-multisets of monomials and monomials are multisets of labels.
+Monomials and polynomials here are purely formal objects.  No local
+sum-to-one simplification is ever applied, and all coefficients are
+nonnegative integers, so polynomials are multisets of monomials and
+monomials are multisets of labels.  Each check indexes tables built in one
+bottom-up pass over the tree: the interpolating polynomials t_v (balanced,
+simple) and downward monomials N_v (regular) over (stage id, edge) labels,
+and the xi-polynomials P_v of the stage equations over (vertex, edge) labels.
 """
 
 from __future__ import annotations
@@ -12,19 +15,15 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .expfam import natural_parameters
+from .expfam import _downward_fold, _is_single_index, natural_parameters
 from .tree import ParameterVector, StagedTree, dimensions
 
 Label = tuple[str, int]
 Monomial = tuple[Label, ...]  # sorted tuple, repeats = exponents
-
-
-def monomial(labels: Iterable[Label]) -> Monomial:
-    return tuple(sorted(labels))
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -36,19 +35,12 @@ class FormalPolynomial:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Counter] = None):
-        self.terms: Counter = terms if terms is not None else Counter()
+    def __init__(self, terms: Counter):
+        self.terms = terms
 
     @classmethod
     def one(cls) -> "FormalPolynomial":
         return cls(Counter({(): 1}))
-
-    @classmethod
-    def from_monomials(cls, monomials: Iterable[Monomial]) -> "FormalPolynomial":
-        return cls(Counter(monomials))
-
-    def __add__(self, other: "FormalPolynomial") -> "FormalPolynomial":
-        return FormalPolynomial(self.terms + other.terms)
 
     def __mul__(self, other: "FormalPolynomial") -> "FormalPolynomial":
         out: Counter = Counter()
@@ -56,11 +48,6 @@ class FormalPolynomial:
             for m2, c2 in other.terms.items():
                 out[monomial_mul(m1, m2)] += c1 * c2
         return FormalPolynomial(out)
-
-    def scale_by(self, label: Label) -> "FormalPolynomial":
-        return FormalPolynomial(
-            Counter({monomial_mul(m, (label,)): c for m, c in self.terms.items()})
-        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalPolynomial) and self.terms == other.terms
@@ -75,45 +62,67 @@ class FormalPolynomial:
         return f"FormalPolynomial({dict(self.terms)!r})"
 
 
-def canonical_label(tree: StagedTree, v: str, j: int) -> Label:
-    return (tree.stage_of[v], j)
+def _path_polynomials(tree: StagedTree, label) -> dict[str, FormalPolynomial]:
+    """Formal sum over v-to-leaf paths of the products of ``label(u, j)``,
+    for every vertex v; an edge labelled None contributes no factor.
+    """
+
+    def combine(u: str, below: list[FormalPolynomial]) -> FormalPolynomial:
+        terms: Counter = Counter()
+        for j, poly in enumerate(below, start=1):
+            lbl = label(u, j)
+            for m, c in poly.terms.items():
+                terms[m if lbl is None else monomial_mul(m, (lbl,))] += c
+        return FormalPolynomial(terms)
+
+    return tree.fold(FormalPolynomial.one(), combine)
 
 
-def downward_monomial(tree: StagedTree, v: str) -> Monomial:
-    """Canonical labels along the all-downward path from v; empty for leaves."""
-    labels = []
-    while not tree.is_leaf(v):
-        j = tree.downward_edge(v)
-        labels.append(canonical_label(tree, v, j))
-        v = tree.child(v, j)
-    return monomial(labels)
+def interpolating_polynomials(tree: StagedTree) -> dict[str, FormalPolynomial]:
+    """t_v for every vertex: paths from v to a leaf over (stage id, edge) labels."""
+    return _path_polynomials(tree, lambda u, j: (tree.stage_of[u], j))
 
 
-def interpolating_polynomial(tree: StagedTree, v: str) -> FormalPolynomial:
-    """Formal sum over v-to-leaf paths of the products of canonical labels."""
-    cache: dict[str, FormalPolynomial] = {}
+def xi_polynomials(tree: StagedTree) -> dict[str, FormalPolynomial]:
+    """P_v for every vertex: paths from v to a leaf over xi labels.
 
-    def walk(u: str) -> FormalPolynomial:
-        if u in cache:
-            return cache[u]
-        if tree.is_leaf(u):
-            poly = FormalPolynomial.one()
-        else:
-            poly = FormalPolynomial()
-            for j in range(1, tree.out_degree(u) + 1):
-                poly = poly + walk(tree.child(u, j)).scale_by(canonical_label(tree, u, j))
-        cache[u] = poly
-        return poly
-
-    return walk(v)
+    xi of a downward edge equals one (its natural parameter is zero), so
+    downward labels are omitted from the monomials.  Labels are vertex-level
+    (vertex, edge) pairs since natural parameters live on the saturated tree.
+    """
+    return _path_polynomials(
+        tree, lambda u, j: None if j == tree.downward_edge(u) else (u, j)
+    )
 
 
-def _same_stage_pairs(tree: StagedTree):
-    """(v_i, v_s, kappa) over all same-stage pairs, i before s in enumeration."""
+def downward_monomials(tree: StagedTree) -> dict[str, Monomial]:
+    """N_v for every vertex: the (stage id, edge) labels along the
+    all-downward path from v; empty for leaves.
+    """
+    return _downward_fold(
+        tree, (), lambda v, j, below: monomial_mul(below, ((tree.stage_of[v], j),))
+    )
+
+
+def _pair_edges(tree: StagedTree):
+    """(v_i, v_s, j, kappa) over all same-stage pairs, i before s in
+    enumeration, and their edges j = 1..kappa.
+    """
     for s_id, members in tree.stage_members.items():
         kappa = tree.downward[s_id]
         for vi, vs in itertools.combinations(members, 2):
-            yield vi, vs, kappa
+            for j in range(1, tree.stage_degrees[s_id] + 1):
+                yield vi, vs, j, kappa
+
+
+def _regularity(tree: StagedTree):
+    """(v_i, v_s, j, kappa, N_ij N_sk == N_sj N_ik) per same-stage pair and edge."""
+    down = downward_monomials(tree)
+    for vi, vs, j, kappa in _pair_edges(tree):
+        ci, cs = tree.children[vi], tree.children[vs]
+        lhs = monomial_mul(down[ci[j - 1]], down[cs[kappa - 1]])
+        rhs = monomial_mul(down[cs[j - 1]], down[ci[kappa - 1]])
+        yield vi, vs, j, kappa, lhs == rhs
 
 
 def is_regular(tree: StagedTree) -> tuple[bool, list[tuple[str, str, int]]]:
@@ -122,41 +131,33 @@ def is_regular(tree: StagedTree) -> tuple[bool, list[tuple[str, str, int]]]:
     Returns (flag, witnesses); each witness is a violating (v_i, v_s, j)
     triple, in lexicographic order of the vertex enumeration.
     """
-    down = {v: downward_monomial(tree, v) for v in tree.vertices}
-    witnesses = []
-    for vi, vs, kappa in _same_stage_pairs(tree):
-        for j in range(1, tree.out_degree(vi) + 1):
-            if j == kappa:
-                continue
-            lhs = monomial_mul(down[tree.child(vi, j)], down[tree.child(vs, kappa)])
-            rhs = monomial_mul(down[tree.child(vs, j)], down[tree.child(vi, kappa)])
-            if lhs != rhs:
-                witnesses.append((vi, vs, j))
+    witnesses = [(vi, vs, j) for vi, vs, j, _, same in _regularity(tree) if not same]
     return not witnesses, witnesses
+
+
+def _balanced(tree: StagedTree, t: dict[str, FormalPolynomial]) -> bool:
+    for vi, vs, j, kappa in _pair_edges(tree):
+        ci, cs = tree.children[vi], tree.children[vs]
+        if j != kappa and t[ci[j - 1]] * t[cs[kappa - 1]] != t[ci[kappa - 1]] * t[cs[j - 1]]:
+            return False
+    return True
 
 
 def is_balanced(tree: StagedTree) -> bool:
     """Check t_ij t_sk = t_ik t_sj for all same-stage pairs and edges."""
-    interp = {v: interpolating_polynomial(tree, v) for v in tree.vertices}
-    for vi, vs, kappa in _same_stage_pairs(tree):
-        t_ik = interp[tree.child(vi, kappa)]
-        t_sk = interp[tree.child(vs, kappa)]
-        for j in range(1, tree.out_degree(vi) + 1):
-            if j == kappa:
-                continue
-            if interp[tree.child(vi, j)] * t_sk != t_ik * interp[tree.child(vs, j)]:
-                return False
-    return True
+    # a saturated tree has no same-stage pair, so the table is not built
+    return tree.is_saturated() or _balanced(tree, interpolating_polynomials(tree))
 
 
 def is_simple(tree: StagedTree) -> bool:
     """Check t_ij = t_sj for all same-stage pairs and edges."""
-    interp = {v: interpolating_polynomial(tree, v) for v in tree.vertices}
-    for vi, vs, _ in _same_stage_pairs(tree):
-        for j in range(1, tree.out_degree(vi) + 1):
-            if interp[tree.child(vi, j)] != interp[tree.child(vs, j)]:
-                return False
-    return True
+    if tree.is_saturated():
+        return True
+    t = interpolating_polynomials(tree)
+    return all(
+        t[tree.children[vi][j - 1]] == t[tree.children[vs][j - 1]]
+        for vi, vs, j, _ in _pair_edges(tree)
+    )
 
 
 @dataclass(frozen=True)
@@ -200,32 +201,6 @@ def constraint_matrix(tree: StagedTree) -> ConstraintMatrix:
 # -- stage equations in natural coordinates -----------------------------------
 
 
-def xi_polynomial(tree: StagedTree, v: str) -> FormalPolynomial:
-    """P_v: formal sum over v-to-leaf paths of products of xi labels.
-
-    xi of a downward edge equals one (its natural parameter is zero), so
-    downward labels are omitted from the monomials.  Labels are vertex-level
-    (vertex, edge) pairs since natural parameters live on the saturated tree.
-    """
-    cache: dict[str, FormalPolynomial] = {}
-
-    def walk(u: str) -> FormalPolynomial:
-        if u in cache:
-            return cache[u]
-        if tree.is_leaf(u):
-            poly = FormalPolynomial.one()
-        else:
-            down = tree.downward_edge(u)
-            poly = FormalPolynomial()
-            for j in range(1, tree.out_degree(u) + 1):
-                sub = walk(tree.child(u, j))
-                poly = poly + (sub if j == down else sub.scale_by((u, j)))
-        cache[u] = poly
-        return poly
-
-    return walk(v)
-
-
 @dataclass(frozen=True)
 class StageEquation:
     """eta_ij + log P_ij + log P_sk = eta_sj + log P_sj + log P_ik.
@@ -247,14 +222,8 @@ class StageEquation:
     linear: bool
 
     def pretty(self, tree: StagedTree) -> str:
-        def eta_str(term):
-            if term is None:
-                return "0"
-            v, j = term
-            return _eta_name(tree, v, j)
-
         def side(eta_term, logs):
-            parts = [eta_str(eta_term)]
+            parts = ["0" if eta_term is None else _name(tree, "eta", *eta_term)]
             parts += [f"log({_poly_str(tree, p)})" for p in logs]
             return " + ".join(parts)
 
@@ -265,25 +234,15 @@ class StageEquation:
         )
 
 
-def _is_single_index(tree: StagedTree, v: str) -> bool:
-    return tree.out_degree(v) == 2 and tree.downward_edge(v) == 2
-
-
-def _eta_name(tree: StagedTree, v: str, j: int) -> str:
-    if _is_single_index(tree, v):
-        return f"eta{tree.index[v]}"
-    return f"eta[{tree.index[v]},{j}]"
-
-
-def _xi_name(tree: StagedTree, v: str, j: int) -> str:
-    if _is_single_index(tree, v):
-        return f"xi{tree.index[v]}"
-    return f"xi[{tree.index[v]},{j}]"
+def _name(tree: StagedTree, symbol: str, v: str, j: int) -> str:
+    """``xi3`` for a single-index vertex v_3, else ``xi[3,j]``."""
+    i = tree.index[v]
+    return f"{symbol}{i}" if _is_single_index(tree, v) else f"{symbol}[{i},{j}]"
 
 
 def _poly_str(tree: StagedTree, poly: FormalPolynomial) -> str:
     def mono_str(m: Monomial, c: int) -> str:
-        factors = [_xi_name(tree, v, j) for v, j in m]
+        factors = [_name(tree, "xi", v, j) for v, j in m]
         body = "*".join(factors) if factors else "1"
         return body if c == 1 else f"{c}*{body}"
 
@@ -293,26 +252,25 @@ def _poly_str(tree: StagedTree, poly: FormalPolynomial) -> str:
 
 def stage_equations(tree: StagedTree) -> list[StageEquation]:
     """One equation per same-stage pair per edge j = 1..kappa."""
-    down = {v: downward_monomial(tree, v) for v in tree.vertices}
-    xi_poly = {v: xi_polynomial(tree, v) for v in tree.vertices}
+    if tree.is_saturated():
+        return []
+    xi = xi_polynomials(tree)
     equations = []
-    for vi, vs, kappa in _same_stage_pairs(tree):
-        for j in range(1, tree.out_degree(vi) + 1):
-            lhs = monomial_mul(down[tree.child(vi, j)], down[tree.child(vs, kappa)])
-            rhs = monomial_mul(down[tree.child(vs, j)], down[tree.child(vi, kappa)])
-            equations.append(
-                StageEquation(
-                    vi=vi,
-                    vs=vs,
-                    j=j,
-                    kappa=kappa,
-                    lhs_eta=None if j == kappa else (vi, j),
-                    rhs_eta=None if j == kappa else (vs, j),
-                    lhs_logs=(xi_poly[tree.child(vi, j)], xi_poly[tree.child(vs, kappa)]),
-                    rhs_logs=(xi_poly[tree.child(vs, j)], xi_poly[tree.child(vi, kappa)]),
-                    linear=lhs == rhs,
-                )
+    for vi, vs, j, kappa, linear in _regularity(tree):
+        ci, cs = tree.children[vi], tree.children[vs]
+        equations.append(
+            StageEquation(
+                vi=vi,
+                vs=vs,
+                j=j,
+                kappa=kappa,
+                lhs_eta=None if j == kappa else (vi, j),
+                rhs_eta=None if j == kappa else (vs, j),
+                lhs_logs=(xi[ci[j - 1]], xi[cs[kappa - 1]]),
+                rhs_logs=(xi[cs[j - 1]], xi[ci[kappa - 1]]),
+                linear=linear,
             )
+        )
     return equations
 
 
@@ -356,8 +314,10 @@ def downward_invariance_probe(tree: StagedTree) -> list[dict]:
     choice that flips the regular or balanced classification; an empty list
     means no disagreement was observed.
     """
+    # the labels are (stage id, edge) pairs, so every alternative shares t_v
+    t = interpolating_polynomials(tree)
     base_regular, _ = is_regular(tree)
-    base_balanced = is_balanced(tree)
+    base_balanced = _balanced(tree, t)
     disagreements = []
     for s_id, kappa in tree.stage_degrees.items():
         for j in range(1, kappa + 1):
@@ -367,7 +327,7 @@ def downward_invariance_probe(tree: StagedTree) -> list[dict]:
             alt_down[s_id] = j
             alt = tree.with_staging(dict(tree.stage_of), downward=alt_down)
             alt_regular, _ = is_regular(alt)
-            alt_balanced = is_balanced(alt)
+            alt_balanced = _balanced(alt, t)
             if alt_regular != base_regular or alt_balanced != base_balanced:
                 disagreements.append(
                     {

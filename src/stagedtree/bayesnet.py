@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -39,6 +40,11 @@ class DiscreteBN:
     def __post_init__(self):
         known = set(self.variables)
         for name, card in self.cards.items():
+            # bool is an int subclass, so it is ruled out explicitly
+            if isinstance(card, bool) or not isinstance(card, numbers.Integral):
+                raise StagedTreeError(
+                    f"variable {name!r} has cardinality {card!r}, not an integer"
+                )
             if card < 2:
                 raise StagedTreeError(f"variable {name!r} has cardinality {card} < 2")
         for a, b in self.edges:
@@ -109,7 +115,7 @@ class DiscreteBN:
         if unknown:
             raise StagedTreeError(f"unknown BN fields: {sorted(unknown)}")
         variables = tuple(entry["name"] for entry in spec["variables"])
-        cards = {entry["name"]: int(entry["card"]) for entry in spec["variables"]}
+        cards = {entry["name"]: entry["card"] for entry in spec["variables"]}
         edges = tuple((a, b) for a, b in spec.get("edges", []))
         return cls(variables, cards, edges, spec.get("cpts"))
 
@@ -133,25 +139,32 @@ def _vertex_name(states: tuple[int, ...]) -> str:
     return "v_" + ".".join(map(str, states)) if states else "v_root"
 
 
+def _unfolding(bn: DiscreteBN, order: Optional[Sequence[str]]):
+    """(variable, history, stage) per inner vertex of the unfolded tree, level by
+    level; ``history`` maps the earlier variables to the states reaching it.
+    """
+    order = validate_order(bn, order if order is not None else bn.default_order())
+    for level, var in enumerate(order):
+        history = order[:level]
+        parents = set(bn.parents(var))
+        for states in itertools.product(*(range(bn.cards[w]) for w in history)):
+            config = ",".join(f"{w}={s}" for w, s in zip(history, states) if w in parents)
+            yield var, dict(zip(history, states)), f"{var}|{config}"
+
+
 def bn_to_staged_tree(bn: DiscreteBN, order: Optional[Sequence[str]] = None) -> StagedTree:
     """Unfold a BN into its staged tree in the given topological order.
 
     Level-i vertices (emitting the states of the i-th variable in the order)
     share a stage iff their histories agree on that variable's parents.
     """
-    order = validate_order(bn, order if order is not None else bn.default_order())
     children: dict[str, list[str]] = {}
     stages: dict[str, str] = {}
-    for level, var in enumerate(order):
-        history = order[:level]
-        parents = set(bn.parents(var))
-        for states in itertools.product(*(range(bn.cards[w]) for w in history)):
-            name = _vertex_name(states)
-            children[name] = [_vertex_name(states + (s,)) for s in range(bn.cards[var])]
-            config = tuple(
-                (w, s) for w, s in zip(history, states) if w in parents
-            )
-            stages[name] = f"{var}|" + ",".join(f"{w}={s}" for w, s in config)
+    for var, history, stage in _unfolding(bn, order):
+        states = tuple(history.values())
+        name = _vertex_name(states)
+        children[name] = [_vertex_name(states + (s,)) for s in range(bn.cards[var])]
+        stages[name] = stage
     return StagedTree(children, stages=stages, root="v_root")
 
 
@@ -159,18 +172,10 @@ def bn_edge_labels(bn: DiscreteBN, order: Optional[Sequence[str]] = None) -> Par
     """Transfer the CPT entries onto the stages of the unfolded tree."""
     if bn.cpts is None:
         raise StagedTreeError("BN has no CPTs to transfer")
-    order = validate_order(bn, order if order is not None else bn.default_order())
     vals: dict[tuple[str, int], float] = {}
-    for level, var in enumerate(order):
-        history = order[:level]
-        parents = set(bn.parents(var))
-        for states in itertools.product(*(range(bn.cards[w]) for w in history)):
-            assignment = dict(zip(history, states))
-            config = tuple((w, s) for w, s in assignment.items() if w in parents)
-            stage = f"{var}|" + ",".join(f"{w}={s}" for w, s in config)
-            row = bn.cpt_row(var, assignment)
-            for j, p in enumerate(row, start=1):
-                vals[(stage, j)] = p
+    for var, history, stage in _unfolding(bn, order):
+        for j, p in enumerate(bn.cpt_row(var, history), start=1):
+            vals[(stage, j)] = p
     return ParameterVector(vals)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 
 from . import __version__
@@ -62,8 +63,22 @@ def _load_theta(spec: str, tree: StagedTree) -> ParameterVector:
     if spec == "uniform":
         return ParameterVector.uniform(tree)
     raw = json.loads(_read_text(spec))
+    if not isinstance(raw, dict):
+        raise StagedTreeError("theta file must be a JSON object of stage -> label list")
+    unknown = set(raw) - set(tree.stage_degrees)
+    if unknown:
+        raise StagedTreeError(f"theta file names stages not in the tree: {sorted(unknown)}")
     vals = {}
     for stage, probs in raw.items():
+        kappa = tree.stage_degrees[stage]
+        if (
+            not isinstance(probs, list)
+            or len(probs) != kappa
+            or any(isinstance(p, bool) or not isinstance(p, numbers.Real) for p in probs)
+        ):
+            raise StagedTreeError(
+                f"theta of stage {stage!r} must be a list of {kappa} numbers, got {probs!r}"
+            )
         for j, p in enumerate(probs, start=1):
             vals[(stage, j)] = float(p)
     return ParameterVector(vals)

@@ -170,8 +170,15 @@ def symbolic_natural_parameters(
     }
 
 
+def _is_single_index(tree: StagedTree, v: str) -> bool:
+    """A binary vertex with the default downward edge, whose labels and
+    parameters are named by the vertex index alone.
+    """
+    return tree.out_degree(v) == 2 and tree.downward_edge(v) == 2
+
+
 def _render_label(tree: StagedTree, v: str, j: int) -> str:
-    if tree.out_degree(v) == 2 and tree.downward_edge(v) == 2:
+    if _is_single_index(tree, v):
         i = tree.index[v]
         return f"t{i}" if j == 1 else f"(1-t{i})"
     return f"th[{tree.index[v]},{j}]"

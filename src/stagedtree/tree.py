@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from collections.abc import Mapping
 from functools import cached_property
 from typing import Iterable, Optional
@@ -168,6 +169,9 @@ class StagedTree:
             stage = self.stage_of.get(key, key if key in self.stage_ids else None)
             if stage is None:
                 raise StagedTreeError(f"downward key {key!r} is neither a vertex nor a stage")
+            # bool is an int subclass, so it is ruled out explicitly
+            if isinstance(j, bool) or not isinstance(j, numbers.Integral):
+                raise StagedTreeError(f"downward index {j!r} for {key!r} is not an integer")
             j = int(j)
             if per_stage.setdefault(stage, j) != j:
                 raise DownwardEdgeInconsistentWithinStage(

@@ -11,8 +11,8 @@ from stagedtree import (
     constraint_matrix,
     dimensions,
     downward_invariance_probe,
-    downward_monomial,
-    interpolating_polynomial,
+    downward_monomials,
+    interpolating_polynomials,
     is_balanced,
     is_regular,
     is_simple,
@@ -49,10 +49,10 @@ class TestFormalPolynomial:
 
 class TestInterpolatingPolynomial:
     def test_leaf_is_one(self, fig1b):
-        assert interpolating_polynomial(fig1b, "l1") == FormalPolynomial.one()
+        assert interpolating_polynomials(fig1b)["l1"] == FormalPolynomial.one()
 
     def test_fig1b_red_vertex(self, fig1b):
-        assert interpolating_polynomial(fig1b, "v4") == poly([("red", 1)], [("red", 2)])
+        assert interpolating_polynomials(fig1b)["v4"] == poly([("red", 1)], [("red", 2)])
 
     def test_fig1b_v2_four_paths(self, fig1b):
         expected = poly(
@@ -61,21 +61,21 @@ class TestInterpolatingPolynomial:
             [("cyan", 2), ("green", 1)],
             [("cyan", 2), ("green", 2)],
         )
-        assert interpolating_polynomial(fig1b, "v2") == expected
+        assert interpolating_polynomials(fig1b)["v2"] == expected
 
 
 class TestDownwardMonomial:
     def test_fig1b_root(self, fig1b):
-        assert downward_monomial(fig1b, "v1") == tuple(
+        assert downward_monomials(fig1b)["v1"] == tuple(
             sorted([("v1", 2), ("cyan", 2), ("green", 2)])
         )
 
     def test_leaf_empty(self, fig1b):
-        assert downward_monomial(fig1b, "l3") == ()
+        assert downward_monomials(fig1b)["l3"] == ()
 
     def test_star_root(self):
         t = star(4)
-        assert downward_monomial(t, t.root) == ((t.root, 4),)
+        assert downward_monomials(t)[t.root] == ((t.root, 4),)
 
 
 class TestClassification:

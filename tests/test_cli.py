@@ -7,7 +7,7 @@ import pytest
 
 from stagedtree import StagedTree
 from stagedtree.cli import run
-from conftest import data_path
+from conftest import data_path, load_json
 
 
 def invoke(capsys, *argv):
@@ -277,6 +277,46 @@ class TestMalformedInput:
         assert code == 0
         assert out["trace"] == [] and out["d"] == 7
 
+    @pytest.mark.parametrize("index", ["x", 1.5], ids=["text", "fractional"])
+    def test_tree_downward_index_exits_2(self, capsys, tmp_path, index):
+        spec = load_json("fig1a.json")
+        spec["downward"] = {"cyan": index}
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(spec))
+        code, out = invoke(capsys, "inspect", str(path))
+        assert code == 2
+        assert out["error"]["message"] == f"downward index {index!r} for 'cyan' is not an integer"
+
+    @pytest.mark.parametrize("card", ["two", 2.7], ids=["text", "fractional"])
+    def test_bn_card_exits_2(self, capsys, tmp_path, card):
+        spec = load_json("chain_bn.json")
+        spec["variables"][0]["card"] = card
+        path = tmp_path / "bn.json"
+        path.write_text(json.dumps(spec))
+        code, out = invoke(capsys, "from-bn", str(path))
+        assert code == 2
+        assert out["error"]["message"] == f"variable 'X' has cardinality {card!r}, not an integer"
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"cyan": "bad"}, "theta of stage 'cyan' must be a list of 2 numbers, got 'bad'"),
+            ({"nosuch": [0.5, 0.5]}, "theta file names stages not in the tree: ['nosuch']"),
+            (
+                {"cyan": [0.5, 0.5, 0.0]},
+                "theta of stage 'cyan' must be a list of 2 numbers, got [0.5, 0.5, 0.0]",
+            ),
+        ],
+        ids=["not-a-list", "unknown-stage", "longer-than-kappa"],
+    )
+    def test_theta_file_exits_2(self, capsys, tmp_path, entry, message):
+        theta = {**load_json("fig1a_theta.json"), **entry}
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(theta))
+        code, out = invoke(capsys, "expfam", str(data_path("fig1a.json")), "--theta", str(path))
+        assert code == 2
+        assert out["error"] == {"type": "StagedTreeError", "message": message}
+
 
 class TestDeepTree:
     """A caterpillar 1500 levels deep, beyond Python's default recursion limit."""
@@ -316,3 +356,11 @@ class TestDeepTree:
         code, out = invoke(capsys, "fit", "--tree", deep[0], "--data", deep[1])
         assert code == 0
         assert out["n_obs"] == 6
+
+    @pytest.mark.parametrize("equations", ["none", "json"])
+    def test_check(self, capsys, deep, equations):
+        code, out = invoke(capsys, "check", deep[0], "--equations", equations)
+        assert code == 0
+        assert out["regular"] and out["balanced"] and out["simple"]
+        assert out["d0"] == out["d"] == self.DEPTH
+        assert out.get("equations", []) == []

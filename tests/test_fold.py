@@ -2,15 +2,19 @@
 
 The ``oracle_*`` functions are the recursive or memoized implementations
 that ``StagedTree.atoms``, the row walk of ``ingest_csv``,
-``log_downward_products``, ``symbolic_natural_parameters`` and
-``check_np_identity`` used before they moved onto iterative passes.  They
-are copied unchanged, apart from their names and the oracle atoms they
-index by, and the new code must agree with them exactly.
+``log_downward_products``, ``symbolic_natural_parameters``,
+``check_np_identity`` and the algebra tables (interpolating, xi and
+downward polynomials, and the checks built on them) used before they moved
+onto iterative passes.  They are copied unchanged, apart from their names,
+the oracle atoms they index by and the oracle walkers they call, and the
+new code must agree with them exactly.
 """
 
 import csv
 import io
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,18 +25,30 @@ from stagedtree import (
     StagedTree,
     bn_to_staged_tree,
     check_np_identity,
+    classify,
+    dimensions,
+    downward_invariance_probe,
+    downward_monomials,
     ingest_csv,
+    interpolating_polynomials,
+    is_balanced,
+    is_regular,
+    is_simple,
     natural_parameters,
     product_tree,
+    stage_equations,
     symbolic_natural_parameters,
     table_from_rows,
+    xi_polynomials,
 )
+from stagedtree.algebra import FormalPolynomial, StageEquation, monomial_mul
 from stagedtree.bayesnet import DiscreteBN
 from stagedtree.errors import RowDoesNotReachLeaf, StagedTreeError, UnknownCategory
 from stagedtree.expfam import log_downward_products, statistic_layout
 from stagedtree.fit import _resolve_step
 from stagedtree.random_trees import random_staged_tree
 from conftest import BINARY_GRAPH, data_path, load_json
+from test_bayesnet import all_dags
 
 
 def oracle_atoms(self) -> tuple[Atom, ...]:
@@ -148,6 +164,195 @@ def oracle_check_np_identity(tree, theta) -> float:
     return residual
 
 
+class OraclePolynomial(FormalPolynomial):
+    """FormalPolynomial with the empty constructor, the sum and the label
+    scaling that the walkers used.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms=None):
+        super().__init__(terms if terms is not None else Counter())
+
+    def __add__(self, other: "OraclePolynomial") -> "OraclePolynomial":
+        return OraclePolynomial(self.terms + other.terms)
+
+    def scale_by(self, label) -> "OraclePolynomial":
+        return OraclePolynomial(
+            Counter({monomial_mul(m, (label,)): c for m, c in self.terms.items()})
+        )
+
+
+def oracle_monomial(labels):
+    return tuple(sorted(labels))
+
+
+def oracle_canonical_label(tree, v, j):
+    return (tree.stage_of[v], j)
+
+
+def oracle_downward_monomial(tree, v):
+    """Canonical labels along the all-downward path from v; empty for leaves."""
+    labels = []
+    while not tree.is_leaf(v):
+        j = tree.downward_edge(v)
+        labels.append(oracle_canonical_label(tree, v, j))
+        v = tree.child(v, j)
+    return oracle_monomial(labels)
+
+
+def oracle_interpolating_polynomial(tree, v):
+    """Formal sum over v-to-leaf paths of the products of canonical labels."""
+    cache: dict[str, OraclePolynomial] = {}
+
+    def walk(u: str) -> OraclePolynomial:
+        if u in cache:
+            return cache[u]
+        if tree.is_leaf(u):
+            poly = OraclePolynomial.one()
+        else:
+            poly = OraclePolynomial()
+            for j in range(1, tree.out_degree(u) + 1):
+                poly = poly + walk(tree.child(u, j)).scale_by(oracle_canonical_label(tree, u, j))
+        cache[u] = poly
+        return poly
+
+    return walk(v)
+
+
+def oracle_xi_polynomial(tree, v):
+    """P_v: formal sum over v-to-leaf paths of products of xi labels."""
+    cache: dict[str, OraclePolynomial] = {}
+
+    def walk(u: str) -> OraclePolynomial:
+        if u in cache:
+            return cache[u]
+        if tree.is_leaf(u):
+            poly = OraclePolynomial.one()
+        else:
+            down = tree.downward_edge(u)
+            poly = OraclePolynomial()
+            for j in range(1, tree.out_degree(u) + 1):
+                sub = walk(tree.child(u, j))
+                poly = poly + (sub if j == down else sub.scale_by((u, j)))
+        cache[u] = poly
+        return poly
+
+    return walk(v)
+
+
+def oracle_same_stage_pairs(tree):
+    """(v_i, v_s, kappa) over all same-stage pairs, i before s in enumeration."""
+    for s_id, members in tree.stage_members.items():
+        kappa = tree.downward[s_id]
+        for vi, vs in itertools.combinations(members, 2):
+            yield vi, vs, kappa
+
+
+def oracle_is_regular(tree):
+    """Check N_ij N_sk = N_sj N_ik for all same-stage pairs and edges."""
+    down = {v: oracle_downward_monomial(tree, v) for v in tree.vertices}
+    witnesses = []
+    for vi, vs, kappa in oracle_same_stage_pairs(tree):
+        for j in range(1, tree.out_degree(vi) + 1):
+            if j == kappa:
+                continue
+            lhs = monomial_mul(down[tree.child(vi, j)], down[tree.child(vs, kappa)])
+            rhs = monomial_mul(down[tree.child(vs, j)], down[tree.child(vi, kappa)])
+            if lhs != rhs:
+                witnesses.append((vi, vs, j))
+    return not witnesses, witnesses
+
+
+def oracle_is_balanced(tree):
+    """Check t_ij t_sk = t_ik t_sj for all same-stage pairs and edges."""
+    interp = {v: oracle_interpolating_polynomial(tree, v) for v in tree.vertices}
+    for vi, vs, kappa in oracle_same_stage_pairs(tree):
+        t_ik = interp[tree.child(vi, kappa)]
+        t_sk = interp[tree.child(vs, kappa)]
+        for j in range(1, tree.out_degree(vi) + 1):
+            if j == kappa:
+                continue
+            if interp[tree.child(vi, j)] * t_sk != t_ik * interp[tree.child(vs, j)]:
+                return False
+    return True
+
+
+def oracle_is_simple(tree):
+    """Check t_ij = t_sj for all same-stage pairs and edges."""
+    interp = {v: oracle_interpolating_polynomial(tree, v) for v in tree.vertices}
+    for vi, vs, _ in oracle_same_stage_pairs(tree):
+        for j in range(1, tree.out_degree(vi) + 1):
+            if interp[tree.child(vi, j)] != interp[tree.child(vs, j)]:
+                return False
+    return True
+
+
+def oracle_stage_equations(tree):
+    """One equation per same-stage pair per edge j = 1..kappa."""
+    down = {v: oracle_downward_monomial(tree, v) for v in tree.vertices}
+    xi_poly = {v: oracle_xi_polynomial(tree, v) for v in tree.vertices}
+    equations = []
+    for vi, vs, kappa in oracle_same_stage_pairs(tree):
+        for j in range(1, tree.out_degree(vi) + 1):
+            lhs = monomial_mul(down[tree.child(vi, j)], down[tree.child(vs, kappa)])
+            rhs = monomial_mul(down[tree.child(vs, j)], down[tree.child(vi, kappa)])
+            equations.append(
+                StageEquation(
+                    vi=vi,
+                    vs=vs,
+                    j=j,
+                    kappa=kappa,
+                    lhs_eta=None if j == kappa else (vi, j),
+                    rhs_eta=None if j == kappa else (vs, j),
+                    lhs_logs=(xi_poly[tree.child(vi, j)], xi_poly[tree.child(vs, kappa)]),
+                    rhs_logs=(xi_poly[tree.child(vs, j)], xi_poly[tree.child(vi, kappa)]),
+                    linear=lhs == rhs,
+                )
+            )
+    return equations
+
+
+def oracle_classify(tree):
+    """Regular/balanced/simple report, with dimensions and witnesses."""
+    regular, witnesses = oracle_is_regular(tree)
+    d0, d = dimensions(tree)
+    return {
+        "regular": regular,
+        "balanced": oracle_is_balanced(tree),
+        "simple": oracle_is_simple(tree),
+        "d0": d0,
+        "d": d,
+        "witnesses": witnesses,
+    }
+
+
+def oracle_downward_invariance_probe(tree):
+    """Recompute the classification under alternative downward-edge choices."""
+    base_regular, _ = oracle_is_regular(tree)
+    base_balanced = oracle_is_balanced(tree)
+    disagreements = []
+    for s_id, kappa in tree.stage_degrees.items():
+        for j in range(1, kappa + 1):
+            if j == tree.downward[s_id]:
+                continue
+            alt_down = dict(tree.downward)
+            alt_down[s_id] = j
+            alt = tree.with_staging(dict(tree.stage_of), downward=alt_down)
+            alt_regular, _ = oracle_is_regular(alt)
+            alt_balanced = oracle_is_balanced(alt)
+            if alt_regular != base_regular or alt_balanced != base_balanced:
+                disagreements.append(
+                    {
+                        "stage": s_id,
+                        "downward": j,
+                        "regular": alt_regular,
+                        "balanced": alt_balanced,
+                    }
+                )
+    return disagreements
+
+
 def fixture_trees() -> list[StagedTree]:
     return [
         StagedTree(BINARY_GRAPH),
@@ -175,6 +380,13 @@ def random_trees(seed: int, count: int) -> list[StagedTree]:
 
 
 FAMILIES = {"fixtures": fixture_trees(), "random": random_trees(20261018, 150)}
+
+ALGEBRA_FAMILIES = {
+    "fixtures": fixture_trees()
+    + [StagedTree.from_spec(load_json("ternary_downward.json"))],
+    "random": random_trees(20261019, 200),
+    "dags": [bn_to_staged_tree(bn) for n in range(1, 5) for bn in all_dags(n)],
+}
 
 
 def random_theta(tree: StagedTree, seed: int) -> ParameterVector:
@@ -292,3 +504,35 @@ def test_table_from_rows_raises_typed_errors(fig1a):
         table_from_rows(fig1a, [[0, 1]])
     with pytest.raises(RowDoesNotReachLeaf):
         table_from_rows(StagedTree({"r": ["a", "b"], "b": ["c", "d"]}), [[0, 1]])
+
+
+@pytest.mark.parametrize("family", ALGEBRA_FAMILIES)
+def test_algebra_tables_match_recursive_walkers(family):
+    for tree in ALGEBRA_FAMILIES[family]:
+        interp = interpolating_polynomials(tree)
+        xi = xi_polynomials(tree)
+        down = downward_monomials(tree)
+        assert list(interp) == list(xi) == list(down) != []
+        for v in tree.vertices:
+            assert interp[v] == oracle_interpolating_polynomial(tree, v)
+            assert xi[v] == oracle_xi_polynomial(tree, v)
+            assert down[v] == oracle_downward_monomial(tree, v)
+
+
+@pytest.mark.parametrize("family", ALGEBRA_FAMILIES)
+def test_checks_match_those_on_the_recursive_tables(family):
+    for tree in ALGEBRA_FAMILIES[family]:
+        assert is_regular(tree) == oracle_is_regular(tree)
+        assert is_balanced(tree) == oracle_is_balanced(tree)
+        assert is_simple(tree) == oracle_is_simple(tree)
+        assert classify(tree) == oracle_classify(tree)
+        equations = stage_equations(tree)
+        assert equations == oracle_stage_equations(tree)
+        assert [e.pretty(tree) for e in equations] == [
+            e.pretty(tree) for e in oracle_stage_equations(tree)
+        ]
+
+
+def test_downward_invariance_probe_matches_recursive_checks():
+    for tree in ALGEBRA_FAMILIES["fixtures"] + ALGEBRA_FAMILIES["random"][:50]:
+        assert downward_invariance_probe(tree) == oracle_downward_invariance_probe(tree)
