@@ -15,12 +15,13 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .expfam import _downward_fold, _is_single_index, natural_parameters
 from .tree import ParameterVector, StagedTree, dimensions
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Label = tuple[str, int]
 Monomial = tuple[Label, ...]  # sorted tuple, repeats = exponents
@@ -175,6 +176,8 @@ class ConstraintMatrix:
     def rank(self) -> int:
         if self.matrix.shape[0] == 0:
             return 0
+        import numpy as np
+
         return int(np.linalg.matrix_rank(self.matrix))
 
     def kernel_dimension(self) -> int:
@@ -182,6 +185,8 @@ class ConstraintMatrix:
 
 
 def constraint_matrix(tree: StagedTree) -> ConstraintMatrix:
+    import numpy as np
+
     coords = [
         (v, j) for v in tree.inner for j in range(1, tree.out_degree(v))
     ]

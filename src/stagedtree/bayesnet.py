@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 import json
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import networkx as nx
 
 from .errors import OrderInconsistentWithDAG, StagedTreeError
 from .tree import ParameterVector, StagedTree
@@ -38,6 +37,12 @@ class DiscreteBN:
     cpts: Optional[dict[str, list[list[float]]]] = field(default=None)
 
     def __post_init__(self):
+        for name in self.variables:
+            if not isinstance(name, str):
+                raise StagedTreeError(f"variable name {name!r} is not a string")
+        repeated = _repeated(self.variables)
+        if repeated:
+            raise StagedTreeError(f"repeated variable names: {repeated}")
         known = set(self.variables)
         for name, card in self.cards.items():
             # bool is an int subclass, so it is ruled out explicitly
@@ -47,25 +52,32 @@ class DiscreteBN:
                 )
             if card < 2:
                 raise StagedTreeError(f"variable {name!r} has cardinality {card} < 2")
-        for a, b in self.edges:
-            if a not in known or b not in known:
+        for edge in self.edges:
+            if not isinstance(edge, (tuple, list)) or len(edge) != 2:
+                raise StagedTreeError(f"edge {edge!r} is not a [parent, child] pair")
+            a, b = edge
+            if not (isinstance(a, str) and a in known and isinstance(b, str) and b in known):
                 raise StagedTreeError(f"edge ({a!r}, {b!r}) references unknown variable")
+        repeated = _repeated(tuple(edge) for edge in self.edges)
+        if repeated:
+            raise StagedTreeError(f"repeated edges: {repeated}")
         if self._has_cycle():
             raise StagedTreeError("graph over the variables is not acyclic")
         if self.cpts is not None:
             self._validate_cpts()
 
     def _has_cycle(self) -> bool:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.variables)
-        g.add_edges_from(self.edges)
-        return not nx.is_directed_acyclic_graph(g)
+        return _topological_order(self.variables, self.edges) is None
 
     def _validate_cpts(self) -> None:
+        if not isinstance(self.cpts, dict):
+            raise StagedTreeError("cpts must map each variable to its list of rows")
         for var in self.variables:
             rows = self.cpts.get(var)
             if rows is None:
                 raise StagedTreeError(f"missing CPT for {var!r}")
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise StagedTreeError(f"CPT for {var!r} must be a list of rows, got {rows!r}")
             n_configs = 1
             for p in self.parents(var):
                 n_configs *= self.cards[p]
@@ -74,6 +86,11 @@ class DiscreteBN:
                     f"CPT for {var!r} has {len(rows)} rows, expected {n_configs}"
                 )
             for row in rows:
+                bad = [p for p in row if not _is_probability(p)]
+                if bad:
+                    raise StagedTreeError(
+                        f"CPT row for {var!r} holds {bad[0]!r}, not a number in [0, 1]"
+                    )
                 if len(row) != self.cards[var]:
                     raise StagedTreeError(f"CPT row for {var!r} has wrong width")
                 if abs(sum(row) - 1.0) > CPT_ROW_TOL:
@@ -89,10 +106,7 @@ class DiscreteBN:
         try:
             return validate_order(self, self.variables)
         except OrderInconsistentWithDAG:
-            g = nx.DiGraph()
-            g.add_nodes_from(self.variables)
-            g.add_edges_from(self.edges)
-            return tuple(nx.topological_sort(g))
+            return _topological_order(self.variables, self.edges)
 
     def cpt_row(self, var: str, assignment: dict[str, int]) -> list[float]:
         """CPT row of var for the parent states in the given assignment."""
@@ -111,17 +125,63 @@ class DiscreteBN:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "DiscreteBN":
+        if not isinstance(spec, dict):
+            raise StagedTreeError("a BN description must be a JSON object")
         unknown = set(spec) - {"variables", "edges", "cpts"}
         if unknown:
             raise StagedTreeError(f"unknown BN fields: {sorted(unknown)}")
-        variables = tuple(entry["name"] for entry in spec["variables"])
-        cards = {entry["name"]: entry["card"] for entry in spec["variables"]}
-        edges = tuple((a, b) for a, b in spec.get("edges", []))
+        entries = spec.get("variables")
+        if not isinstance(entries, list) or not all(
+            isinstance(entry, dict) and {"name", "card"} <= set(entry) for entry in entries
+        ):
+            raise StagedTreeError("BN variables must be a list of objects with 'name' and 'card'")
+        edges = spec.get("edges", [])
+        if not isinstance(edges, list):
+            raise StagedTreeError(f"BN edges must be a list of pairs, got {edges!r}")
+        variables = tuple(entry["name"] for entry in entries)
+        # __post_init__ refuses a name that is not a string; it may be unhashable
+        cards = {e["name"]: e["card"] for e in entries if isinstance(e["name"], str)}
+        edges = tuple(tuple(e) if isinstance(e, list) else e for e in edges)
         return cls(variables, cards, edges, spec.get("cpts"))
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteBN":
         return cls.from_spec(json.loads(text))
+
+
+def _repeated(items) -> list:
+    """The items that occur more than once, each listed once."""
+    return [x for x, n in Counter(items).items() if n > 1]
+
+
+def _is_probability(p) -> bool:
+    # bool is an int subclass, so it is ruled out explicitly
+    return not isinstance(p, bool) and isinstance(p, numbers.Real) and 0 <= p <= 1
+
+
+def _topological_order(
+    variables: Sequence[str], edges: Sequence[tuple[str, str]]
+) -> Optional[tuple[str, ...]]:
+    """Kahn's algorithm with a first-in-first-out queue, or None on a cycle.
+
+    Sources are queued in variable order and a child when its last incoming
+    edge is removed, scanning each vertex's children in edge order.  This is
+    the order ``networkx.topological_sort`` gives, which the tests check.
+    """
+    children: dict[str, dict[str, None]] = {v: {} for v in variables}
+    for a, b in edges:
+        children[a][b] = None  # a dict keeps the first-seen order and drops repeats
+    indegree = dict.fromkeys(variables, 0)
+    for cs in children.values():
+        for c in cs:
+            indegree[c] += 1
+    order = [v for v in variables if indegree[v] == 0]
+    for v in order:  # the loop reaches the vertices appended behind it
+        for c in children[v]:
+            indegree[c] -= 1
+            if indegree[c] == 0:
+                order.append(c)
+    return tuple(order) if len(order) == len(indegree) else None
 
 
 def validate_order(bn: DiscreteBN, order: Sequence[str]) -> tuple[str, ...]:
@@ -179,26 +239,54 @@ def bn_edge_labels(bn: DiscreteBN, order: Optional[Sequence[str]] = None) -> Par
     return ParameterVector(vals)
 
 
-def skeleton(bn: DiscreteBN) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(bn.variables)
-    g.add_edges_from(bn.edges)
-    return g
+def skeleton(bn: DiscreteBN) -> dict[str, set[str]]:
+    """Adjacency sets of the undirected graph underlying the DAG."""
+    adj: dict[str, set[str]] = {v: set() for v in bn.variables}
+    for a, b in bn.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
 
 
 def has_immorality(bn: DiscreteBN) -> bool:
     """True iff some vertex has two non-adjacent parents (a v-structure)."""
-    skel = skeleton(bn)
+    adj = skeleton(bn)
     for var in bn.variables:
         for a, b in itertools.combinations(bn.parents(var), 2):
-            if not skel.has_edge(a, b):
+            if b not in adj[a]:
                 return True
     return False
 
 
+def _is_chordal(adj: dict[str, set[str]]) -> bool:
+    """Chordality by maximum cardinality search (Tarjan & Yannakakis 1984).
+
+    Visit next a vertex with the most visited neighbours.  The graph is
+    chordal iff the reverse visit order eliminates perfectly, that is iff
+    for every vertex, its neighbours visited before it, other than the
+    latest one, are all adjacent to that latest one.  Self-loops must be
+    absent.
+    """
+    weight = dict.fromkeys(adj, 0)
+    visited: dict[str, int] = {}  # vertex -> visit number
+    while weight:
+        v = max(weight, key=weight.get)
+        del weight[v]
+        earlier = [u for u in adj[v] if u in visited]
+        if earlier:
+            latest = max(earlier, key=visited.get)
+            if any(u != latest and u not in adj[latest] for u in earlier):
+                return False
+        visited[v] = len(visited)
+        for u in adj[v]:
+            if u in weight:
+                weight[u] += 1
+    return True
+
+
 def is_decomposable(bn: DiscreteBN) -> bool:
     """No immoralities and a chordal skeleton."""
-    return not has_immorality(bn) and nx.is_chordal(skeleton(bn))
+    return not has_immorality(bn) and _is_chordal(skeleton(bn))
 
 
 def find_simple_ordering(bn: DiscreteBN) -> Optional[tuple[str, ...]]:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NontrivialStaging, NotAStar
 from .tree import (
@@ -22,6 +21,9 @@ from .tree import (
     StagedTree,
     labels_from_distribution,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _downward_fold(tree: StagedTree, leaf_value, step) -> dict:
@@ -70,6 +72,8 @@ class ExpFamForm:
     logN: dict[str, float] = field(repr=False)
 
     def eta_vector(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.eta[key] for key in self.layout])
 
     @property
@@ -90,6 +94,8 @@ def natural_parameters(tree: StagedTree, theta: ParameterVector) -> ExpFamForm:
 
 def sufficient_statistic(tree: StagedTree, atom: Atom) -> np.ndarray:
     """0/1 vector of non-downward edge indicators, in layout order."""
+    import numpy as np
+
     return np.array(
         [1 if atom.traverses(v, j) else 0 for v, j in statistic_layout(tree)]
     )
@@ -135,6 +141,8 @@ class StarForm:
     psi: float
 
     def eta_vector(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.eta)
 
 

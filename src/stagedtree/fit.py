@@ -15,35 +15,33 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     RowDoesNotReachLeaf,
     StagedTreeError,
     UnknownCategory,
     ZeroStageTraffic,
 )
-from .tree import Atom, ParameterVector, StagedTree, dimensions, log_atom_probability
+from .tree import Atom, ParameterVector, StagedTree, dimensions
 
 
 class AtomTable:
-    """Observed counts per atom, aligned with the tree's atom order."""
+    """Observed counts per atom, a tuple of ints aligned with the tree's atom order."""
 
     def __init__(self, tree: StagedTree, counts: Sequence[int]):
-        counts = [int(c) for c in counts]
+        counts = tuple(int(c) for c in counts)
         if len(counts) != tree.n:
             raise StagedTreeError(f"expected {tree.n} counts, got {len(counts)}")
         if any(c < 0 for c in counts):
             raise StagedTreeError("atom counts must be non-negative")
         self.tree = tree
-        self.counts = np.array(counts, dtype=np.int64)
+        self.counts = counts
 
     @property
     def n_obs(self) -> int:
-        return int(self.counts.sum())
+        return sum(self.counts)
 
     def count(self, atom: Atom) -> int:
-        return int(self.counts[self.tree.atoms.index(atom)])
+        return self.counts[self.tree.atoms.index(atom)]
 
     def __repr__(self) -> str:
         return f"AtomTable(n_obs={self.n_obs}, atoms={len(self.counts)})"
@@ -92,7 +90,7 @@ def ingest_csv(
         raise StagedTreeError("empty CSV input") from None
     header = [h.strip() for h in header]
     if header == ["atom_id", "count"]:
-        counts = np.zeros(tree.n, dtype=np.int64)
+        counts = [0] * tree.n
         for row in reader:
             if not row or not any(cell.strip() for cell in row):
                 continue
@@ -139,12 +137,10 @@ def _count_rows(tree: StagedTree, rows, column_levels) -> AtomTable:
     return AtomTable(tree, counts)
 
 
-def _vertex_traffic(table: AtomTable) -> dict[str, list[int]]:
+def _vertex_traffic(tree: StagedTree, counts: Sequence[int]) -> dict[str, list[int]]:
     """Edge-traversal counts per inner vertex, from one pass over the atoms."""
-    tree = table.tree
     traffic = {v: [0] * tree.out_degree(v) for v in tree.inner}
-    for atom, c in zip(tree.atoms, table.counts):
-        c = int(c)
+    for atom, c in zip(tree.atoms, counts):
         if c == 0:
             continue
         for v, j in atom.steps:
@@ -152,14 +148,13 @@ def _vertex_traffic(table: AtomTable) -> dict[str, list[int]]:
     return traffic
 
 
-def _stage_traffic(table: AtomTable):
+def _stage_traffic(tree: StagedTree, table: AtomTable):
     """Pooled per-stage visit and edge-traversal counts."""
-    tree = table.tree
     visits = {s: 0 for s in tree.stage_ids}
     edges = {
         (s, j): 0 for s, kappa in tree.stage_degrees.items() for j in range(1, kappa + 1)
     }
-    for v, counts in _vertex_traffic(table).items():
+    for v, counts in _vertex_traffic(tree, table.counts).items():
         s = tree.stage_of[v]
         visits[s] += sum(counts)
         for j, n in enumerate(counts, start=1):
@@ -175,7 +170,11 @@ def mle(tree: StagedTree, table: AtomTable, alpha: float = 0.0) -> ParameterVect
     a boundary estimate (the returned vector then reports ``is_boundary()``).
     """
     _check_alpha(alpha)
-    visits, edges = _stage_traffic(table)
+    return _mle(tree, *_stage_traffic(tree, table), alpha)
+
+
+def _mle(tree: StagedTree, visits: dict, edges: dict, alpha: float) -> ParameterVector:
+    """Labels from the pooled counts of :func:`_stage_traffic`."""
     vals: dict[tuple[str, int], float] = {}
     for s, kappa in tree.stage_degrees.items():
         denom = visits[s] + alpha * kappa
@@ -187,14 +186,17 @@ def mle(tree: StagedTree, table: AtomTable, alpha: float = 0.0) -> ParameterVect
 
 
 def log_likelihood(tree: StagedTree, theta: ParameterVector, table: AtomTable) -> float:
-    """Sum of count-weighted log atom probabilities; 0 * log 0 counts as 0."""
-    total = 0.0
-    for atom, c in zip(tree.atoms, table.counts):
-        c = int(c)
-        if c == 0:
-            continue
-        total += c * log_atom_probability(tree, theta, atom)
-    return total
+    """Sum of count-weighted log atom probabilities; 0 * log 0 counts as 0.
+
+    An atom's log-probability is the sum of the log-labels along its path, so
+    the sum over atoms regroups by stage edge into that of n_sj * log(theta_sj)
+    over the pooled edge-traversal counts n_sj.
+    """
+    return _pooled_log_likelihood(theta, _stage_traffic(tree, table)[1])
+
+
+def _pooled_log_likelihood(theta: ParameterVector, edges: dict) -> float:
+    return math.fsum(n * math.log(theta[key]) for key, n in edges.items() if n)
 
 
 @dataclass(frozen=True)
@@ -219,10 +221,12 @@ class FitResult:
 
 def bic(tree: StagedTree, table: AtomTable, alpha: float = 0.0) -> FitResult:
     """Fit the staging and score it with d * log(N) - 2 * log-likelihood."""
-    theta = mle(tree, table, alpha=alpha)
+    _check_alpha(alpha)
+    visits, edges = _stage_traffic(tree, table)
+    theta = _mle(tree, visits, edges, alpha)
     if table.n_obs == 0:
         raise StagedTreeError("BIC needs at least one observation, the table is empty")
-    ll = log_likelihood(tree, theta, table)
+    ll = _pooled_log_likelihood(theta, edges)
     _, d = dimensions(tree)
     return FitResult(
         theta=theta,
@@ -329,7 +333,7 @@ def select_staging(
     # A stage is named after its first member in BFS order, and every stage
     # of the saturated tree has the default (last) downward edge, so equal
     # out-degrees imply equal downward edges.
-    counts = {v: tuple(c) for v, c in _vertex_traffic(table).items()}
+    counts = {v: tuple(c) for v, c in _vertex_traffic(saturated, table.counts).items()}
     loglik = {s: _stage_loglik(c, alpha) for s, c in counts.items()}
     members = {s: [s] for s in counts}
 

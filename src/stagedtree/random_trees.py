@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .tree import StagedTree
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def random_tree_shape(

@@ -415,12 +415,18 @@ class ParameterVector(Mapping):
         return cls(vals)
 
     def validate_for(self, tree: StagedTree) -> None:
+        """Require a label for every (stage, edge) of the tree, and for nothing else."""
         needed = {
             (s, j) for s, kappa in tree.stage_degrees.items() for j in range(1, kappa + 1)
         }
         missing = needed - set(self._values)
         if missing:
             raise StagedTreeError(f"parameter vector lacks labels for {sorted(missing)}")
+        extra = set(self._values) - needed
+        if extra:
+            raise StagedTreeError(
+                f"parameter vector has labels for edges not in the tree: {sorted(extra)}"
+            )
 
 
 class AtomDistribution(Mapping):

@@ -1,5 +1,7 @@
 import itertools
+from collections import Counter
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from stagedtree import (
     is_regular,
     is_simple,
 )
+from stagedtree.bayesnet import _is_chordal, _topological_order, skeleton
 from stagedtree.errors import OrderInconsistentWithDAG, StagedTreeError
 
 
@@ -199,3 +202,64 @@ class TestJointEquality:
     def test_cpt_row_sum_validated(self):
         with pytest.raises(StagedTreeError):
             binary_bn("AB", [("A", "B")], cpts={"A": [[0.5, 0.6]], "B": [[0.5, 0.5]] * 2})
+
+
+def random_digraphs(rng, count, max_nodes=9):
+    """Seeded digraphs over 1..max_nodes shuffled nodes, edges in shuffled order.
+
+    Half draw forward edges of a hidden order, so they are acyclic; the other
+    half draw any ordered pairs with replacement, so they include cycles,
+    self-loops and repeated edges.
+    """
+    for i in range(count):
+        n = int(rng.integers(1, max_nodes + 1))
+        nodes = [f"N{k}" for k in rng.permutation(n)]
+        hidden = list(rng.permutation(nodes))
+        p = rng.random()
+        if i % 2 == 0:
+            pairs = itertools.combinations(hidden, 2)
+            edges = [pair for pair in pairs if rng.random() < p]
+        else:
+            ends = rng.integers(n, size=(int(rng.integers(0, 2 * n + 1)), 2))
+            edges = [(nodes[x], nodes[y]) for x, y in ends]
+        yield nodes, [edges[k] for k in rng.permutation(len(edges))]
+
+
+class TestGraphOracles:
+    """The standard-library graph code against networkx as the oracle."""
+
+    @staticmethod
+    def digraph(nodes, edges):
+        g = nx.DiGraph()
+        g.add_nodes_from(nodes)
+        g.add_edges_from(edges)
+        return g
+
+    def check(self, nodes, edges):
+        g = self.digraph(nodes, edges)
+        expected = tuple(nx.topological_sort(g)) if nx.is_directed_acyclic_graph(g) else None
+        assert _topological_order(nodes, edges) == expected, (nodes, edges)
+        loopless = [(a, b) for a, b in edges if a != b]
+        adj = {v: set() for v in nodes}
+        for a, b in loopless:
+            adj[a].add(b)
+            adj[b].add(a)
+        chordal = nx.is_chordal(nx.Graph(loopless)) if loopless else True
+        assert _is_chordal(adj) == chordal, (nodes, edges)
+        return expected is None, chordal
+
+    def test_every_dag_over_at_most_four_nodes(self):
+        verdicts = Counter()
+        for n in range(1, 5):
+            for bn in all_dags(n):
+                undirected = nx.Graph(self.digraph(bn.variables, bn.edges))
+                assert skeleton(bn) == {v: set(undirected[v]) for v in bn.variables}
+                verdicts[self.check(list(bn.variables), list(bn.edges))] += 1
+        assert verdicts[(False, False)] > 0 and verdicts[(False, True)] > 0
+
+    def test_seeded_random_digraphs(self):
+        verdicts = Counter(
+            self.check(nodes, edges)
+            for nodes, edges in random_digraphs(np.random.default_rng(11), 3000)
+        )
+        assert all(verdicts[key] > 100 for key in itertools.product((False, True), repeat=2))

@@ -125,6 +125,13 @@ class TestContract:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_cli_import_loads_neither_numpy_nor_networkx(self):
+        # a structural guard on start-up work, not a timing gate
+        code = "import sys, stagedtree.cli; print({'numpy', 'networkx'} & set(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "set()\n"
+
     def test_missing_file_exits_2(self, capsys):
         code, out = invoke(capsys, "check", "no-such-file.json")
         assert code == 2
@@ -296,6 +303,67 @@ class TestMalformedInput:
         code, out = invoke(capsys, "from-bn", str(path))
         assert code == 2
         assert out["error"]["message"] == f"variable 'X' has cardinality {card!r}, not an integer"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda bn: bn["edges"].append(["X", "Y", "Z"]),
+                "edge ('X', 'Y', 'Z') is not a [parent, child] pair",
+            ),
+            (
+                lambda bn: bn.update(edges="AB"),
+                "BN edges must be a list of pairs, got 'AB'",
+            ),
+            (
+                lambda bn: bn["variables"][0].update(name=["x"]),
+                "variable name ['x'] is not a string",
+            ),
+            (
+                lambda bn: bn["variables"][0].pop("name"),
+                "BN variables must be a list of objects with 'name' and 'card'",
+            ),
+            (
+                lambda bn: bn["cpts"].update(X=5),
+                "CPT for 'X' must be a list of rows, got 5",
+            ),
+            (
+                lambda bn: bn["cpts"]["Y"].__setitem__(0, ["a", 0.5]),
+                "CPT row for 'Y' holds 'a', not a number in [0, 1]",
+            ),
+            (
+                lambda bn: bn["cpts"].update(X=[[True, False]]),
+                "CPT row for 'X' holds True, not a number in [0, 1]",
+            ),
+            (
+                lambda bn: bn["variables"][2].update(name="X"),
+                "repeated variable names: ['X']",
+            ),
+            (
+                lambda bn: bn["edges"].append(["X", "Y"]),
+                "repeated edges: [('X', 'Y')]",
+            ),
+        ],
+        ids=[
+            "edge-triple",
+            "edges-not-a-list",
+            "name-not-a-string",
+            "entry-without-name",
+            "cpt-not-a-list",
+            "cpt-text-cell",
+            "cpt-bool-cell",
+            "repeated-name",
+            "repeated-edge",
+        ],
+    )
+    def test_bn_spec_exits_2(self, capsys, tmp_path, edit, message):
+        spec = load_json("chain_bn.json")
+        edit(spec)
+        path = tmp_path / "bn.json"
+        path.write_text(json.dumps(spec))
+        code, out = invoke(capsys, "from-bn", str(path))
+        assert code == 2
+        assert out["error"] == {"type": "StagedTreeError", "message": message}
 
     @pytest.mark.parametrize(
         "entry, message",

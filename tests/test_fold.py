@@ -7,7 +7,9 @@ that ``StagedTree.atoms``, the row walk of ``ingest_csv``,
 downward polynomials, and the checks built on them) used before they moved
 onto iterative passes.  They are copied unchanged, apart from their names,
 the oracle atoms they index by and the oracle walkers they call, and the
-new code must agree with them exactly.
+new code must agree with them exactly.  The exception is the per-atom
+``log_likelihood``, which sums the same logs in another order than the
+pooled one and must agree within 1e-12 relative.
 """
 
 import csv
@@ -21,8 +23,10 @@ import pytest
 
 from stagedtree import (
     Atom,
+    AtomTable,
     ParameterVector,
     StagedTree,
+    bic,
     bn_to_staged_tree,
     check_np_identity,
     classify,
@@ -34,6 +38,8 @@ from stagedtree import (
     is_balanced,
     is_regular,
     is_simple,
+    log_likelihood,
+    mle,
     natural_parameters,
     product_tree,
     stage_equations,
@@ -47,6 +53,7 @@ from stagedtree.errors import RowDoesNotReachLeaf, StagedTreeError, UnknownCateg
 from stagedtree.expfam import log_downward_products, statistic_layout
 from stagedtree.fit import _resolve_step
 from stagedtree.random_trees import random_staged_tree
+from stagedtree.tree import log_atom_probability
 from conftest import BINARY_GRAPH, data_path, load_json
 from test_bayesnet import all_dags
 
@@ -94,6 +101,17 @@ def oracle_row_counts(source, tree, levels=None) -> list[int]:
             raise RowDoesNotReachLeaf(f"row {row} stops before reaching a leaf")
         counts[atom_index[Atom(tuple(steps), v)]] += 1
     return counts.tolist()
+
+
+def oracle_log_likelihood(tree: StagedTree, theta: ParameterVector, table: AtomTable) -> float:
+    """Sum of count-weighted log atom probabilities; 0 * log 0 counts as 0."""
+    total = 0.0
+    for atom, c in zip(tree.atoms, table.counts):
+        c = int(c)
+        if c == 0:
+            continue
+        total += c * log_atom_probability(tree, theta, atom)
+    return total
 
 
 def oracle_log_downward_products(tree, theta) -> dict[str, float]:
@@ -448,9 +466,25 @@ def test_row_walk_matches_atom_lookup(family):
         rows = sampled_rows(tree, rng, 40)
         text = rows_text(tree, rows)
         expected = oracle_row_counts(io.StringIO(text), tree)
-        assert ingest_csv(io.StringIO(text), tree).counts.tolist() == expected
+        assert list(ingest_csv(io.StringIO(text), tree).counts) == expected
         ints = [[int(c) for c in row if c] for row in rows]
-        assert table_from_rows(tree, ints).counts.tolist() == expected
+        assert list(table_from_rows(tree, ints).counts) == expected
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_pooled_log_likelihood_matches_per_atom_sum(family):
+    rng = np.random.default_rng(8)
+    trees = FAMILIES[family] + [product_tree([2] * 10)] * (family == "fixtures")
+    for tree in trees:
+        # about one atom in five unobserved
+        counts = rng.integers(1, 1000, size=tree.n) * (rng.random(tree.n) < 0.8)
+        table = AtomTable(tree, counts)
+        fit = bic(tree, table, alpha=0.5)
+        thetas = [fit.theta, mle(tree, table, alpha=0.5), random_theta(tree, 9)]
+        for theta in thetas:
+            expected = oracle_log_likelihood(tree, theta, table)
+            assert log_likelihood(tree, theta, table) == pytest.approx(expected, rel=1e-12)
+        assert fit.log_likelihood == log_likelihood(tree, fit.theta, table)
 
 
 def malformed_rows(tree: StagedTree, rng) -> list[list[str]]:
@@ -491,7 +525,7 @@ def test_levels_mapping_matches_atom_lookup(family):
             slow = outcome(oracle_row_counts, io.StringIO(text), tree, levels)
             fast = outcome(ingest_csv, io.StringIO(text), tree, levels)
             if not isinstance(fast, tuple):
-                fast = fast.counts.tolist()
+                fast = list(fast.counts)
             assert fast == slow
 
 

@@ -138,6 +138,24 @@ class TestParameterVector:
         assert theta[("cyan", 1)] == 0.5
         assert len(theta) == 8  # 4 stages x 2 edges
 
+    def test_validate_for_rejects_stage_not_in_tree(self, fig1a):
+        vals = {**ParameterVector.uniform(fig1a), ("nosuch", 1): 0.5, ("nosuch", 2): 0.5}
+        theta = ParameterVector(vals)
+        message = r"edges not in the tree: \[\('nosuch', 1\), \('nosuch', 2\)\]"
+        with pytest.raises(StagedTreeError, match=message):
+            theta.validate_for(fig1a)
+        with pytest.raises(StagedTreeError, match=message):
+            distribution_from_labels(fig1a, theta)
+
+    def test_validate_for_rejects_edge_index_above_kappa(self, fig1a):
+        vals = {**ParameterVector.uniform(fig1a), ("cyan", 1): 0.3, ("cyan", 2): 0.3}
+        theta = ParameterVector({**vals, ("cyan", 3): 0.4})
+        message = r"edges not in the tree: \[\('cyan', 3\)\]"
+        with pytest.raises(StagedTreeError, match=message):
+            theta.validate_for(fig1a)
+        with pytest.raises(StagedTreeError, match=message):
+            distribution_from_labels(fig1a, theta)
+
 
 class TestAtomProbability:
     def test_uniform_cube(self, example1):
