@@ -336,6 +336,14 @@ class TestMalformedInput:
                 "CPT row for 'X' holds True, not a number in [0, 1]",
             ),
             (
+                lambda bn: bn["cpts"].update(X=[[1.5, -0.5]]),
+                "CPT row for 'X' holds 1.5, not a number in [0, 1]",
+            ),
+            (
+                lambda bn: bn["cpts"].update(X=[[float("nan"), 0.5]]),
+                "CPT row for 'X' holds nan, not a number in [0, 1]",
+            ),
+            (
                 lambda bn: bn["variables"][2].update(name="X"),
                 "repeated variable names: ['X']",
             ),
@@ -352,6 +360,8 @@ class TestMalformedInput:
             "cpt-not-a-list",
             "cpt-text-cell",
             "cpt-bool-cell",
+            "cpt-cell-outside-unit-interval",
+            "cpt-nan-cell",
             "repeated-name",
             "repeated-edge",
         ],
