@@ -45,13 +45,16 @@ class FormalPolynomial:
 
     def __mul__(self, other: "FormalPolynomial") -> "FormalPolynomial":
         out: Counter = Counter()
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                out[monomial_mul(m1, m2)] += c1 * c2
+            for m2, c2 in right:
+                out[tuple(sorted(m1 + m2))] += c1 * c2  # monomial_mul, inlined
         return FormalPolynomial(out)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FormalPolynomial) and self.terms == other.terms
+        # no coefficient is zero, so plain dict equality is multiset equality
+        # (and faster than Counter's, which treats missing keys as zero)
+        return isinstance(other, FormalPolynomial) and dict.__eq__(self.terms, other.terms)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -105,42 +108,87 @@ def downward_monomials(tree: StagedTree) -> dict[str, Monomial]:
     )
 
 
-def _pair_edges(tree: StagedTree):
-    """(v_i, v_s, j, kappa) over all same-stage pairs, i before s in
-    enumeration, and their edges j = 1..kappa.
+def _regularity(tree: StagedTree):
+    """(v_i, v_s, j, kappa, N_ij N_sk == N_sj N_ik) over all same-stage
+    pairs, i before s in enumeration, and their edges j = 1..kappa.
     """
+    down = downward_monomials(tree)
     for s_id, members in tree.stage_members.items():
         kappa = tree.downward[s_id]
         for vi, vs in itertools.combinations(members, 2):
-            for j in range(1, tree.stage_degrees[s_id] + 1):
-                yield vi, vs, j, kappa
+            ci, cs = tree.children[vi], tree.children[vs]
+            for j in range(1, len(ci) + 1):
+                lhs = monomial_mul(down[ci[j - 1]], down[cs[kappa - 1]])
+                rhs = monomial_mul(down[cs[j - 1]], down[ci[kappa - 1]])
+                yield vi, vs, j, kappa, lhs == rhs
 
 
-def _regularity(tree: StagedTree):
-    """(v_i, v_s, j, kappa, N_ij N_sk == N_sj N_ik) per same-stage pair and edge."""
-    down = downward_monomials(tree)
-    for vi, vs, j, kappa in _pair_edges(tree):
-        ci, cs = tree.children[vi], tree.children[vs]
-        lhs = monomial_mul(down[ci[j - 1]], down[cs[kappa - 1]])
-        rhs = monomial_mul(down[cs[j - 1]], down[ci[kappa - 1]])
-        yield vi, vs, j, kappa, lhs == rhs
+def _ratio_key(num: Monomial, den: Monomial) -> tuple[tuple[Label, int], ...]:
+    """The Laurent monomial num / den as its sorted nonzero signed exponents."""
+    exps = Counter(num)
+    exps.subtract(den)
+    return tuple(sorted((lbl, e) for lbl, e in exps.items() if e))
 
 
 def is_regular(tree: StagedTree) -> tuple[bool, list[tuple[str, str, int]]]:
     """Check N_ij N_sk = N_sj N_ik for all same-stage pairs and edges.
 
     Returns (flag, witnesses); each witness is a violating (v_i, v_s, j)
-    triple, in lexicographic order of the vertex enumeration.
+    triple, in lexicographic order of the vertex enumeration.  Monomials
+    form a cancellative monoid, so a pair violates at edge j exactly when
+    the ratios N_ij / N_ik and N_sj / N_sk differ, and a stage whose members
+    all share the first member's ratios has no witness.
     """
-    witnesses = [(vi, vs, j) for vi, vs, j, _, same in _regularity(tree) if not same]
+    down = downward_monomials(tree)
+    witnesses = []
+    for s_id, members in tree.stage_members.items():
+        if len(members) < 2:
+            continue
+        kappa = tree.downward[s_id]
+        keys = []
+        for v in members:
+            cs = tree.children[v]
+            keys.append([_ratio_key(down[c], down[cs[kappa - 1]]) for c in cs])
+        if all(key == keys[0] for key in keys):
+            continue
+        for (vi, ki), (vs, ks) in itertools.combinations(zip(members, keys), 2):
+            witnesses.extend(
+                (vi, vs, j) for j, (a, b) in enumerate(zip(ki, ks), start=1) if a != b
+            )
     return not witnesses, witnesses
 
 
 def _balanced(tree: StagedTree, t: dict[str, FormalPolynomial]) -> bool:
-    for vi, vs, j, kappa in _pair_edges(tree):
-        ci, cs = tree.children[vi], tree.children[vs]
-        if j != kappa and t[ci[j - 1]] * t[cs[kappa - 1]] != t[ci[kappa - 1]] * t[cs[j - 1]]:
-            return False
+    """t_1j t_sk = t_1k t_sj for the first member 1 and every later member s.
+
+    Z[labels] is an integral domain and no t_v is zero, so this says that
+    t_sj / t_sk equals t_1j / t_1k, and equality with the first member's
+    ratios is transitive.  Cancellation also decides the pairs that share a
+    factor without a product: if t_1k = t_sk the condition is t_1j = t_sj,
+    and if not, t_1j = t_sj violates it.
+    """
+    for s_id, members in tree.stage_members.items():
+        k = tree.downward[s_id] - 1
+        first = [t[c] for c in tree.children[members[0]]]
+        for vs in members[1:]:
+            other = [t[c] for c in tree.children[vs]]
+            if first[k] == other[k]:
+                if other != first:
+                    return False
+                continue
+            for j, (t1j, tsj) in enumerate(zip(first, other)):
+                if j != k and (t1j == tsj or t1j * other[k] != first[k] * tsj):
+                    return False
+    return True
+
+
+def _simple(tree: StagedTree, t: dict[str, FormalPolynomial]) -> bool:
+    """t_sj = t_1j for the first member 1, every later member s and edge j."""
+    for members in tree.stage_members.values():
+        first = [t[c] for c in tree.children[members[0]]]
+        for vs in members[1:]:
+            if [t[c] for c in tree.children[vs]] != first:
+                return False
     return True
 
 
@@ -152,13 +200,7 @@ def is_balanced(tree: StagedTree) -> bool:
 
 def is_simple(tree: StagedTree) -> bool:
     """Check t_ij = t_sj for all same-stage pairs and edges."""
-    if tree.is_saturated():
-        return True
-    t = interpolating_polynomials(tree)
-    return all(
-        t[tree.children[vi][j - 1]] == t[tree.children[vs][j - 1]]
-        for vi, vs, j, _ in _pair_edges(tree)
-    )
+    return tree.is_saturated() or _simple(tree, interpolating_polynomials(tree))
 
 
 @dataclass(frozen=True)
@@ -302,10 +344,13 @@ def classify(tree: StagedTree) -> dict:
     """Regular/balanced/simple report, with dimensions and witnesses."""
     regular, witnesses = is_regular(tree)
     d0, d = dimensions(tree)
+    # one table serves both checks; a saturated tree needs none
+    saturated = tree.is_saturated()
+    t = None if saturated else interpolating_polynomials(tree)
     return {
         "regular": regular,
-        "balanced": is_balanced(tree),
-        "simple": is_simple(tree),
+        "balanced": saturated or _balanced(tree, t),
+        "simple": saturated or _simple(tree, t),
         "d0": d0,
         "d": d,
         "witnesses": witnesses,
@@ -317,7 +362,10 @@ def downward_invariance_probe(tree: StagedTree) -> list[dict]:
 
     One stage's downward edge is varied at a time.  Returns a record per
     choice that flips the regular or balanced classification; an empty list
-    means no disagreement was observed.
+    means no disagreement was observed.  Balance cannot flip: t_v does not
+    depend on the downward edges, and t_sj / t_sk' is t_sj / t_sk divided by
+    t_sk' / t_sk, so equal ratios for one reference edge k give equal ratios
+    for any other k'.
     """
     # the labels are (stage id, edge) pairs, so every alternative shares t_v
     t = interpolating_polynomials(tree)

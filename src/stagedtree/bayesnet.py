@@ -44,6 +44,12 @@ class DiscreteBN:
         if repeated:
             raise StagedTreeError(f"repeated variable names: {repeated}")
         known = set(self.variables)
+        if set(self.cards) != known:
+            missing = sorted(known - set(self.cards))
+            extra = sorted(set(self.cards) - known, key=repr)
+            raise StagedTreeError(
+                f"cards must name exactly the variables: missing {missing}, extra {extra}"
+            )
         for name, card in self.cards.items():
             # bool is an int subclass, so it is ruled out explicitly
             if isinstance(card, bool) or not isinstance(card, numbers.Integral):

@@ -241,7 +241,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload = args.func(args)
-    except (StagedTreeError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (StagedTreeError, OSError, json.JSONDecodeError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args)
         return 2
     except Exception as exc:  # pragma: no cover - internal errors

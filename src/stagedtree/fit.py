@@ -28,7 +28,11 @@ class AtomTable:
     """Observed counts per atom, a tuple of ints aligned with the tree's atom order."""
 
     def __init__(self, tree: StagedTree, counts: Sequence[int]):
-        counts = tuple(int(c) for c in counts)
+        counts = tuple(counts)
+        # bool is an int subclass, so it is ruled out explicitly
+        if any(isinstance(c, bool) or not isinstance(c, numbers.Integral) for c in counts):
+            raise StagedTreeError("atom counts must be integers")
+        counts = tuple(int(c) for c in counts)  # numpy integers become ints
         if len(counts) != tree.n:
             raise StagedTreeError(f"expected {tree.n} counts, got {len(counts)}")
         if any(c < 0 for c in counts):

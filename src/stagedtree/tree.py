@@ -313,20 +313,40 @@ class StagedTree:
         ``{"vertices": [{"id": ..., "children": [...]}, ...],
            "stages": {vertex: stage, ...}, "downward": {stage: index, ...}}``
         """
+        if not isinstance(spec, Mapping):
+            raise StagedTreeError("tree description must be a JSON object")
         unknown = set(spec) - cls._SPEC_FIELDS
         if unknown:
             raise StagedTreeError(f"unknown tree-description fields: {sorted(unknown)}")
-        try:
-            vertices = spec["vertices"]
-        except KeyError:
-            raise StagedTreeError("tree description lacks 'vertices'") from None
-        children = {}
+        if "vertices" not in spec:
+            raise StagedTreeError("tree description lacks 'vertices'")
+        vertices = spec["vertices"]
+        if not isinstance(vertices, list):
+            raise StagedTreeError(f"'vertices' must be a list of objects, got {vertices!r}")
+        children: dict[str, list] = {}
         for entry in vertices:
+            if not isinstance(entry, Mapping):
+                raise StagedTreeError(f"vertex entry {entry!r} is not an object")
             bad = set(entry) - {"id", "children"}
             if bad:
                 raise StagedTreeError(f"unknown vertex fields: {sorted(bad)}")
-            children[entry["id"]] = entry.get("children", [])
-        return cls(children, stages=spec.get("stages"), downward=spec.get("downward"))
+            v, cs = entry.get("id"), entry.get("children", [])
+            if not isinstance(v, str):
+                raise StagedTreeError(f"vertex entry {entry!r} needs a string 'id'")
+            if not isinstance(cs, list) or not all(isinstance(c, str) for c in cs):
+                raise StagedTreeError(f"children of {v!r} must be a list of vertex ids, got {cs!r}")
+            if v in children:
+                raise StagedTreeError(f"vertex {v!r} is listed twice")
+            children[v] = cs
+        stages, downward = spec.get("stages"), spec.get("downward")
+        if stages is not None and (
+            not isinstance(stages, Mapping)
+            or not all(isinstance(s, str) for s in stages.values())
+        ):
+            raise StagedTreeError(f"'stages' must map vertex ids to stage ids, got {stages!r}")
+        if downward is not None and not isinstance(downward, Mapping):
+            raise StagedTreeError(f"'downward' must map stage ids to indices, got {downward!r}")
+        return cls(children, stages=stages, downward=downward)
 
     def to_spec(self) -> dict:
         spec: dict = {

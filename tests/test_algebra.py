@@ -241,11 +241,11 @@ class TestDownwardInvarianceProbe:
     def test_fig1a_choice_invariant(self, fig1a):
         assert downward_invariance_probe(fig1a) == []
 
-    def test_random_trees_report_only(self, rng):
-        # disagreements are surfaced, not asserted away; record them if any
+    def test_random_trees_show_no_flip(self, rng):
+        # balance cannot flip (see the probe's docstring); no regularity flip
+        # has been seen either, on 2000 seeded trees
         found = []
         for _ in range(50):
             t = random_staged_tree(rng)
             found.extend(downward_invariance_probe(t))
-        # no assertion on emptiness: the probe is informational
-        assert isinstance(found, list)
+        assert found == []

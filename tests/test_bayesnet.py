@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 
 import networkx as nx
@@ -101,6 +102,18 @@ class TestUnfolding:
     def test_cyclic_graph_rejected(self):
         with pytest.raises(StagedTreeError):
             binary_bn("AB", [("A", "B"), ("B", "A")])
+
+    @pytest.mark.parametrize(
+        "cards, message",
+        [
+            ({"A": 2}, "missing ['B'], extra []"),
+            ({"A": 2, "B": 2, "C": 3}, "missing [], extra ['C']"),
+        ],
+        ids=["missing", "extra"],
+    )
+    def test_cards_must_name_exactly_the_variables(self, cards, message):
+        with pytest.raises(StagedTreeError, match=re.escape(message)):
+            DiscreteBN(("A", "B"), cards, (("A", "B"),))
 
 
 class TestDecomposable:

@@ -10,6 +10,13 @@ from stagedtree.cli import run
 from conftest import data_path, load_json
 
 
+def edited_fig1a(change):
+    """The fig1a tree description after ``change`` edited it in place."""
+    spec = load_json("fig1a.json")
+    change(spec)
+    return spec
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr().out
@@ -392,6 +399,49 @@ class TestMalformedInput:
         path = tmp_path / "theta.json"
         path.write_text(json.dumps(theta))
         code, out = invoke(capsys, "expfam", str(data_path("fig1a.json")), "--theta", str(path))
+        assert code == 2
+        assert out["error"] == {"type": "StagedTreeError", "message": message}
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ([], "tree description must be a JSON object"),
+            ({"vertices": 5}, "'vertices' must be a list of objects, got 5"),
+            (
+                edited_fig1a(lambda spec: spec["vertices"][0].update(id=["v1"])),
+                "vertex entry {'id': ['v1'], 'children': ['v2', 'v3']} needs a string 'id'",
+            ),
+            (
+                edited_fig1a(lambda spec: spec["vertices"][0].pop("id")),
+                "vertex entry {'children': ['v2', 'v3']} needs a string 'id'",
+            ),
+            (
+                edited_fig1a(lambda spec: spec["vertices"][0].update(children="bc")),
+                "children of 'v1' must be a list of vertex ids, got 'bc'",
+            ),
+            (
+                edited_fig1a(lambda spec: spec.update(stages=[])),
+                "'stages' must map vertex ids to stage ids, got []",
+            ),
+            (
+                edited_fig1a(lambda spec: spec.update(stages={"v2": ["x"], "v3": ["x"]})),
+                "'stages' must map vertex ids to stage ids, got {'v2': ['x'], 'v3': ['x']}",
+            ),
+        ],
+        ids=[
+            "not-an-object",
+            "vertices-not-a-list",
+            "list-valued-id",
+            "entry-without-id",
+            "children-string",
+            "stages-list",
+            "list-valued-stage-id",
+        ],
+    )
+    def test_tree_description_exits_2(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(spec))
+        code, out = invoke(capsys, "check", str(path))
         assert code == 2
         assert out["error"] == {"type": "StagedTreeError", "message": message}
 

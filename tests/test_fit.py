@@ -18,7 +18,12 @@ from stagedtree import (
     star,
 )
 from stagedtree import StagedTree
-from stagedtree.errors import RowDoesNotReachLeaf, UnknownCategory, ZeroStageTraffic
+from stagedtree.errors import (
+    RowDoesNotReachLeaf,
+    StagedTreeError,
+    UnknownCategory,
+    ZeroStageTraffic,
+)
 from stagedtree.random_trees import random_staged_tree
 from conftest import data_path
 
@@ -66,6 +71,18 @@ class TestIngest:
         t = StagedTree({"r": ["a", "b"], "b": ["c", "d"]})
         table = csv_table("c0,c1\n0,\n1,0\n1,1\n1,1\n", t)
         assert list(table.counts) == [1, 1, 2]
+
+
+class TestAtomTable:
+    @pytest.mark.parametrize("counts", [[2.5, 1.9], [2.0, 1], [True, 1], ["2", 1]], ids=str)
+    def test_non_integer_counts_rejected(self, counts):
+        with pytest.raises(StagedTreeError, match="atom counts must be integers"):
+            AtomTable(star(2), counts)
+
+    def test_numpy_integer_counts_become_ints(self):
+        table = AtomTable(star(2), np.array([3, 4], dtype=np.int64))
+        assert table.counts == (3, 4)
+        assert all(type(c) is int for c in table.counts)
 
 
 class TestMLE:

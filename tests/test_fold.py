@@ -9,7 +9,10 @@ onto iterative passes.  They are copied unchanged, apart from their names,
 the oracle atoms they index by and the oracle walkers they call, and the
 new code must agree with them exactly.  The exception is the per-atom
 ``log_likelihood``, which sums the same logs in another order than the
-pooled one and must agree within 1e-12 relative.
+pooled one and must agree within 1e-12 relative.  The oracle checks compare
+every same-stage pair; ``is_regular``, ``is_balanced``, ``is_simple`` and
+``classify`` compare each stage member with the stage's first member only,
+and must give the same verdicts and the same full witness lists.
 """
 
 import csv
@@ -397,6 +400,22 @@ def random_trees(seed: int, count: int) -> list[StagedTree]:
     return trees
 
 
+def random_bn_trees(seed: int, count: int) -> list[StagedTree]:
+    """Unfoldings of random BNs over 5 ternary variables, at most 2 parents each."""
+    rng = np.random.default_rng(seed)
+    names = tuple(f"X{i}" for i in range(5))
+    trees = []
+    for _ in range(count):
+        edges = []
+        for i, child in enumerate(names):
+            n_parents = int(rng.integers(0, min(i, 2) + 1))
+            for p in sorted(rng.choice(i, size=n_parents, replace=False)):
+                edges.append((names[p], child))
+        bn = DiscreteBN(names, dict.fromkeys(names, 3), tuple(edges))
+        trees.append(bn_to_staged_tree(bn))
+    return trees
+
+
 FAMILIES = {"fixtures": fixture_trees(), "random": random_trees(20261018, 150)}
 
 ALGEBRA_FAMILIES = {
@@ -404,6 +423,7 @@ ALGEBRA_FAMILIES = {
     + [StagedTree.from_spec(load_json("ternary_downward.json"))],
     "random": random_trees(20261019, 200),
     "dags": [bn_to_staged_tree(bn) for n in range(1, 5) for bn in all_dags(n)],
+    "bn5ternary": random_bn_trees(20261020, 20),
 }
 
 
@@ -556,17 +576,78 @@ def test_algebra_tables_match_recursive_walkers(family):
 @pytest.mark.parametrize("family", ALGEBRA_FAMILIES)
 def test_checks_match_those_on_the_recursive_tables(family):
     for tree in ALGEBRA_FAMILIES[family]:
-        assert is_regular(tree) == oracle_is_regular(tree)
-        assert is_balanced(tree) == oracle_is_balanced(tree)
-        assert is_simple(tree) == oracle_is_simple(tree)
-        assert classify(tree) == oracle_classify(tree)
-        equations = stage_equations(tree)
-        assert equations == oracle_stage_equations(tree)
-        assert [e.pretty(tree) for e in equations] == [
-            e.pretty(tree) for e in oracle_stage_equations(tree)
-        ]
+        # oracle_classify runs oracle_is_regular, oracle_is_balanced and
+        # oracle_is_simple; each oracle runs once per tree
+        expected = oracle_classify(tree)
+        assert is_regular(tree) == (expected["regular"], expected["witnesses"])
+        assert is_balanced(tree) == expected["balanced"]
+        assert is_simple(tree) == expected["simple"]
+        assert classify(tree) == expected
+        equations, oracle_equations = stage_equations(tree), oracle_stage_equations(tree)
+        assert equations == oracle_equations
+        assert [e.pretty(tree) for e in equations] == [e.pretty(tree) for e in oracle_equations]
 
 
 def test_downward_invariance_probe_matches_recursive_checks():
     for tree in ALGEBRA_FAMILIES["fixtures"] + ALGEBRA_FAMILIES["random"][:50]:
         assert downward_invariance_probe(tree) == oracle_downward_invariance_probe(tree)
+
+
+def test_classify_matches_oracle_on_the_fuzz_family():
+    # the 10^4 trees of acceptance criterion 5, drawn the same way
+    rng = np.random.default_rng(1234)
+    for _ in range(10_000):
+        tree = random_staged_tree(rng)
+        assert classify(tree) == oracle_classify(tree)
+
+
+def one_stage_tree(members: str, inner_edges: dict) -> StagedTree:
+    """Root r over the ternary vertices ``members``, all in stage s with
+    downward edge 3.  Edge j of member m leads to a leaf, or, for j in
+    ``inner_edges[m]``, to a binary vertex of stage x, which puts the label
+    (x, 2) into that child's downward monomial.
+    """
+    children = {"r": list(members)}
+    stages = {m: "s" for m in members}
+    for m in members:
+        children[m] = [f"{m}{j}" for j in (1, 2, 3)]
+        for j in inner_edges.get(m, ()):
+            children[f"{m}{j}"] = [f"{m}{j}a", f"{m}{j}b"]
+            stages[f"{m}{j}"] = "x"
+    return StagedTree(children, stages=stages)
+
+
+@pytest.mark.parametrize(
+    "members, inner_edges, witnesses, flags",
+    [
+        ("abc", {"a": (1,)}, [("a", "b", 1), ("a", "c", 1)], (False, False, False)),
+        ("abc", {"b": (1,)}, [("a", "b", 1), ("b", "c", 1)], (False, False, False)),
+        (
+            "abcd",
+            {"b": (1,), "d": (1, 2)},
+            [
+                ("a", "b", 1),
+                ("a", "d", 1),
+                ("a", "d", 2),
+                ("b", "c", 1),
+                ("b", "d", 2),
+                ("c", "d", 1),
+                ("c", "d", 2),
+            ],
+            (False, False, False),
+        ),
+        # (x, 2) cancels from N_a1 / N_a3, so only edge 2 violates
+        ("abc", {"a": (1, 3)}, [("a", "b", 2), ("a", "c", 2)], (False, False, False)),
+        # every ratio of a is 1, as for b and c, though no t_aj equals t_bj
+        ("abc", {"a": (1, 2, 3)}, [], (True, True, False)),
+    ],
+    ids=["first-odd", "middle-odd", "two-odd", "ratio-cancels", "balanced-not-simple"],
+)
+def test_hand_built_stages_match_oracle(members, inner_edges, witnesses, flags):
+    tree = one_stage_tree(members, inner_edges)
+    assert is_regular(tree) == (not witnesses, witnesses) == oracle_is_regular(tree)
+    report = classify(tree)
+    assert (report["regular"], report["balanced"], report["simple"]) == flags
+    assert report == oracle_classify(tree)
+    assert (is_balanced(tree), is_simple(tree)) == flags[1:]
+    assert stage_equations(tree) == oracle_stage_equations(tree)
