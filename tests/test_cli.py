@@ -427,6 +427,10 @@ class TestMalformedInput:
                 edited_fig1a(lambda spec: spec.update(stages={"v2": ["x"], "v3": ["x"]})),
                 "'stages' must map vertex ids to stage ids, got {'v2': ['x'], 'v3': ['x']}",
             ),
+            (
+                edited_fig1a(lambda spec: spec["vertices"].append(spec["vertices"][1])),
+                "vertex 'v2' is listed twice",
+            ),
         ],
         ids=[
             "not-an-object",
@@ -436,6 +440,7 @@ class TestMalformedInput:
             "children-string",
             "stages-list",
             "list-valued-stage-id",
+            "repeated-id",
         ],
     )
     def test_tree_description_exits_2(self, capsys, tmp_path, spec, message):
