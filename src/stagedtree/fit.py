@@ -29,10 +29,13 @@ class AtomTable:
 
     def __init__(self, tree: StagedTree, counts: Sequence[int]):
         counts = tuple(counts)
-        # bool is an int subclass, so it is ruled out explicitly
-        if any(isinstance(c, bool) or not isinstance(c, numbers.Integral) for c in counts):
+        # plain ints skip the per-count check; bool is an int subclass, so it
+        # is ruled out explicitly
+        if not set(map(type, counts)) <= {int} and any(
+            isinstance(c, bool) or not isinstance(c, numbers.Integral) for c in counts
+        ):
             raise StagedTreeError("atom counts must be integers")
-        counts = tuple(int(c) for c in counts)  # numpy integers become ints
+        counts = tuple(map(int, counts))  # numpy integers become ints
         if len(counts) != tree.n:
             raise StagedTreeError(f"expected {tree.n} counts, got {len(counts)}")
         if any(c < 0 for c in counts):

@@ -325,23 +325,29 @@ class StagedTree:
             raise StagedTreeError(f"'vertices' must be a list of objects, got {vertices!r}")
         children: dict[str, list] = {}
         for entry in vertices:
-            if not isinstance(entry, Mapping):
+            if not isinstance(entry, dict):
                 raise StagedTreeError(f"vertex entry {entry!r} is not an object")
-            bad = set(entry) - {"id", "children"}
+            bad = entry.keys() - {"id", "children"}
             if bad:
                 raise StagedTreeError(f"unknown vertex fields: {sorted(bad)}")
             v, cs = entry.get("id"), entry.get("children", [])
             if not isinstance(v, str):
                 raise StagedTreeError(f"vertex entry {entry!r} needs a string 'id'")
-            if not isinstance(cs, list) or not all(isinstance(c, str) for c in cs):
+            if not isinstance(cs, list):
                 raise StagedTreeError(f"children of {v!r} must be a list of vertex ids, got {cs!r}")
             if v in children:
                 raise StagedTreeError(f"vertex {v!r} is listed twice")
             children[v] = cs
+        # one pass over the types of all children; the loop below only names the culprit
+        if not set(map(type, itertools.chain.from_iterable(children.values()))) <= {str}:
+            for v, cs in children.items():
+                if not all(isinstance(c, str) for c in cs):
+                    raise StagedTreeError(
+                        f"children of {v!r} must be a list of vertex ids, got {cs!r}"
+                    )
         stages, downward = spec.get("stages"), spec.get("downward")
         if stages is not None and (
-            not isinstance(stages, Mapping)
-            or not all(isinstance(s, str) for s in stages.values())
+            not isinstance(stages, Mapping) or not set(map(type, stages.values())) <= {str}
         ):
             raise StagedTreeError(f"'stages' must map vertex ids to stage ids, got {stages!r}")
         if downward is not None and not isinstance(downward, Mapping):

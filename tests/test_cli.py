@@ -420,6 +420,10 @@ class TestMalformedInput:
                 "children of 'v1' must be a list of vertex ids, got 'bc'",
             ),
             (
+                edited_fig1a(lambda spec: spec["vertices"][1].update(children=["v4", 5])),
+                "children of 'v2' must be a list of vertex ids, got ['v4', 5]",
+            ),
+            (
                 edited_fig1a(lambda spec: spec.update(stages=[])),
                 "'stages' must map vertex ids to stage ids, got []",
             ),
@@ -438,6 +442,7 @@ class TestMalformedInput:
             "list-valued-id",
             "entry-without-id",
             "children-string",
+            "child-not-a-string",
             "stages-list",
             "list-valued-stage-id",
             "repeated-id",
