@@ -49,10 +49,13 @@ def _emit(payload: dict, args) -> None:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise StagedTreeError(f"input {path!r} is not UTF-8 text: {exc}") from None
 
 
 def _load_tree(path: str) -> StagedTree:

@@ -28,9 +28,10 @@ if TYPE_CHECKING:
 
 def _downward_fold(tree: StagedTree, leaf_value, step) -> dict:
     """Fold ``step(v, j, below)`` down the all-downward path from every vertex."""
+    downward, stage_of = tree.downward, tree.stage_of
 
     def combine(v: str, below: list):
-        j = tree.downward_edge(v)
+        j = downward[stage_of[v]]
         return step(v, j, below[j - 1])
 
     return tree.fold(leaf_value, combine)
@@ -39,9 +40,10 @@ def _downward_fold(tree: StagedTree, leaf_value, step) -> dict:
 def log_downward_products(tree: StagedTree, theta: ParameterVector) -> dict[str, float]:
     """log N_v for every vertex; leaves get log 1 = 0."""
     theta.validate_for(tree)
-    return _downward_fold(
-        tree, 0.0, lambda v, j, below: math.log(theta.label(tree, v, j)) + below
-    )
+    # the log of each stage's downward label, taken once
+    log_down = {s: math.log(theta[(s, j)]) for s, j in tree.downward.items()}
+    stage_of = tree.stage_of
+    return _downward_fold(tree, 0.0, lambda v, j, below: log_down[stage_of[v]] + below)
 
 
 def downward_products(tree: StagedTree, theta: ParameterVector) -> dict[str, float]:
@@ -55,10 +57,11 @@ def statistic_layout(tree: StagedTree) -> tuple[tuple[str, int], ...]:
     Vertex enumeration order, then edge index; the downward edge of each
     vertex is excluded, so the layout has length d0.
     """
+    downward, stage_of, children = tree.downward, tree.stage_of, tree.children
     layout = []
     for v in tree.inner:
-        down = tree.downward_edge(v)
-        layout.extend((v, j) for j in range(1, len(tree.children[v]) + 1) if j != down)
+        down = downward[stage_of[v]]
+        layout.extend((v, j) for j in range(1, len(children[v]) + 1) if j != down)
     return tuple(layout)
 
 
@@ -82,14 +85,24 @@ class ExpFamForm:
 
 
 def natural_parameters(tree: StagedTree, theta: ParameterVector) -> ExpFamForm:
-    """eta_vj = log(theta_vj * N_vj / N_v) for every non-downward edge."""
+    """eta_vj = log(theta_vj * N_vj / N_v) for every non-downward edge.
+
+    The log of each stage label is taken once, and each vertex's stage and
+    downward edge are looked up once.
+    """
     logN = log_downward_products(tree, theta)
-    layout = statistic_layout(tree)
+    log_theta = {key: math.log(p) for key, p in theta.items()}
+    downward, stage_of, children = tree.downward, tree.stage_of, tree.children
+    layout = []
     eta = {}
-    for v, j in layout:
-        c = tree.child(v, j)
-        eta[(v, j)] = math.log(theta.label(tree, v, j)) + logN[c] - logN[v]
-    return ExpFamForm(layout, eta, -logN[tree.root], logN)
+    for v in tree.inner:
+        s = stage_of[v]
+        down, log_v = downward[s], logN[v]
+        for j, c in enumerate(children[v], start=1):
+            if j != down:
+                layout.append((v, j))
+                eta[(v, j)] = log_theta[(s, j)] + logN[c] - log_v
+    return ExpFamForm(tuple(layout), eta, -logN[tree.root], logN)
 
 
 def sufficient_statistic(tree: StagedTree, atom: Atom) -> np.ndarray:
@@ -182,14 +195,7 @@ def _is_single_index(tree: StagedTree, v: str) -> bool:
     """A binary vertex with the default downward edge, whose labels and
     parameters are named by the vertex index alone.
     """
-    return tree.out_degree(v) == 2 and tree.downward_edge(v) == 2
-
-
-def _render_label(tree: StagedTree, v: str, j: int) -> str:
-    if _is_single_index(tree, v):
-        i = tree.index[v]
-        return f"t{i}" if j == 1 else f"(1-t{i})"
-    return f"th[{tree.index[v]},{j}]"
+    return len(tree.children[v]) == 2 and tree.downward[tree.stage_of[v]] == 2
 
 
 def render_formulas(tree: StagedTree) -> dict[str, str]:
@@ -202,13 +208,25 @@ def render_formulas(tree: StagedTree) -> dict[str, str]:
     def times(label: str, below: str) -> str:
         return f"{label}*{below}" if below else label
 
-    down = _downward_fold(
-        tree, "", lambda v, j, below: times(_render_label(tree, v, j), below)
-    )
+    downward, stage_of, children, index = tree.downward, tree.stage_of, tree.children, tree.index
+    # each vertex's edge labels, named once
+    labels = {}
+    for v in tree.inner:
+        i = index[v]
+        if _is_single_index(tree, v):
+            labels[v] = (f"t{i}", f"(1-t{i})")
+        else:
+            labels[v] = tuple(f"th[{i},{j}]" for j in range(1, len(children[v]) + 1))
+    # the downward labels below each vertex, as in _downward_fold
+    below = dict.fromkeys(tree.leaves, "")
+    for v in reversed(tree.inner):
+        j = downward[stage_of[v]]
+        below[v] = times(labels[v][j - 1], below[children[v][j - 1]])
     out = {}
-    for v, j in statistic_layout(tree):
-        num_s = times(_render_label(tree, v, j), down[tree.child(v, j)])
-        key = f"eta[{tree.index[v]},{j}]"
-        out[key] = f"log({num_s}/({down[v]}))"
-    out["psi"] = f"-log({down[tree.root]})"
+    for v in tree.inner:
+        i, down, den = index[v], downward[stage_of[v]], below[v]
+        for j, (label, c) in enumerate(zip(labels[v], children[v]), start=1):
+            if j != down:
+                out[f"eta[{i},{j}]"] = f"log({times(label, below[c])}/({den}))"
+    out["psi"] = f"-log({below[tree.root]})"
     return out

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -48,7 +50,7 @@ class AtomTable:
         return sum(self.counts)
 
     def count(self, atom: Atom) -> int:
-        return self.counts[self.tree.atoms.index(atom)]
+        return self.counts[self.tree.leaf_position[atom.leaf]]
 
     def __repr__(self) -> str:
         return f"AtomTable(n_obs={self.n_obs}, atoms={len(self.counts)})"
@@ -85,12 +87,24 @@ def ingest_csv(
       ``levels`` mapping (column name -> ordered category list) is given.
       Trailing cells beyond the leaf must be empty.
 
-    Counts are aligned with ``tree.atoms``, whose order is unchanged.
+    Counts are aligned with ``tree.atoms``, whose order is unchanged.  Input
+    that is not UTF-8 text or that the csv module cannot parse raises
+    StagedTreeError.
     """
     if isinstance(source, (str, bytes)):
         with open(source, newline="", encoding="utf-8") as fh:
             return ingest_csv(fh, tree, levels)
     reader = csv.reader(source)
+    try:
+        return _read_csv(reader, tree, levels)
+    except UnicodeDecodeError as exc:
+        raise StagedTreeError(f"CSV input is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise StagedTreeError(f"line {reader.line_num}: {exc}") from None
+
+
+def _read_csv(reader, tree: StagedTree, levels) -> AtomTable:
+    """The two layouts of :func:`ingest_csv`, read from a csv reader."""
     try:
         header = next(reader)
     except StopIteration:
@@ -118,12 +132,20 @@ def ingest_csv(
 
 
 def _count_rows(tree: StagedTree, rows, column_levels) -> AtomTable:
-    """Walk each row of state cells from the root and count it at its leaf."""
-    atom_of_leaf = {x.leaf: i for i, x in enumerate(tree.atoms)}
+    """Walk each distinct row of state cells from the root once and count it
+    at its leaf as often as it occurs.
+
+    Distinct rows are walked in order of first occurrence, so the first bad
+    row of the input is the one reported.
+    """
+    position = tree.leaf_position
     counts = [0] * tree.n
     children = tree.children
-    for row in rows:
-        if not row or not any(cell.strip() for cell in row):
+    # a 0-based state written the canonical way maps straight onto its edge;
+    # every other cell, and a state past the out-degree, goes to _resolve_step
+    edge_of_state = {str(i): i + 1 for i in range(max(map(len, children.values())))}
+    for row, times in Counter(map(tuple, rows)).items():
+        if not any(cell.strip() for cell in row):
             continue
         v = tree.root
         for levels, cell in zip(column_levels, row):
@@ -131,41 +153,48 @@ def _count_rows(tree: StagedTree, rows, column_levels) -> AtomTable:
             cs = children.get(v)
             if cs is None:
                 if cell:
-                    raise RowDoesNotReachLeaf(f"row {row} continues past a leaf")
+                    raise RowDoesNotReachLeaf(f"row {list(row)} continues past a leaf")
                 continue
             if not cell:
-                raise RowDoesNotReachLeaf(f"row {row} stops before reaching a leaf")
-            j = _resolve_step(cell, len(cs), levels)
+                raise RowDoesNotReachLeaf(f"row {list(row)} stops before reaching a leaf")
+            j = edge_of_state.get(cell) if levels is None else None
+            if j is None or j > len(cs):
+                j = _resolve_step(cell, len(cs), levels)
             # a levels list longer than the out-degree reaches tree.child's range check
             v = cs[j - 1] if j <= len(cs) else tree.child(v, j)
         if v in children:
-            raise RowDoesNotReachLeaf(f"row {row} stops before reaching a leaf")
-        counts[atom_of_leaf[v]] += 1
+            raise RowDoesNotReachLeaf(f"row {list(row)} stops before reaching a leaf")
+        counts[position[v]] += times
     return AtomTable(tree, counts)
 
 
 def _vertex_traffic(tree: StagedTree, counts: Sequence[int]) -> dict[str, list[int]]:
-    """Edge-traversal counts per inner vertex, from one pass over the atoms."""
-    traffic = {v: [0] * tree.out_degree(v) for v in tree.inner}
-    for atom, c in zip(tree.atoms, counts):
-        if c == 0:
-            continue
-        for v, j in atom.steps:
-            traffic[v][j - 1] += c
+    """Edge-traversal counts per inner vertex, in ``tree.inner`` order.
+
+    Edge j out of v carries every observation at the leaves below its child,
+    so the counts are leaf totals summed up the reversed BFS order.
+    """
+    below = {leaf: counts[i] for leaf, i in tree.leaf_position.items()}
+    traffic = dict.fromkeys(tree.inner)
+    children = tree.children
+    for v in reversed(tree.inner):
+        edges = [below[c] for c in children[v]]
+        traffic[v] = edges
+        below[v] = sum(edges)
     return traffic
 
 
 def _stage_traffic(tree: StagedTree, table: AtomTable):
     """Pooled per-stage visit and edge-traversal counts."""
-    visits = {s: 0 for s in tree.stage_ids}
-    edges = {
-        (s, j): 0 for s, kappa in tree.stage_degrees.items() for j in range(1, kappa + 1)
-    }
+    pooled = {s: [0] * kappa for s, kappa in tree.stage_degrees.items()}
+    stage_of = tree.stage_of
     for v, counts in _vertex_traffic(tree, table.counts).items():
-        s = tree.stage_of[v]
-        visits[s] += sum(counts)
-        for j, n in enumerate(counts, start=1):
-            edges[(s, j)] += n
+        s = stage_of[v]
+        pooled[s] = list(map(operator.add, pooled[s], counts))
+    visits = {s: sum(counts) for s, counts in pooled.items()}
+    edges = {
+        (s, j): n for s, counts in pooled.items() for j, n in enumerate(counts, start=1)
+    }
     return visits, edges
 
 
@@ -319,7 +348,7 @@ def select_staging(
     with l the multinomial log-likelihood at the stage's estimate.  Merging
     stages a and b therefore changes BIC by
     ``-(kappa - 1) * log N - 2 * [l(n_a + n_b) - l(n_a) - l(n_b)]``.  The
-    search counts edge traversals in one pass over the atoms, scores the
+    search counts edge traversals in one fold up the tree, scores the
     candidate pairs from count vectors in O(S^2 kappa) for S stages, and
     after each merge rescores only the pairs of the merged stage, in
     O(S kappa), plus a scan of the cached scores for the best pair.  It
@@ -396,6 +425,6 @@ def select_staging(
 
 def table_from_rows(tree: StagedTree, rows: Sequence[Sequence[int]]) -> AtomTable:
     """Convenience: build a table from 0-based state rows (testing, notebooks)."""
-    depth = max(len(x) for x in tree.atoms)
+    depth = max(tree.depth.values())
     cells = ([("" if c is None else str(c)) for c in row] for row in rows)
     return _count_rows(tree, cells, [None] * depth)

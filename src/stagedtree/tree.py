@@ -85,7 +85,8 @@ class StagedTree:
         omitted or mapped to an empty list.
     stages:
         optional mapping from inner vertex id to stage id; vertices not
-        listed form their own singleton stage (stage id = vertex id).
+        listed form their own singleton stage (stage id = vertex id).  A key
+        that is not an inner vertex is refused.
     downward:
         optional mapping from stage id (or inner vertex id) to the 1-based
         index of the downward edge; defaults to the last edge.
@@ -116,6 +117,11 @@ class StagedTree:
         self.index = {v: i + 1 for i, v in enumerate(self.inner)}
 
         stages = stages or {}
+        stray = stages.keys() - self.index.keys()
+        if stray:
+            raise StagedTreeError(
+                f"'stages' names ids that are not inner vertices: {sorted(stray, key=str)}"
+            )
         self.stage_of = {v: str(stages.get(v, v)) for v in self.inner}
         self._validate_stages()
         self.downward = self._resolve_downward(downward or {})
@@ -254,6 +260,24 @@ class StagedTree:
         for v in reversed(self.vertices):
             cs = children.get(v)
             out[v] = leaf_value if cs is None else combine(v, [out[c] for c in cs])
+        return out
+
+    @cached_property
+    def leaf_position(self) -> dict[str, int]:
+        """0-based index of each leaf's atom in the depth-first atom order.
+
+        The same explicit-stack walk as :attr:`atoms`, without building paths.
+        """
+        out: dict[str, int] = {}
+        children = self.children
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            cs = children.get(v)
+            if cs is None:
+                out[v] = len(out)
+            else:
+                stack.extend(reversed(cs))
         return out
 
     # -- atoms ----------------------------------------------------------------

@@ -435,6 +435,10 @@ class TestMalformedInput:
                 edited_fig1a(lambda spec: spec["vertices"].append(spec["vertices"][1])),
                 "vertex 'v2' is listed twice",
             ),
+            (
+                edited_fig1a(lambda spec: spec["stages"].update(l1="cyan", zzz="q")),
+                "'stages' names ids that are not inner vertices: ['l1', 'zzz']",
+            ),
         ],
         ids=[
             "not-an-object",
@@ -446,6 +450,7 @@ class TestMalformedInput:
             "stages-list",
             "list-valued-stage-id",
             "repeated-id",
+            "stray-stage-keys",
         ],
     )
     def test_tree_description_exits_2(self, capsys, tmp_path, spec, message):
@@ -454,6 +459,34 @@ class TestMalformedInput:
         code, out = invoke(capsys, "check", str(path))
         assert code == 2
         assert out["error"] == {"type": "StagedTreeError", "message": message}
+
+    @pytest.mark.parametrize("kind", ["tree", "bn", "theta", "csv"])
+    def test_undecodable_input_exits_2(self, capsys, tmp_path, kind):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe{}")
+        tree, data = str(data_path("fig1a.json")), str(data_path("xyz_rows.csv"))
+        argv = {
+            "tree": ["inspect", str(bad)],
+            "bn": ["from-bn", str(bad)],
+            "theta": ["expfam", tree, "--theta", str(bad)],
+            "csv": ["fit", "--tree", tree, "--data", str(bad)],
+        }[kind]
+        code, out = invoke(capsys, *argv)
+        assert code == 2
+        assert out["error"]["type"] == "StagedTreeError"
+        assert "not UTF-8 text" in out["error"]["message"]
+
+    def test_oversized_csv_cell_exits_2(self, capsys, tmp_path):
+        data = tmp_path / "rows.csv"
+        data.write_text("X,Y,Z\n0,1,0\n" + "0" * 131073 + ",1,0\n")
+        code, out = invoke(
+            capsys, "fit", "--tree", str(data_path("fig1a.json")), "--data", str(data)
+        )
+        assert code == 2
+        assert out["error"] == {
+            "type": "StagedTreeError",
+            "message": "line 3: field larger than field limit (131072)",
+        }
 
 
 class TestDeepTree:

@@ -79,6 +79,10 @@ class TestAtomTable:
         with pytest.raises(StagedTreeError, match="atom counts must be integers"):
             AtomTable(star(2), counts)
 
+    def test_count_looks_up_the_atom_position(self, fig1a):
+        table = AtomTable(fig1a, range(10, 18))
+        assert [table.count(x) for x in fig1a.atoms] == list(range(10, 18))
+
     def test_numpy_integer_counts_become_ints(self):
         table = AtomTable(star(2), np.array([3, 4], dtype=np.int64))
         assert table.counts == (3, 4)

@@ -13,6 +13,14 @@ pooled one and must agree within 1e-12 relative.  The oracle checks compare
 every same-stage pair; ``is_regular``, ``is_balanced``, ``is_simple`` and
 ``classify`` compare each stage member with the stage's first member only,
 and must give the same verdicts and the same full witness lists.
+
+The per-atom and per-edge versions of the fit and parametrize passes are
+oracles too: ``oracle_vertex_traffic`` walks every atom, ``oracle_count_rows``
+walks every row and indexes leaves through the atoms, and
+``oracle_statistic_layout``, ``oracle_natural_parameters`` and
+``oracle_render_formulas`` resolve each edge through the tree's accessors.
+The fold over leaf counts, the walk of each distinct row once and the
+per-vertex passes must agree with them exactly.
 """
 
 import csv
@@ -53,8 +61,21 @@ from stagedtree import (
 from stagedtree.algebra import FormalPolynomial, StageEquation, monomial_mul
 from stagedtree.bayesnet import DiscreteBN
 from stagedtree.errors import RowDoesNotReachLeaf, StagedTreeError, UnknownCategory
-from stagedtree.expfam import log_downward_products, statistic_layout
-from stagedtree.fit import _resolve_step
+from stagedtree.expfam import (
+    ExpFamForm,
+    _is_single_index,
+    _downward_fold,
+    log_downward_products,
+    render_formulas,
+    statistic_layout,
+)
+from stagedtree.fit import (
+    SearchConfig,
+    _count_rows,
+    _resolve_step,
+    _vertex_traffic,
+    select_staging,
+)
 from stagedtree.random_trees import random_staged_tree
 from stagedtree.tree import log_atom_probability
 from conftest import BINARY_GRAPH, data_path, load_json
@@ -115,6 +136,89 @@ def oracle_log_likelihood(tree: StagedTree, theta: ParameterVector, table: AtomT
             continue
         total += c * log_atom_probability(tree, theta, atom)
     return total
+
+
+def oracle_vertex_traffic(tree: StagedTree, counts) -> dict[str, list[int]]:
+    """Edge-traversal counts per inner vertex, from one pass over the atoms."""
+    traffic = {v: [0] * tree.out_degree(v) for v in tree.inner}
+    for atom, c in zip(tree.atoms, counts):
+        if c == 0:
+            continue
+        for v, j in atom.steps:
+            traffic[v][j - 1] += c
+    return traffic
+
+
+def oracle_count_rows(tree: StagedTree, rows, column_levels) -> AtomTable:
+    """Walk each row of state cells from the root and count it at its leaf."""
+    atom_of_leaf = {x.leaf: i for i, x in enumerate(tree.atoms)}
+    counts = [0] * tree.n
+    children = tree.children
+    for row in rows:
+        if not row or not any(cell.strip() for cell in row):
+            continue
+        v = tree.root
+        for levels, cell in zip(column_levels, row):
+            cell = cell.strip()
+            cs = children.get(v)
+            if cs is None:
+                if cell:
+                    raise RowDoesNotReachLeaf(f"row {row} continues past a leaf")
+                continue
+            if not cell:
+                raise RowDoesNotReachLeaf(f"row {row} stops before reaching a leaf")
+            j = _resolve_step(cell, len(cs), levels)
+            # a levels list longer than the out-degree reaches tree.child's range check
+            v = cs[j - 1] if j <= len(cs) else tree.child(v, j)
+        if v in children:
+            raise RowDoesNotReachLeaf(f"row {row} stops before reaching a leaf")
+        counts[atom_of_leaf[v]] += 1
+    return AtomTable(tree, counts)
+
+
+def oracle_statistic_layout(tree: StagedTree) -> tuple[tuple[str, int], ...]:
+    """Ordered (vertex, edge) index pairs defining the sufficient statistic."""
+    layout = []
+    for v in tree.inner:
+        down = tree.downward_edge(v)
+        layout.extend((v, j) for j in range(1, len(tree.children[v]) + 1) if j != down)
+    return tuple(layout)
+
+
+def oracle_natural_parameters(tree: StagedTree, theta: ParameterVector) -> ExpFamForm:
+    """eta_vj = log(theta_vj * N_vj / N_v) for every non-downward edge."""
+    logN = log_downward_products(tree, theta)
+    layout = oracle_statistic_layout(tree)
+    eta = {}
+    for v, j in layout:
+        c = tree.child(v, j)
+        eta[(v, j)] = math.log(theta.label(tree, v, j)) + logN[c] - logN[v]
+    return ExpFamForm(layout, eta, -logN[tree.root], logN)
+
+
+def oracle_render_label(tree: StagedTree, v: str, j: int) -> str:
+    if _is_single_index(tree, v):
+        i = tree.index[v]
+        return f"t{i}" if j == 1 else f"(1-t{i})"
+    return f"th[{tree.index[v]},{j}]"
+
+
+def oracle_render_formulas(tree: StagedTree) -> dict[str, str]:
+    """Human-readable formulas for each eta and for psi."""
+
+    def times(label: str, below: str) -> str:
+        return f"{label}*{below}" if below else label
+
+    down = _downward_fold(
+        tree, "", lambda v, j, below: times(oracle_render_label(tree, v, j), below)
+    )
+    out = {}
+    for v, j in oracle_statistic_layout(tree):
+        num_s = times(oracle_render_label(tree, v, j), down[tree.child(v, j)])
+        key = f"eta[{tree.index[v]},{j}]"
+        out[key] = f"log({num_s}/({down[v]}))"
+    out["psi"] = f"-log({down[tree.root]})"
+    return out
 
 
 def oracle_log_downward_products(tree, theta) -> dict[str, float]:
@@ -511,7 +615,8 @@ def malformed_rows(tree: StagedTree, rng) -> list[list[str]]:
     """One valid row turned into each kind of bad row the walk rejects."""
     row = sampled_rows(tree, rng, 1)[0]
     used = sum(1 for c in row if c)
-    bad = [["9"] + row[1:], ["x"] + row[1:]]  # state out of range, not an integer
+    # states out of range (far, and one past the root's last), not an integer
+    bad = [["9"] + row[1:], [str(tree.out_degree(tree.root))] + row[1:], ["x"] + row[1:]]
     if used >= 2:  # stops one step short of the leaf
         bad.append(row[: used - 1] + [""] * (len(row) - used + 1))
     if used < len(row):  # continues past the leaf
@@ -558,6 +663,97 @@ def test_table_from_rows_raises_typed_errors(fig1a):
         table_from_rows(fig1a, [[0, 1]])
     with pytest.raises(RowDoesNotReachLeaf):
         table_from_rows(StagedTree({"r": ["a", "b"], "b": ["c", "d"]}), [[0, 1]])
+
+
+def with_product_tree(family: str) -> list[StagedTree]:
+    """The family's trees, plus the binary product tree over 10 variables
+    (k=1023) after the fixtures.
+    """
+    return FAMILIES[family] + [product_tree([2] * 10)] * (family == "fixtures")
+
+
+def counted(fn, *args):
+    """The counts of the table ``fn`` returned, or the error it raised."""
+    result = outcome(fn, *args)
+    return list(result.counts) if isinstance(result, AtomTable) else result
+
+
+def csv_rows(text: str) -> list[list[str]]:
+    """The rows of a CSV text after its header."""
+    return list(csv.reader(io.StringIO(text)))[1:]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fold_and_vertex_passes_match_per_edge_versions(family):
+    rng = np.random.default_rng(11)
+    for seed, tree in enumerate(with_product_tree(family)):
+        assert tree.leaf_position == {x.leaf: i for i, x in enumerate(oracle_atoms(tree))}
+        # about one atom in three unobserved
+        counts = (rng.integers(1, 50, size=tree.n) * (rng.random(tree.n) < 0.7)).tolist()
+        traffic = _vertex_traffic(tree, counts)
+        assert list(traffic.items()) == list(oracle_vertex_traffic(tree, counts).items())
+        assert list(traffic) == list(tree.inner)
+        assert statistic_layout(tree) == oracle_statistic_layout(tree)
+        theta = random_theta(tree, seed)
+        form, expected = natural_parameters(tree, theta), oracle_natural_parameters(tree, theta)
+        assert form == expected
+        assert list(form.eta) == list(expected.eta)
+        formulas = render_formulas(tree)
+        assert list(formulas.items()) == list(oracle_render_formulas(tree).items())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_distinct_row_walk_matches_per_row_walk(family):
+    rng = np.random.default_rng(12)
+    for tree in with_product_tree(family):
+        depth = max(tree.depth.values())
+        pool = sampled_rows(tree, rng, 6) + [[""] * depth]  # an empty row is skipped
+        rows = [pool[i] for i in rng.integers(0, len(pool), size=300)]
+        text = rows_text(tree, rows)
+        expected = counted(oracle_count_rows, tree, csv_rows(text), [None] * depth)
+        assert list(ingest_csv(io.StringIO(text), tree).counts) == expected
+        ints = [[int(c) for c in row if c] for row in rows]
+        assert list(table_from_rows(tree, ints).counts) == expected
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_distinct_row_walk_rejects_as_the_per_row_walk(family):
+    # three category names per column: a binary vertex reached by the third
+    # name fails tree.child's range check
+    names = ["lo", "mid", "hi"]
+    rng = np.random.default_rng(13)
+    for tree in FAMILIES[family]:
+        good = sampled_rows(tree, rng, 3)
+        depth = len(good[0])
+        bad_rows = malformed_rows(tree, rng)
+        cases = [
+            # each bad row among repeated good rows, with another bad row and
+            # itself again behind it
+            (good + [bad] + good + [bad_rows[0], bad], [None] * depth)
+            for bad in bad_rows
+        ]
+        named = [[names[int(rng.integers(3))] for _ in range(depth)] for _ in range(20)]
+        cases.append((named + named, [names] * depth))
+        for rows, column_levels in cases:
+            expected = counted(oracle_count_rows, tree, rows, column_levels)
+            assert counted(_count_rows, tree, rows, column_levels) == expected
+            if column_levels[0] is None:
+                assert isinstance(expected, tuple), rows
+
+
+def test_fit_and_search_build_no_atoms():
+    tree = product_tree([2] * 6)
+    rng = np.random.default_rng(14)
+    lines = [",".join(f"c{i}" for i in range(6))]
+    lines += [",".join(map(str, rng.integers(0, 2, size=6))) for _ in range(500)]
+    table = ingest_csv(io.StringIO("\n".join(lines) + "\n"), tree)
+    bic(tree, table)
+    assert "atoms" not in tree.__dict__
+    unmerged = select_staging(tree, table, SearchConfig(max_merges=0))
+    merged = select_staging(tree, table)
+    assert unmerged.trace == () and merged.trace != ()
+    for t in (tree, unmerged.tree, merged.tree):
+        assert "atoms" not in t.__dict__
 
 
 @pytest.mark.parametrize("family", ALGEBRA_FAMILIES)

@@ -78,6 +78,14 @@ class TestConstruction:
         with pytest.raises(StagedTreeError):
             StagedTree.from_spec({"vertices": [], "colour": "blue"})
 
+    def test_stray_stage_keys_rejected(self):
+        # a leaf and an id that is no vertex were ignored without a word
+        tree = StagedTree({"r": ["a", "b"]})
+        with pytest.raises(StagedTreeError) as err:
+            tree.with_staging({"a": "s", "zzz": "q"})
+        assert str(err.value) == "'stages' names ids that are not inner vertices: ['a', 'zzz']"
+        assert tree.with_staging({"r": "s"}).stage_of == {"r": "s"}
+
 
 class TestAtoms:
     def test_fig1b_has_eight_atoms(self, fig1b):
