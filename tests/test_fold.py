@@ -63,8 +63,6 @@ from stagedtree.bayesnet import DiscreteBN
 from stagedtree.errors import RowDoesNotReachLeaf, StagedTreeError, UnknownCategory
 from stagedtree.expfam import (
     ExpFamForm,
-    _is_single_index,
-    _downward_fold,
     log_downward_products,
     render_formulas,
     statistic_layout,
@@ -187,7 +185,7 @@ def oracle_statistic_layout(tree: StagedTree) -> tuple[tuple[str, int], ...]:
 
 def oracle_natural_parameters(tree: StagedTree, theta: ParameterVector) -> ExpFamForm:
     """eta_vj = log(theta_vj * N_vj / N_v) for every non-downward edge."""
-    logN = log_downward_products(tree, theta)
+    logN = oracle_log_downward_products(tree, theta)
     layout = oracle_statistic_layout(tree)
     eta = {}
     for v, j in layout:
@@ -196,8 +194,25 @@ def oracle_natural_parameters(tree: StagedTree, theta: ParameterVector) -> ExpFa
     return ExpFamForm(layout, eta, -logN[tree.root], logN)
 
 
+def oracle_is_single_index(tree: StagedTree, v: str) -> bool:
+    """A binary vertex with the default downward edge, whose labels and
+    parameters are named by the vertex index alone.
+    """
+    return tree.out_degree(v) == 2 and tree.downward_edge(v) == 2
+
+
+def oracle_downward_fold(tree: StagedTree, leaf_value, step) -> dict:
+    """Fold ``step(v, j, below)`` down the all-downward path from every vertex."""
+
+    def combine(v: str, below: list):
+        j = tree.downward_edge(v)
+        return step(v, j, below[j - 1])
+
+    return tree.fold(leaf_value, combine)
+
+
 def oracle_render_label(tree: StagedTree, v: str, j: int) -> str:
-    if _is_single_index(tree, v):
+    if oracle_is_single_index(tree, v):
         i = tree.index[v]
         return f"t{i}" if j == 1 else f"(1-t{i})"
     return f"th[{tree.index[v]},{j}]"
@@ -209,7 +224,7 @@ def oracle_render_formulas(tree: StagedTree) -> dict[str, str]:
     def times(label: str, below: str) -> str:
         return f"{label}*{below}" if below else label
 
-    down = _downward_fold(
+    down = oracle_downward_fold(
         tree, "", lambda v, j, below: times(oracle_render_label(tree, v, j), below)
     )
     out = {}
