@@ -87,17 +87,23 @@ class ExpFamForm:
 def natural_parameters(tree: StagedTree, theta: ParameterVector) -> ExpFamForm:
     """eta_vj = log(theta_vj * N_vj / N_v) for every non-downward edge.
 
-    The log of each stage label is taken once.
+    The log of each stage label is taken once, and each vertex's stage and
+    downward edge are looked up once.  The layout is built in the same pass,
+    in the order of :func:`statistic_layout`.
     """
     logN = log_downward_products(tree, theta)
     log_theta = {key: math.log(p) for key, p in theta.items()}
-    stage_of, children = tree.stage_of, tree.children
-    layout = statistic_layout(tree)
-    eta = {
-        (v, j): log_theta[(stage_of[v], j)] + logN[children[v][j - 1]] - logN[v]
-        for v, j in layout
-    }
-    return ExpFamForm(layout, eta, -logN[tree.root], logN)
+    downward, stage_of, children = tree.downward, tree.stage_of, tree.children
+    layout = []
+    eta = {}
+    for v in tree.inner:
+        s = stage_of[v]
+        down, log_v = downward[s], logN[v]
+        for j, c in enumerate(children[v], start=1):
+            if j != down:
+                layout.append((v, j))
+                eta[(v, j)] = log_theta[(s, j)] + logN[c] - log_v
+    return ExpFamForm(tuple(layout), eta, -logN[tree.root], logN)
 
 
 def sufficient_statistic(tree: StagedTree, atom: Atom) -> np.ndarray:
@@ -218,8 +224,10 @@ def render_formulas(tree: StagedTree) -> dict[str, str]:
         j = downward[stage_of[v]]
         below[v] = times(labels[v][j - 1], below[children[v][j - 1]])
     out = {}
-    for v, j in statistic_layout(tree):
-        num_s = times(labels[v][j - 1], below[children[v][j - 1]])
-        out[f"eta[{index[v]},{j}]"] = f"log({num_s}/({below[v]}))"
+    for v in tree.inner:
+        i, down, den = index[v], downward[stage_of[v]], below[v]
+        for j, (label, c) in enumerate(zip(labels[v], children[v]), start=1):
+            if j != down:
+                out[f"eta[{i},{j}]"] = f"log({times(label, below[c])}/({den}))"
     out["psi"] = f"-log({below[tree.root]})"
     return out
