@@ -108,26 +108,29 @@ def downward_monomials(tree: StagedTree) -> dict[str, Monomial]:
     )
 
 
-def _regularity(tree: StagedTree):
-    """(v_i, v_s, j, kappa, N_ij N_sk == N_sj N_ik) over all same-stage
-    pairs, i before s in enumeration, and their edges j = 1..kappa.
-    """
-    down = downward_monomials(tree)
-    for s_id, members in tree.stage_members.items():
-        kappa = tree.downward[s_id]
-        for vi, vs in itertools.combinations(members, 2):
-            ci, cs = tree.children[vi], tree.children[vs]
-            for j in range(1, len(ci) + 1):
-                lhs = monomial_mul(down[ci[j - 1]], down[cs[kappa - 1]])
-                rhs = monomial_mul(down[cs[j - 1]], down[ci[kappa - 1]])
-                yield vi, vs, j, kappa, lhs == rhs
-
-
 def _ratio_key(num: Monomial, den: Monomial) -> tuple[tuple[Label, int], ...]:
     """The Laurent monomial num / den as its sorted nonzero signed exponents."""
     exps = Counter(num)
     exps.subtract(den)
     return tuple(sorted((lbl, e) for lbl, e in exps.items() if e))
+
+
+def _member_ratios(tree: StagedTree):
+    """(kappa, members, keys) for every stage with at least two members.
+
+    ``keys[m][j - 1]`` is the ratio N_cj / N_ck of member m's children at
+    edge j and at the downward edge k = kappa.
+    """
+    down = downward_monomials(tree)
+    for s_id, members in tree.stage_members.items():
+        if len(members) < 2:
+            continue
+        kappa = tree.downward[s_id]
+        keys = []
+        for v in members:
+            cs = tree.children[v]
+            keys.append([_ratio_key(down[c], down[cs[kappa - 1]]) for c in cs])
+        yield kappa, members, keys
 
 
 def is_regular(tree: StagedTree) -> tuple[bool, list[tuple[str, str, int]]]:
@@ -139,16 +142,8 @@ def is_regular(tree: StagedTree) -> tuple[bool, list[tuple[str, str, int]]]:
     the ratios N_ij / N_ik and N_sj / N_sk differ, and a stage whose members
     all share the first member's ratios has no witness.
     """
-    down = downward_monomials(tree)
     witnesses = []
-    for s_id, members in tree.stage_members.items():
-        if len(members) < 2:
-            continue
-        kappa = tree.downward[s_id]
-        keys = []
-        for v in members:
-            cs = tree.children[v]
-            keys.append([_ratio_key(down[c], down[cs[kappa - 1]]) for c in cs])
+    for _, members, keys in _member_ratios(tree):
         if all(key == keys[0] for key in keys):
             continue
         for (vi, ki), (vs, ks) in itertools.combinations(zip(members, keys), 2):
@@ -303,21 +298,23 @@ def stage_equations(tree: StagedTree) -> list[StageEquation]:
         return []
     xi = xi_polynomials(tree)
     equations = []
-    for vi, vs, j, kappa, linear in _regularity(tree):
-        ci, cs = tree.children[vi], tree.children[vs]
-        equations.append(
-            StageEquation(
-                vi=vi,
-                vs=vs,
-                j=j,
-                kappa=kappa,
-                lhs_eta=None if j == kappa else (vi, j),
-                rhs_eta=None if j == kappa else (vs, j),
-                lhs_logs=(xi[ci[j - 1]], xi[cs[kappa - 1]]),
-                rhs_logs=(xi[cs[j - 1]], xi[ci[kappa - 1]]),
-                linear=linear,
-            )
-        )
+    for kappa, members, keys in _member_ratios(tree):
+        for (vi, ki), (vs, ks) in itertools.combinations(zip(members, keys), 2):
+            ci, cs = tree.children[vi], tree.children[vs]
+            for j in range(1, len(ci) + 1):
+                equations.append(
+                    StageEquation(
+                        vi=vi,
+                        vs=vs,
+                        j=j,
+                        kappa=kappa,
+                        lhs_eta=None if j == kappa else (vi, j),
+                        rhs_eta=None if j == kappa else (vs, j),
+                        lhs_logs=(xi[ci[j - 1]], xi[cs[kappa - 1]]),
+                        rhs_logs=(xi[cs[j - 1]], xi[ci[kappa - 1]]),
+                        linear=ki[j - 1] == ks[j - 1],
+                    )
+                )
     return equations
 
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import OrderInconsistentWithDAG, StagedTreeError
-from .tree import ParameterVector, StagedTree
+from .tree import ParameterVector, StagedTree, _is_integer, _is_real
 
 CPT_ROW_TOL = 1e-12
 
@@ -51,8 +50,7 @@ class DiscreteBN:
                 f"cards must name exactly the variables: missing {missing}, extra {extra}"
             )
         for name, card in self.cards.items():
-            # bool is an int subclass, so it is ruled out explicitly
-            if isinstance(card, bool) or not isinstance(card, numbers.Integral):
+            if not _is_integer(card):
                 raise StagedTreeError(
                     f"variable {name!r} has cardinality {card!r}, not an integer"
                 )
@@ -92,7 +90,7 @@ class DiscreteBN:
                     f"CPT for {var!r} has {len(rows)} rows, expected {n_configs}"
                 )
             for row in rows:
-                bad = [p for p in row if not _is_probability(p)]
+                bad = [p for p in row if not (_is_real(p) and 0 <= p <= 1)]
                 if bad:
                     raise StagedTreeError(
                         f"CPT row for {var!r} holds {bad[0]!r}, not a number in [0, 1]"
@@ -158,11 +156,6 @@ class DiscreteBN:
 def _repeated(items) -> list:
     """The items that occur more than once, each listed once."""
     return [x for x, n in Counter(items).items() if n > 1]
-
-
-def _is_probability(p) -> bool:
-    # bool is an int subclass, so it is ruled out explicitly
-    return not isinstance(p, bool) and isinstance(p, numbers.Real) and 0 <= p <= 1
 
 
 def _topological_order(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
 import sys
 
 from . import __version__
@@ -21,7 +20,7 @@ from .bayesnet import DiscreteBN, bn_to_staged_tree
 from .errors import StagedTreeError
 from .expfam import natural_parameters, render_formulas
 from .fit import SearchConfig, bic, ingest_csv, select_staging
-from .tree import ParameterVector, StagedTree, dimensions
+from .tree import ParameterVector, StagedTree, _is_real, dimensions
 
 
 def _round(x: float) -> float:
@@ -77,7 +76,7 @@ def _load_theta(spec: str, tree: StagedTree) -> ParameterVector:
         if (
             not isinstance(probs, list)
             or len(probs) != kappa
-            or any(isinstance(p, bool) or not isinstance(p, numbers.Real) for p in probs)
+            or not all(map(_is_real, probs))
         ):
             raise StagedTreeError(
                 f"theta of stage {stage!r} must be a list of {kappa} numbers, got {probs!r}"
@@ -153,13 +152,13 @@ def cmd_from_bn(args) -> dict:
 
 def cmd_fit(args) -> dict:
     tree = _load_tree(args.tree)
-    table = ingest_csv(args.data, tree)
+    table = ingest_csv(sys.stdin if args.data == "-" else args.data, tree)
     return _fit_dict(bic(tree, table, alpha=args.alpha))
 
 
 def cmd_select(args) -> dict:
     tree = _load_tree(args.tree_graph)
-    table = ingest_csv(args.data, tree)
+    table = ingest_csv(sys.stdin if args.data == "-" else args.data, tree)
     config = SearchConfig()
     if args.config:
         raw = json.loads(_read_text(args.config))

@@ -27,14 +27,21 @@ if TYPE_CHECKING:
 
 
 def _downward_fold(tree: StagedTree, leaf_value, step) -> dict:
-    """Fold ``step(v, j, below)`` down the all-downward path from every vertex."""
-    downward, stage_of = tree.downward, tree.stage_of
+    """Fold ``step(v, j, below)`` down the all-downward path from every vertex.
 
-    def combine(v: str, below: list):
-        j = downward[stage_of[v]]
-        return step(v, j, below[j - 1])
-
-    return tree.fold(leaf_value, combine)
+    The pass runs in reversed BFS order, as :meth:`StagedTree.fold` does, and
+    reads only the downward child j of each inner vertex v.
+    """
+    downward, stage_of, children = tree.downward, tree.stage_of, tree.children
+    out: dict = {}
+    for v in reversed(tree.vertices):
+        cs = children.get(v)
+        if cs is None:
+            out[v] = leaf_value
+        else:
+            j = downward[stage_of[v]]
+            out[v] = step(v, j, out[cs[j - 1]])
+    return out
 
 
 def log_downward_products(tree: StagedTree, theta: ParameterVector) -> dict[str, float]:
@@ -78,10 +85,6 @@ class ExpFamForm:
         import numpy as np
 
         return np.array([self.eta[key] for key in self.layout])
-
-    @property
-    def N(self) -> dict[str, float]:
-        return {v: math.exp(lv) for v, lv in self.logN.items()}
 
 
 def natural_parameters(tree: StagedTree, theta: ParameterVector) -> ExpFamForm:
@@ -218,11 +221,8 @@ def render_formulas(tree: StagedTree) -> dict[str, str]:
             labels[v] = (f"t{i}", f"(1-t{i})")
         else:
             labels[v] = tuple(f"th[{i},{j}]" for j in range(1, len(children[v]) + 1))
-    # the downward labels below each vertex, as in _downward_fold
-    below = dict.fromkeys(tree.leaves, "")
-    for v in reversed(tree.inner):
-        j = downward[stage_of[v]]
-        below[v] = times(labels[v][j - 1], below[children[v][j - 1]])
+    # the downward labels below each vertex
+    below = _downward_fold(tree, "", lambda v, j, b: times(labels[v][j - 1], b))
     out = {}
     for v in tree.inner:
         i, down, den = index[v], downward[stage_of[v]], below[v]

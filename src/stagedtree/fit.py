@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from .errors import (
     UnknownCategory,
     ZeroStageTraffic,
 )
-from .tree import Atom, ParameterVector, StagedTree, dimensions
+from .tree import Atom, ParameterVector, StagedTree, _is_integer, _is_real, dimensions
 
 
 class AtomTable:
@@ -31,11 +30,8 @@ class AtomTable:
 
     def __init__(self, tree: StagedTree, counts: Sequence[int]):
         counts = tuple(counts)
-        # plain ints skip the per-count check; bool is an int subclass, so it
-        # is ruled out explicitly
-        if not set(map(type, counts)) <= {int} and any(
-            isinstance(c, bool) or not isinstance(c, numbers.Integral) for c in counts
-        ):
+        # plain ints skip the per-count check
+        if not set(map(type, counts)) <= {int} and not all(map(_is_integer, counts)):
             raise StagedTreeError("atom counts must be integers")
         counts = tuple(map(int, counts))  # numpy integers become ints
         if len(counts) != tree.n:
@@ -168,27 +164,15 @@ def _count_rows(tree: StagedTree, rows, column_levels) -> AtomTable:
     return AtomTable(tree, counts)
 
 
-def _vertex_traffic(tree: StagedTree, counts: Sequence[int]) -> dict[str, list[int]]:
-    """Edge-traversal counts per inner vertex, in ``tree.inner`` order.
+def _stage_traffic(tree: StagedTree, table: AtomTable):
+    """Pooled per-stage visit and edge-traversal counts.
 
     Edge j out of v carries every observation at the leaves below its child,
-    so the counts are leaf totals summed up the reversed BFS order.
+    so a vertex's edge-traversal counts are its edge totals of the table.
     """
-    below = {leaf: counts[i] for leaf, i in tree.leaf_position.items()}
-    traffic = dict.fromkeys(tree.inner)
-    children = tree.children
-    for v in reversed(tree.inner):
-        edges = [below[c] for c in children[v]]
-        traffic[v] = edges
-        below[v] = sum(edges)
-    return traffic
-
-
-def _stage_traffic(tree: StagedTree, table: AtomTable):
-    """Pooled per-stage visit and edge-traversal counts."""
     pooled = {s: [0] * kappa for s, kappa in tree.stage_degrees.items()}
     stage_of = tree.stage_of
-    for v, counts in _vertex_traffic(tree, table.counts).items():
+    for v, counts in tree.edge_totals(table.counts).items():
         s = stage_of[v]
         pooled[s] = list(map(operator.add, pooled[s], counts))
     visits = {s: sum(counts) for s, counts in pooled.items()}
@@ -276,13 +260,7 @@ def bic(tree: StagedTree, table: AtomTable, alpha: float = 0.0) -> FitResult:
 
 def _check_alpha(alpha) -> None:
     """Reject a smoothing constant that is not a finite number >= 0."""
-    # bool is an int subclass, so it is ruled out explicitly
-    if (
-        isinstance(alpha, bool)
-        or not isinstance(alpha, numbers.Real)
-        or not math.isfinite(alpha)
-        or alpha < 0
-    ):
+    if not _is_real(alpha) or not math.isfinite(alpha) or alpha < 0:
         raise StagedTreeError(f"alpha must be a finite number >= 0, got {alpha!r}")
 
 
@@ -293,11 +271,8 @@ class SearchConfig:
     alpha: float = 0.0
 
     def __post_init__(self):
-        # bool is an int subclass, so it is ruled out explicitly
         if self.max_merges is not None and (
-            isinstance(self.max_merges, bool)
-            or not isinstance(self.max_merges, numbers.Integral)
-            or self.max_merges < 0
+            not _is_integer(self.max_merges) or self.max_merges < 0
         ):
             raise StagedTreeError(
                 f"max_merges must be null or an integer >= 0, got {self.max_merges!r}"
@@ -358,7 +333,6 @@ def select_staging(
     that the tests keep as the reference.
     """
     saturated = tree.saturated()
-    table = AtomTable(saturated, table.counts)
     start = bic(saturated, table, alpha=config.alpha)
     limit = config.max_merges if config.max_merges is not None else float("inf")
     log_n = math.log(table.n_obs)
@@ -369,7 +343,7 @@ def select_staging(
     # A stage is named after its first member in BFS order, and every stage
     # of the saturated tree has the default (last) downward edge, so equal
     # out-degrees imply equal downward edges.
-    counts = {v: tuple(c) for v, c in _vertex_traffic(saturated, table.counts).items()}
+    counts = {v: tuple(c) for v, c in saturated.edge_totals(table.counts).items()}
     loglik = {s: _stage_loglik(c, alpha) for s, c in counts.items()}
     members = {s: [s] for s in counts}
 
@@ -419,7 +393,7 @@ def select_staging(
     if not trace:
         return SearchResult(tree=saturated, fit=start, trace=())
     result = saturated.with_staging({v: s for s, vs in members.items() for v in vs})
-    fit = bic(result, AtomTable(result, table.counts), alpha=alpha)
+    fit = bic(result, table, alpha=alpha)
     return SearchResult(tree=result, fit=fit, trace=tuple(trace))
 
 

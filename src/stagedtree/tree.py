@@ -38,6 +38,16 @@ from .errors import (
 SUM_TOL = 1e-12
 
 
+def _is_integer(x) -> bool:
+    """An integer that is not a bool (bool is an int subclass)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """A real number that is not a bool (bool is an int subclass)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 class Atom:
     """A root-to-leaf path, stored as a tuple of (vertex, edge-index) steps.
 
@@ -175,8 +185,7 @@ class StagedTree:
             stage = self.stage_of.get(key, key if key in self.stage_ids else None)
             if stage is None:
                 raise StagedTreeError(f"downward key {key!r} is neither a vertex nor a stage")
-            # bool is an int subclass, so it is ruled out explicitly
-            if isinstance(j, bool) or not isinstance(j, numbers.Integral):
+            if not _is_integer(j):
                 raise StagedTreeError(f"downward index {j!r} for {key!r} is not an integer")
             j = int(j)
             if per_stage.setdefault(stage, j) != j:
@@ -261,6 +270,27 @@ class StagedTree:
             cs = children.get(v)
             out[v] = leaf_value if cs is None else combine(v, [out[c] for c in cs])
         return out
+
+    def edge_totals(self, leaf_values) -> dict[str, list]:
+        """Per inner vertex, in ``inner`` order, the total of ``leaf_values``
+        over the leaves below each of its edges.
+
+        ``leaf_values`` holds one value per atom, in atom order.  Edge j out
+        of v leads to the leaves below its child, so the totals are leaf
+        values summed up the reversed BFS order.
+        """
+        if len(leaf_values) != self.n:
+            raise StagedTreeError(
+                f"expected {self.n} leaf values, one per atom, got {len(leaf_values)}"
+            )
+        below = {leaf: leaf_values[i] for leaf, i in self.leaf_position.items()}
+        totals = dict.fromkeys(self.inner)
+        children = self.children
+        for v in reversed(self.inner):
+            edges = [below[c] for c in children[v]]
+            totals[v] = edges
+            below[v] = sum(edges)
+        return totals
 
     @cached_property
     def leaf_position(self) -> dict[str, int]:
@@ -482,12 +512,12 @@ class ParameterVector(Mapping):
 class AtomDistribution(Mapping):
     """A strictly positive probability distribution over the atoms of a tree."""
 
-    def __init__(self, probs: Mapping[Atom, float], require_positive: bool = True):
+    def __init__(self, probs: Mapping[Atom, float]):
         self._probs = dict(probs)
         total = math.fsum(self._probs.values())
         if abs(total - 1.0) > SUM_TOL:
             raise StagedTreeError(f"atom probabilities sum to {total}, not 1")
-        if require_positive and any(p <= 0.0 for p in self._probs.values()):
+        if any(p <= 0.0 for p in self._probs.values()):
             raise ZeroMass("atom distribution has a non-positive entry")
 
     def __getitem__(self, atom):
@@ -498,9 +528,6 @@ class AtomDistribution(Mapping):
 
     def __len__(self):
         return len(self._probs)
-
-    def as_list(self) -> list[float]:
-        return list(self._probs.values())
 
 
 # -- core operations ----------------------------------------------------------
@@ -524,31 +551,20 @@ def labels_from_distribution(tree: StagedTree, p: Mapping[Atom, float]) -> Param
     """Invert an atom distribution into edge labels on a saturated tree.
 
     The label of edge j out of vertex v is the conditional probability of
-    passing through that edge given that v is reached.
+    passing through that edge given that v is reached: the mass below the
+    edge divided by the sum of the masses below all edges out of v.
     """
     if not tree.is_saturated():
         raise NontrivialStaging("labels_from_distribution requires the trivial staging")
-    if any(p[x] <= 0.0 for x in tree.atoms):
+    mass = [p[x] for x in tree.atoms]
+    if any(px <= 0.0 for px in mass):
         raise ZeroMass("atom distribution has a zero entry")
-    mass: dict[str, float] = {v: 0.0 for v in tree.vertices}
-    edge_mass: dict[tuple[str, int], float] = {}
-    for x in tree.atoms:
-        px = p[x]
-        mass[tree.root] += px
-        for v, j in x.steps:
-            edge_mass[(v, j)] = edge_mass.get((v, j), 0.0) + px
-            mass[tree.child(v, j)] += px
     vals = {}
-    for v in tree.inner:
-        for j in range(1, tree.out_degree(v) + 1):
-            vals[(tree.stage_of[v], j)] = edge_mass.get((v, j), 0.0) / mass[v]
-    # renormalize away accumulated rounding so the vector validates cleanly
-    for v in tree.inner:
-        s = tree.stage_of[v]
-        kappa = tree.out_degree(v)
-        total = math.fsum(vals[(s, j)] for j in range(1, kappa + 1))
-        for j in range(1, kappa + 1):
-            vals[(s, j)] /= total
+    stage_of = tree.stage_of
+    for v, edges in tree.edge_totals(mass).items():
+        total = math.fsum(edges)
+        for j, m in enumerate(edges, start=1):
+            vals[(stage_of[v], j)] = m / total
     return ParameterVector(vals)
 
 
@@ -559,9 +575,9 @@ def dimensions(tree: StagedTree) -> tuple[int, int]:
     return d0, d
 
 
-def star(n: int, prefix: str = "e") -> StagedTree:
+def star(n: int) -> StagedTree:
     """The star tree with n leaves."""
-    return StagedTree({"r": [f"{prefix}{i}" for i in range(1, n + 1)]})
+    return StagedTree({"r": [f"e{i}" for i in range(1, n + 1)]})
 
 
 def product_tree(cards: Iterable[int]) -> StagedTree:

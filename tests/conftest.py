@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from stagedtree import StagedTree
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 BINARY_GRAPH = {
     "v1": ["v2", "v3"],
@@ -58,3 +60,12 @@ def data_path(name: str) -> Path:
 
 def load_json(name: str):
     return json.loads(data_path(name).read_text())
+
+
+def src_env() -> dict:
+    """This environment with the checkout's ``src`` first on PYTHONPATH, for
+    the tests that run the package in a child process.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env

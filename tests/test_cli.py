@@ -7,7 +7,7 @@ import pytest
 
 from stagedtree import StagedTree
 from stagedtree.cli import run
-from conftest import data_path, load_json
+from conftest import data_path, load_json, src_env
 
 
 def edited_fig1a(change):
@@ -90,7 +90,9 @@ class TestFromBN:
             f"{data_path('collider_bn.json')} | "
             f"{sys.executable} -m stagedtree.cli check -"
         )
-        proc = subprocess.run(script, shell=True, capture_output=True, text=True)
+        proc = subprocess.run(
+            script, shell=True, env=src_env(), capture_output=True, text=True
+        )
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
         assert out["regular"] is False
@@ -123,6 +125,23 @@ class TestFitSelect:
         assert code == 0
         assert "stages" in out and "trace" in out
 
+    @pytest.mark.parametrize("command, tree_flag", [("fit", "--tree"), ("select", "--tree-graph")])
+    def test_data_dash_reads_stdin(self, command, tree_flag):
+        # stagedtree <command> <tree_flag> fig1a.json --data - < xyz_rows.csv
+        rows = data_path("xyz_rows.csv")
+
+        def stdout(data, stdin=None):
+            argv = [command, tree_flag, str(data_path("fig1a.json")), "--data", data]
+            proc = subprocess.run(
+                [sys.executable, "-m", "stagedtree.cli", *argv],
+                stdin=stdin, env=src_env(), capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            return proc.stdout
+
+        with rows.open() as fh:
+            assert stdout("-", fh) == stdout(str(rows))
+
 
 class TestContract:
     def test_byte_stable_output(self, capsys):
@@ -135,7 +154,9 @@ class TestContract:
     def test_cli_import_loads_neither_numpy_nor_networkx(self):
         # a structural guard on start-up work, not a timing gate
         code = "import sys, stagedtree.cli; print({'numpy', 'networkx'} & set(sys.modules))"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True
+        )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "set()\n"
 
@@ -291,7 +312,7 @@ class TestMalformedInput:
         assert code == 0
         assert out["trace"] == [] and out["d"] == 7
 
-    @pytest.mark.parametrize("index", ["x", 1.5], ids=["text", "fractional"])
+    @pytest.mark.parametrize("index", ["x", 1.5, True], ids=["text", "fractional", "bool"])
     def test_tree_downward_index_exits_2(self, capsys, tmp_path, index):
         spec = load_json("fig1a.json")
         spec["downward"] = {"cyan": index}
@@ -301,7 +322,7 @@ class TestMalformedInput:
         assert code == 2
         assert out["error"]["message"] == f"downward index {index!r} for 'cyan' is not an integer"
 
-    @pytest.mark.parametrize("card", ["two", 2.7], ids=["text", "fractional"])
+    @pytest.mark.parametrize("card", ["two", 2.7, True], ids=["text", "fractional", "bool"])
     def test_bn_card_exits_2(self, capsys, tmp_path, card):
         spec = load_json("chain_bn.json")
         spec["variables"][0]["card"] = card
@@ -391,8 +412,9 @@ class TestMalformedInput:
                 {"cyan": [0.5, 0.5, 0.0]},
                 "theta of stage 'cyan' must be a list of 2 numbers, got [0.5, 0.5, 0.0]",
             ),
+            ({"cyan": [True, 0]}, "theta of stage 'cyan' must be a list of 2 numbers, got [True, 0]"),
         ],
-        ids=["not-a-list", "unknown-stage", "longer-than-kappa"],
+        ids=["not-a-list", "unknown-stage", "longer-than-kappa", "bool-entry"],
     )
     def test_theta_file_exits_2(self, capsys, tmp_path, entry, message):
         theta = {**load_json("fig1a_theta.json"), **entry}

@@ -83,6 +83,25 @@ class TestAtomTable:
         table = AtomTable(fig1a, range(10, 18))
         assert [table.count(x) for x in fig1a.atoms] == list(range(10, 18))
 
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            mle,
+            lambda t, table: log_likelihood(t, ParameterVector.uniform(t), table),
+            bic,
+            select_staging,
+        ],
+        ids=["mle", "log_likelihood", "bic", "select_staging"],
+    )
+    @pytest.mark.parametrize("n_tree, n_table", [(3, 2), (2, 3)], ids=["short", "long"])
+    def test_table_of_another_tree_rejected(self, fn, n_tree, n_table):
+        table = AtomTable(star(n_table), range(1, n_table + 1))
+        with pytest.raises(
+            StagedTreeError,
+            match=rf"^expected {n_tree} leaf values, one per atom, got {n_table}$",
+        ):
+            fn(star(n_tree), table)
+
     def test_numpy_integer_counts_become_ints(self):
         table = AtomTable(star(2), np.array([3, 4], dtype=np.int64))
         assert table.counts == (3, 4)

@@ -19,8 +19,15 @@ oracles too: ``oracle_vertex_traffic`` walks every atom, ``oracle_count_rows``
 walks every row and indexes leaves through the atoms, and
 ``oracle_statistic_layout``, ``oracle_natural_parameters`` and
 ``oracle_render_formulas`` resolve each edge through the tree's accessors.
-The fold over leaf counts, the walk of each distinct row once and the
-per-vertex passes must agree with them exactly.
+``StagedTree.edge_totals``, the walk of each distinct row once and the
+per-vertex passes must agree with them exactly.  ``stage_equations`` takes
+its ``linear`` flags from the per-member ratios of ``is_regular`` and must
+agree with the pairwise ``oracle_stage_equations`` exactly.
+``oracle_labels_from_distribution`` walks every atom's steps and
+renormalises; ``labels_from_distribution`` divides the edge totals of the
+atom masses by their sum at each vertex, so the labels run their sums in
+another order and must agree within 1e-14 relative, and both must refuse a
+zero-mass atom and a staged tree with the same error type.
 """
 
 import csv
@@ -60,7 +67,13 @@ from stagedtree import (
 )
 from stagedtree.algebra import FormalPolynomial, StageEquation, monomial_mul
 from stagedtree.bayesnet import DiscreteBN
-from stagedtree.errors import RowDoesNotReachLeaf, StagedTreeError, UnknownCategory
+from stagedtree.errors import (
+    NontrivialStaging,
+    RowDoesNotReachLeaf,
+    StagedTreeError,
+    UnknownCategory,
+    ZeroMass,
+)
 from stagedtree.expfam import (
     ExpFamForm,
     log_downward_products,
@@ -71,11 +84,10 @@ from stagedtree.fit import (
     SearchConfig,
     _count_rows,
     _resolve_step,
-    _vertex_traffic,
     select_staging,
 )
 from stagedtree.random_trees import random_staged_tree
-from stagedtree.tree import log_atom_probability
+from stagedtree.tree import labels_from_distribution, log_atom_probability
 from conftest import BINARY_GRAPH, data_path, load_json
 from test_bayesnet import all_dags
 
@@ -145,6 +157,34 @@ def oracle_vertex_traffic(tree: StagedTree, counts) -> dict[str, list[int]]:
         for v, j in atom.steps:
             traffic[v][j - 1] += c
     return traffic
+
+
+def oracle_labels_from_distribution(tree: StagedTree, p) -> ParameterVector:
+    """Invert an atom distribution into edge labels on a saturated tree."""
+    if not tree.is_saturated():
+        raise NontrivialStaging("labels_from_distribution requires the trivial staging")
+    if any(p[x] <= 0.0 for x in tree.atoms):
+        raise ZeroMass("atom distribution has a zero entry")
+    mass: dict[str, float] = {v: 0.0 for v in tree.vertices}
+    edge_mass: dict[tuple[str, int], float] = {}
+    for x in tree.atoms:
+        px = p[x]
+        mass[tree.root] += px
+        for v, j in x.steps:
+            edge_mass[(v, j)] = edge_mass.get((v, j), 0.0) + px
+            mass[tree.child(v, j)] += px
+    vals = {}
+    for v in tree.inner:
+        for j in range(1, tree.out_degree(v) + 1):
+            vals[(tree.stage_of[v], j)] = edge_mass.get((v, j), 0.0) / mass[v]
+    # renormalize away accumulated rounding so the vector validates cleanly
+    for v in tree.inner:
+        s = tree.stage_of[v]
+        kappa = tree.out_degree(v)
+        total = math.fsum(vals[(s, j)] for j in range(1, kappa + 1))
+        for j in range(1, kappa + 1):
+            vals[(s, j)] /= total
+    return ParameterVector(vals)
 
 
 def oracle_count_rows(tree: StagedTree, rows, column_levels) -> AtomTable:
@@ -705,7 +745,7 @@ def test_fold_and_vertex_passes_match_per_edge_versions(family):
         assert tree.leaf_position == {x.leaf: i for i, x in enumerate(oracle_atoms(tree))}
         # about one atom in three unobserved
         counts = (rng.integers(1, 50, size=tree.n) * (rng.random(tree.n) < 0.7)).tolist()
-        traffic = _vertex_traffic(tree, counts)
+        traffic = tree.edge_totals(counts)
         assert list(traffic.items()) == list(oracle_vertex_traffic(tree, counts).items())
         assert list(traffic) == list(tree.inner)
         assert statistic_layout(tree) == oracle_statistic_layout(tree)
@@ -715,6 +755,31 @@ def test_fold_and_vertex_passes_match_per_edge_versions(family):
         assert list(form.eta) == list(expected.eta)
         formulas = render_formulas(tree)
         assert list(formulas.items()) == list(oracle_render_formulas(tree).items())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_labels_from_distribution_match_per_atom_walk(family):
+    rng = np.random.default_rng(15)
+    for tree in FAMILIES[family]:
+        saturated = tree.saturated()
+        weights = rng.random(saturated.n) + 0.01
+        p = dict(zip(saturated.atoms, weights / weights.sum()))
+        labels = labels_from_distribution(saturated, p)
+        expected = oracle_labels_from_distribution(saturated, p)
+        assert list(labels) == list(expected)
+        for key, value in expected.items():
+            assert labels[key] == pytest.approx(value, rel=1e-14, abs=0)
+        zero = dict(p)
+        zero[saturated.atoms[-1]] = 0.0
+        cases = [(saturated, zero)]
+        if not tree.is_saturated():
+            cases.append((tree, dict(zip(tree.atoms, p.values()))))
+        for t, dist in cases:
+            with pytest.raises(StagedTreeError) as fast:
+                labels_from_distribution(t, dist)
+            with pytest.raises(StagedTreeError) as slow:
+                oracle_labels_from_distribution(t, dist)
+            assert fast.type is slow.type
 
 
 @pytest.mark.parametrize("family", FAMILIES)

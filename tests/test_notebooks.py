@@ -1,11 +1,12 @@
 """Smoke test: every script under ``notebooks/`` runs to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 NOTEBOOKS = sorted((ROOT / "notebooks").glob("*.py"))
@@ -18,14 +19,10 @@ def test_notebooks_are_found():
 
 @pytest.mark.parametrize("path", NOTEBOOKS, ids=lambda p: p.stem)
 def test_notebook_exits_0(path, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [sys.executable, str(path)],
         cwd=tmp_path,
-        env=env,
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=120,
