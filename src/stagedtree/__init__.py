@@ -15,7 +15,6 @@ from .algebra import (
     check_np_identity,
     classify,
     constraint_matrix,
-    downward_invariance_probe,
     downward_monomials,
     interpolating_polynomials,
     is_balanced,
@@ -36,12 +35,10 @@ from .bayesnet import (
 from .errors import StagedTreeError
 from .expfam import (
     ExpFamForm,
-    StarForm,
     density_expform,
     downward_products,
     natural_parameters,
     render_formulas,
-    star_form,
     statistic_layout,
     sufficient_statistic,
     symbolic_natural_parameters,
@@ -89,7 +86,6 @@ __all__ = [
     "StageEquation",
     "StagedTree",
     "StagedTreeError",
-    "StarForm",
     "atom_probability",
     "bic",
     "bn_edge_labels",
@@ -101,7 +97,6 @@ __all__ = [
     "density_expform",
     "dimensions",
     "distribution_from_labels",
-    "downward_invariance_probe",
     "downward_monomials",
     "downward_products",
     "find_simple_ordering",
@@ -121,7 +116,6 @@ __all__ = [
     "select_staging",
     "stage_equations",
     "star",
-    "star_form",
     "statistic_layout",
     "sufficient_statistic",
     "symbolic_natural_parameters",

@@ -141,6 +141,15 @@ def is_regular(tree: StagedTree) -> tuple[bool, list[tuple[str, str, int]]]:
     form a cancellative monoid, so a pair violates at edge j exactly when
     the ratios N_ij / N_ik and N_sj / N_sk differ, and a stage whose members
     all share the first member's ratios has no witness.
+
+    Neither this verdict nor balance (see :func:`is_balanced`) depends on the
+    downward edges.  With Q_v(j) = N_c / N_v for v's child c at edge j, a
+    stage is regular iff each Q_v(j) is one Laurent monomial for all members.
+    Move stage g's downward edge from k to k' on a regular tree; let m(u) be
+    the (g, k)-exponent of N_u.  At each g-member, m(c_wk') - m(c_wk) is that
+    of Q_w(k') / Q_w(k), so stage-constant, and 0 at a lowest one.  Up the
+    tree, N'_u = N_u c^m(u) with c = theta_gk' Q_g(k'), so Q'_v(j) / Q_v(j)
+    = c^(m(c_vj) - m(v)) is stage-constant.  README "check" has the steps.
     """
     witnesses = []
     for _, members, keys in _member_ratios(tree):
@@ -188,7 +197,12 @@ def _simple(tree: StagedTree, t: dict[str, FormalPolynomial]) -> bool:
 
 
 def is_balanced(tree: StagedTree) -> bool:
-    """Check t_ij t_sk = t_ik t_sj for all same-stage pairs and edges."""
+    """Check t_ij t_sk = t_ik t_sj for all same-stage pairs and edges.
+
+    The verdict does not depend on the downward edges: t_v does not, and
+    t_sj / t_sk' is t_sj / t_sk divided by t_sk' / t_sk, so equal ratios for
+    one reference edge k give equal ratios for any other k'.
+    """
     # a saturated tree has no same-stage pair, so the table is not built
     return tree.is_saturated() or _balanced(tree, interpolating_polynomials(tree))
 
@@ -353,38 +367,3 @@ def classify(tree: StagedTree) -> dict:
         "witnesses": witnesses,
     }
 
-
-def downward_invariance_probe(tree: StagedTree) -> list[dict]:
-    """Recompute the classification under alternative downward-edge choices.
-
-    One stage's downward edge is varied at a time.  Returns a record per
-    choice that flips the regular or balanced classification; an empty list
-    means no disagreement was observed.  Balance cannot flip: t_v does not
-    depend on the downward edges, and t_sj / t_sk' is t_sj / t_sk divided by
-    t_sk' / t_sk, so equal ratios for one reference edge k give equal ratios
-    for any other k'.
-    """
-    # the labels are (stage id, edge) pairs, so every alternative shares t_v
-    t = interpolating_polynomials(tree)
-    base_regular, _ = is_regular(tree)
-    base_balanced = _balanced(tree, t)
-    disagreements = []
-    for s_id, kappa in tree.stage_degrees.items():
-        for j in range(1, kappa + 1):
-            if j == tree.downward[s_id]:
-                continue
-            alt_down = dict(tree.downward)
-            alt_down[s_id] = j
-            alt = tree.with_staging(dict(tree.stage_of), downward=alt_down)
-            alt_regular, _ = is_regular(alt)
-            alt_balanced = _balanced(alt, t)
-            if alt_regular != base_regular or alt_balanced != base_balanced:
-                disagreements.append(
-                    {
-                        "stage": s_id,
-                        "downward": j,
-                        "regular": alt_regular,
-                        "balanced": alt_balanced,
-                    }
-                )
-    return disagreements

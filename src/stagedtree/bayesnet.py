@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import OrderInconsistentWithDAG, StagedTreeError
-from .tree import ParameterVector, StagedTree, _is_integer, _is_real
-
-CPT_ROW_TOL = 1e-12
+from .tree import SUM_TOL, ParameterVector, StagedTree, _is_integer, _is_real
 
 
 @dataclass(frozen=True)
@@ -97,8 +96,8 @@ class DiscreteBN:
                     )
                 if len(row) != self.cards[var]:
                     raise StagedTreeError(f"CPT row for {var!r} has wrong width")
-                if abs(sum(row) - 1.0) > CPT_ROW_TOL:
-                    raise StagedTreeError(f"CPT row for {var!r} sums to {sum(row)}")
+                if abs(math.fsum(row) - 1.0) > SUM_TOL:
+                    raise StagedTreeError(f"CPT row for {var!r} sums to {math.fsum(row)}")
 
     def parents(self, var: str) -> tuple[str, ...]:
         """Parents of var, sorted by position in the variable list."""

@@ -35,10 +35,6 @@ class NontrivialStaging(StagedTreeError):
     pass
 
 
-class NotAStar(StagedTreeError):
-    pass
-
-
 # Bayesian-network bridge
 class OrderInconsistentWithDAG(StagedTreeError):
     pass

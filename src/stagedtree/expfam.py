@@ -11,10 +11,11 @@ along the downward path from v_i.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import NontrivialStaging, NotAStar
+from .errors import NontrivialStaging, StagedTreeError
 from .tree import (
     Atom,
     ParameterVector,
@@ -128,18 +129,21 @@ def density_expform(tree: StagedTree, theta: ParameterVector, atom: Atom) -> flo
 def theta_from_eta(tree: StagedTree, eta) -> ParameterVector:
     """Invert the natural parametrization on a saturated tree.
 
-    ``eta`` is either a mapping over the statistic layout or a flat vector in
-    layout order.  The atom distribution proportional to exp(eta . T(x)) is
-    evaluated, normalized, and converted back to edge labels.
+    ``eta`` is either a mapping keyed by exactly the statistic layout or a
+    flat vector in layout order.  The atom distribution proportional to
+    exp(eta . T(x)) is evaluated, normalized, and converted back to edge labels.
     """
     if not tree.is_saturated():
         raise NontrivialStaging("theta_from_eta is defined for saturated trees only")
     layout = statistic_layout(tree)
-    if not isinstance(eta, dict):
+    if not isinstance(eta, Mapping):
         vec = list(eta)
         if len(vec) != len(layout):
-            raise ValueError(f"expected {len(layout)} natural parameters, got {len(vec)}")
+            raise StagedTreeError(f"expected {len(layout)} natural parameters, got {len(vec)}")
         eta = dict(zip(layout, vec))
+    elif eta.keys() != set(layout):
+        odd = sorted(eta.keys() ^ set(layout), key=repr)
+        raise StagedTreeError(f"eta keys differ from the statistic layout at {odd}")
     scores = [
         math.fsum(eta[(v, j)] for v, j in x.steps if (v, j) in eta) for x in tree.atoms
     ]
@@ -148,32 +152,6 @@ def theta_from_eta(tree: StagedTree, eta) -> ParameterVector:
     total = math.fsum(weights)
     p = {x: w / total for x, w in zip(tree.atoms, weights)}
     return labels_from_distribution(tree, p)
-
-
-@dataclass(frozen=True)
-class StarForm:
-    """Classical Multinomial exponential form on a star tree."""
-
-    eta: tuple[float, ...]
-    psi: float
-
-    def eta_vector(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.eta)
-
-
-def star_form(tree: StagedTree, theta: ParameterVector) -> StarForm:
-    """eta_r = log(theta_1r / theta_1n) for r < n, psi = -log theta_1n."""
-    if not tree.is_star():
-        raise NotAStar("star_form requires a tree of depth one")
-    root = tree.root
-    n = tree.out_degree(root)
-    last = theta.label(tree, root, n)
-    eta = tuple(
-        math.log(theta.label(tree, root, r)) - math.log(last) for r in range(1, n)
-    )
-    return StarForm(eta, -math.log(last))
 
 
 # -- symbolic presentation ----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Random staged trees for fuzz tests and probes."""
+"""Random staged trees for fuzz tests."""
 
 from __future__ import annotations
 

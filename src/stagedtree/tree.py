@@ -133,7 +133,14 @@ class StagedTree:
                 f"'stages' names ids that are not inner vertices: {sorted(stray, key=str)}"
             )
         self.stage_of = {v: str(stages.get(v, v)) for v in self.inner}
-        self._validate_stages()
+        # out-degree per stage id, in order of first appearance (BFS)
+        self.stage_degrees = degree = {}
+        for v in self.inner:
+            s, k = self.stage_of[v], len(self.children[v])
+            if degree.setdefault(s, k) != k:
+                raise StageOutDegreeMismatch(
+                    f"stage {s!r} mixes out-degrees {degree[s]} and {k} (at vertex {v!r})"
+                )
         self.downward = self._resolve_downward(downward or {})
 
     # -- construction helpers -------------------------------------------------
@@ -167,22 +174,12 @@ class StagedTree:
             order.extend(self.children.get(v, ()))
         return tuple(order)
 
-    def _validate_stages(self) -> None:
-        degree: dict[str, int] = {}
-        for v in self.inner:
-            s = self.stage_of[v]
-            k = self.out_degree(v)
-            if degree.setdefault(s, k) != k:
-                raise StageOutDegreeMismatch(
-                    f"stage {s!r} mixes out-degrees {degree[s]} and {k} (at vertex {v!r})"
-                )
-
     def _resolve_downward(self, spec: Mapping[str, int]) -> dict[str, int]:
         """Return downward edge index per stage id."""
         per_stage: dict[str, int] = {}
         for key, j in spec.items():
             key = str(key)
-            stage = self.stage_of.get(key, key if key in self.stage_ids else None)
+            stage = self.stage_of.get(key, key if key in self.stage_degrees else None)
             if stage is None:
                 raise StagedTreeError(f"downward key {key!r} is neither a vertex nor a stage")
             if not _is_integer(j):
@@ -203,16 +200,11 @@ class StagedTree:
     @cached_property
     def stage_ids(self) -> tuple[str, ...]:
         """Distinct stage ids, in order of first appearance (BFS)."""
-        seen = dict.fromkeys(self.stage_of[v] for v in self.inner)
-        return tuple(seen)
-
-    @cached_property
-    def stage_degrees(self) -> dict[str, int]:
-        return {self.stage_of[v]: self.out_degree(v) for v in self.inner}
+        return tuple(self.stage_degrees)
 
     @cached_property
     def stage_members(self) -> dict[str, tuple[str, ...]]:
-        members: dict[str, list[str]] = {s: [] for s in self.stage_ids}
+        members: dict[str, list[str]] = {s: [] for s in self.stage_degrees}
         for v in self.inner:
             members[self.stage_of[v]].append(v)
         return {s: tuple(vs) for s, vs in members.items()}
@@ -233,12 +225,9 @@ class StagedTree:
     def is_leaf(self, v: str) -> bool:
         return v not in self.children
 
-    def is_star(self) -> bool:
-        return len(self.inner) == 1
-
     def is_saturated(self) -> bool:
         """True if every inner vertex forms its own stage."""
-        return len(self.stage_ids) == len(self.inner)
+        return len(self.stage_degrees) == len(self.inner)
 
     @property
     def k(self) -> int:
@@ -435,9 +424,9 @@ class ParameterVector(Mapping):
     """Edge probabilities keyed by (stage id, edge index).
 
     Entries are validated to lie strictly in (0, 1) and to sum to one within
-    each stage (tolerance 1e-12).  Boundary values are only admitted with
-    ``allow_boundary=True``, which the fitting code uses for zero-count
-    maximum-likelihood estimates.
+    each stage (the correctly rounded sum, within SUM_TOL).  Boundary values
+    are only admitted with ``allow_boundary=True``, which the fitting code
+    uses for zero-count maximum-likelihood estimates.
     """
 
     def __init__(
@@ -447,16 +436,16 @@ class ParameterVector(Mapping):
     ):
         self._values = {(str(s), int(j)): float(p) for (s, j), p in values.items()}
         self.allow_boundary = allow_boundary
-        by_stage: dict[str, float] = {}
+        by_stage: dict[str, list[float]] = {}
         for (s, j), p in self._values.items():
             lo_ok = p > 0.0 if not allow_boundary else p >= 0.0
             hi_ok = p < 1.0 if not allow_boundary else p <= 1.0
             if not (lo_ok and hi_ok):
                 raise StagedTreeError(f"label theta[{s},{j}]={p} outside the open unit interval")
-            by_stage[s] = by_stage.get(s, 0.0) + p
-        for s, total in by_stage.items():
-            if abs(total - 1.0) > SUM_TOL:
-                raise StagedTreeError(f"stage {s!r} labels sum to {total}, not 1")
+            by_stage.setdefault(s, []).append(p)
+        for s, labels in by_stage.items():
+            if abs(math.fsum(labels) - 1.0) > SUM_TOL:
+                raise StagedTreeError(f"stage {s!r} labels sum to {math.fsum(labels)}, not 1")
 
     def __getitem__(self, key):
         return self._values[key]

@@ -216,6 +216,12 @@ class TestJointEquality:
         with pytest.raises(StagedTreeError):
             binary_bn("AB", [("A", "B")], cpts={"A": [[0.5, 0.6]], "B": [[0.5, 0.5]] * 2})
 
+    def test_wide_cpt_row_sums_to_one(self):
+        # the row's left-to-right sum is 1 + 1.005e-12, its correctly rounded sum 1
+        kappa = 36217
+        bn = DiscreteBN(("A",), {"A": kappa}, (), {"A": [[1.0 / kappa] * kappa]})
+        assert bn.cards == {"A": kappa}
+
 
 def random_digraphs(rng, count, max_nodes=9):
     """Seeded digraphs over 1..max_nodes shuffled nodes, edges in shuffled order.

@@ -1,22 +1,24 @@
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 from stagedtree import (
     ParameterVector,
+    StagedTree,
     atom_probability,
     density_expform,
     downward_products,
     natural_parameters,
+    product_tree,
     star,
-    star_form,
     statistic_layout,
     sufficient_statistic,
     symbolic_natural_parameters,
     theta_from_eta,
 )
-from stagedtree.errors import NontrivialStaging, NotAStar
+from stagedtree.errors import NontrivialStaging, StagedTreeError
 from stagedtree.random_trees import random_staged_tree
 
 
@@ -177,38 +179,58 @@ class TestThetaFromEta:
         with pytest.raises(NontrivialStaging):
             theta_from_eta(fig1a, [0.0] * 7)
 
+    def test_vector_of_wrong_length_rejected(self, example1):
+        with pytest.raises(StagedTreeError, match="expected 7 natural parameters, got 6"):
+            theta_from_eta(example1, [0.0] * 6)
+
+    def test_empty_mapping_rejected(self):
+        with pytest.raises(StagedTreeError, match="statistic layout"):
+            theta_from_eta(product_tree([2, 2]), {})
+
+    def test_downward_edge_key_rejected(self):
+        # (v_root, 2) is the root's downward edge, which has no natural parameter
+        with pytest.raises(StagedTreeError, match="statistic layout"):
+            theta_from_eta(product_tree([2, 2]), {("v_root", 2): 3.0})
+
+    def test_any_mapping_is_read_by_key(self):
+        t = product_tree([2, 2])
+        eta = {("v_root", 1): 0.5, ("v_0", 1): -1.0, ("v_1", 1): 2.0}
+        expected = theta_from_eta(t, [eta[key] for key in statistic_layout(t)])
+        assert dict(theta_from_eta(t, MappingProxyType(eta))) == dict(expected)
+
 
 class TestStarForm:
+    """The classical multinomial form: on a star with downward edge k,
+    eta_r = log(theta_r / theta_k) and psi = -log theta_k.
+    """
+
     def test_binary_logit(self):
         t = star(2)
         p = 0.3
         theta = ParameterVector({(t.root, 1): p, (t.root, 2): 1 - p})
-        form = star_form(t, theta)
-        assert form.eta[0] == pytest.approx(math.log(p / (1 - p)))
+        form = natural_parameters(t, theta)
+        assert form.eta[(t.root, 1)] == pytest.approx(math.log(p / (1 - p)))
         assert form.psi == pytest.approx(-math.log(1 - p))
 
     def test_uniform_is_zero(self):
         t = star(6)
-        assert all(abs(e) < 1e-14 for e in star_form(t, half_labels(t)).eta)
+        assert all(abs(e) < 1e-14 for e in natural_parameters(t, half_labels(t)).eta.values())
 
     def test_hand_values_n4(self):
         t = star(4)
         theta = ParameterVector({(t.root, j): p for j, p in enumerate([0.1, 0.2, 0.3, 0.4], 1)})
-        form = star_form(t, theta)
-        assert form.eta[0] == pytest.approx(math.log(0.25))
-        assert form.eta[1] == pytest.approx(math.log(0.5))
-        assert form.eta[2] == pytest.approx(math.log(0.75))
+        form = natural_parameters(t, theta)
+        eta = form.eta_vector()
+        assert eta[0] == pytest.approx(math.log(0.25))
+        assert eta[1] == pytest.approx(math.log(0.5))
+        assert eta[2] == pytest.approx(math.log(0.75))
         assert form.psi == pytest.approx(-math.log(0.4))
 
-    def test_agrees_with_natural_parameters(self, rng):
-        for n in (2, 3, 5, 8):
-            t = star(n)
-            theta = ParameterVector.random(t, rng)
-            wishart = star_form(t, theta)
-            form = natural_parameters(t, theta)
-            assert np.allclose(wishart.eta_vector(), form.eta_vector(), atol=1e-12)
-            assert wishart.psi == pytest.approx(form.psi, abs=1e-12)
-
-    def test_not_a_star(self, example1):
-        with pytest.raises(NotAStar):
-            star_form(example1, half_labels(example1))
+    def test_first_edge_downward(self):
+        t = StagedTree({"r": ["a", "b", "c"]}, downward={"r": 1})
+        theta = ParameterVector({("r", 1): 0.2, ("r", 2): 0.3, ("r", 3): 0.5})
+        form = natural_parameters(t, theta)
+        assert form.layout == (("r", 2), ("r", 3))
+        assert form.eta[("r", 2)] == pytest.approx(math.log(1.5), abs=1e-15)
+        assert form.eta[("r", 3)] == pytest.approx(math.log(2.5), abs=1e-15)
+        assert form.psi == pytest.approx(-math.log(0.2), abs=1e-15)

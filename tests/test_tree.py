@@ -141,6 +141,14 @@ class TestParameterVector:
         with pytest.raises(StagedTreeError):
             ParameterVector({("s", 1): 0.5, ("s", 2): 0.6})
 
+    def test_uniform_on_a_wide_star(self):
+        # 36217 labels of 1/36217 add up, one after another, to 1 + 1.005e-12;
+        # their correctly rounded sum is within SUM_TOL of 1
+        t = star(36217)
+        theta = ParameterVector.uniform(t)
+        theta.validate_for(t)
+        assert len(theta) == 36217
+
     def test_uniform(self, fig1b):
         theta = ParameterVector.uniform(fig1b)
         assert theta[("cyan", 1)] == 0.5
