@@ -14,11 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .expfam import _downward_fold, _is_single_index, natural_parameters
-from .tree import ParameterVector, StagedTree, dimensions
+from .tree import ParameterVector, StagedTree, _Record, _set, dimensions
 
 if TYPE_CHECKING:
     import numpy as np
@@ -212,16 +211,18 @@ def is_simple(tree: StagedTree) -> bool:
     return tree.is_saturated() or _simple(tree, interpolating_polynomials(tree))
 
 
-@dataclass(frozen=True)
-class ConstraintMatrix:
+class ConstraintMatrix(_Record):
     """Linear identifications of edge labels over the saturated coordinates.
 
     One row per identification theta_ij - theta_sj between consecutive
     same-stage vertices, over the d0 coordinates (v, j) with j < kappa_v.
     """
 
-    coords: tuple[tuple[str, int], ...]
-    matrix: np.ndarray
+    __slots__ = ("coords", "matrix")
+
+    def __init__(self, coords: tuple[tuple[str, int], ...], matrix: np.ndarray):
+        _set(self, "coords", coords)
+        _set(self, "matrix", matrix)
 
     @property
     def rank(self) -> int:
@@ -257,8 +258,7 @@ def constraint_matrix(tree: StagedTree) -> ConstraintMatrix:
 # -- stage equations in natural coordinates -----------------------------------
 
 
-@dataclass(frozen=True)
-class StageEquation:
+class StageEquation(_Record):
     """eta_ij + log P_ij + log P_sk = eta_sj + log P_sj + log P_ik.
 
     ``lhs_eta``/``rhs_eta`` are (vertex, edge) pairs or None when the edge is
@@ -267,15 +267,21 @@ class StageEquation:
     iff the downward monomials satisfy N_ij N_sk = N_sj N_ik.
     """
 
-    vi: str
-    vs: str
-    j: int
-    kappa: int
-    lhs_eta: Optional[tuple[str, int]]
-    rhs_eta: Optional[tuple[str, int]]
-    lhs_logs: tuple[FormalPolynomial, FormalPolynomial]
-    rhs_logs: tuple[FormalPolynomial, FormalPolynomial]
-    linear: bool
+    __slots__ = ("vi", "vs", "j", "kappa", "lhs_eta", "rhs_eta", "lhs_logs", "rhs_logs", "linear")
+
+    def __init__(self, vi: str, vs: str, j: int, kappa: int, lhs_eta: Optional[tuple[str, int]],
+                 rhs_eta: Optional[tuple[str, int]],
+                 lhs_logs: tuple[FormalPolynomial, FormalPolynomial],
+                 rhs_logs: tuple[FormalPolynomial, FormalPolynomial], linear: bool):
+        _set(self, "vi", vi)
+        _set(self, "vs", vs)
+        _set(self, "j", j)
+        _set(self, "kappa", kappa)
+        _set(self, "lhs_eta", lhs_eta)
+        _set(self, "rhs_eta", rhs_eta)
+        _set(self, "lhs_logs", lhs_logs)
+        _set(self, "rhs_logs", rhs_logs)
+        _set(self, "linear", linear)
 
     def pretty(self, tree: StagedTree) -> str:
         def side(eta_term, logs):

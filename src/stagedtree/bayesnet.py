@@ -13,15 +13,13 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import OrderInconsistentWithDAG, StagedTreeError
-from .tree import SUM_TOL, ParameterVector, StagedTree, _is_integer, _is_real
+from .tree import SUM_TOL, ParameterVector, StagedTree, _is_integer, _is_real, _Record, _set
 
 
-@dataclass(frozen=True)
-class DiscreteBN:
+class DiscreteBN(_Record):
     """A DAG over finitely-valued variables, with optional CPTs.
 
     ``cpts[var]`` is a list of rows, one per configuration of the parents of
@@ -29,12 +27,15 @@ class DiscreteBN:
     in ``variables``); each row lists the state probabilities of ``var``.
     """
 
-    variables: tuple[str, ...]
-    cards: dict[str, int]
-    edges: tuple[tuple[str, str], ...]
-    cpts: Optional[dict[str, list[list[float]]]] = field(default=None)
+    __slots__ = ("variables", "cards", "edges", "cpts")
 
-    def __post_init__(self):
+    def __init__(self, variables: tuple[str, ...], cards: dict[str, int],
+                 edges: tuple[tuple[str, str], ...],
+                 cpts: Optional[dict[str, list[list[float]]]] = None):
+        _set(self, "variables", variables)
+        _set(self, "cards", cards)
+        _set(self, "edges", edges)
+        _set(self, "cpts", cpts)
         for name in self.variables:
             if not isinstance(name, str):
                 raise StagedTreeError(f"variable name {name!r} is not a string")
@@ -64,13 +65,10 @@ class DiscreteBN:
         repeated = _repeated(tuple(edge) for edge in self.edges)
         if repeated:
             raise StagedTreeError(f"repeated edges: {repeated}")
-        if self._has_cycle():
+        if _topological_order(self.variables, self.edges) is None:
             raise StagedTreeError("graph over the variables is not acyclic")
         if self.cpts is not None:
             self._validate_cpts()
-
-    def _has_cycle(self) -> bool:
-        return _topological_order(self.variables, self.edges) is None
 
     def _validate_cpts(self) -> None:
         if not isinstance(self.cpts, dict):
@@ -142,7 +140,7 @@ class DiscreteBN:
         if not isinstance(edges, list):
             raise StagedTreeError(f"BN edges must be a list of pairs, got {edges!r}")
         variables = tuple(entry["name"] for entry in entries)
-        # __post_init__ refuses a name that is not a string; it may be unhashable
+        # __init__ refuses a name that is not a string; it may be unhashable
         cards = {e["name"]: e["card"] for e in entries if isinstance(e["name"], str)}
         edges = tuple(tuple(e) if isinstance(e, list) else e for e in edges)
         return cls(variables, cards, edges, spec.get("cpts"))
@@ -197,11 +195,25 @@ def _vertex_name(states: tuple[int, ...]) -> str:
     return "v_" + ".".join(map(str, states)) if states else "v_root"
 
 
+# ``from-bn`` peaks at about 1.4 KB per inner vertex (36 MB at k = 16383,
+# 193 MB at k = 131071 on binary chains), so the largest unfolding built
+# stays near 0.4 GB.
+MAX_UNFOLDED_VERTICES = 2**18
+
+
 def _unfolding(bn: DiscreteBN, order: Optional[Sequence[str]]):
     """(variable, history, stage) per inner vertex of the unfolded tree, level by
     level; ``history`` maps the earlier variables to the states reaching it.
+
+    An unfolding of more than MAX_UNFOLDED_VERTICES inner vertices is refused
+    before any vertex is made.
     """
     order = validate_order(bn, order if order is not None else bn.default_order())
+    k, width = 0, 1  # a level is as wide as the product of the earlier cardinalities
+    for var in order:
+        k, width = k + width, width * bn.cards[var]
+    if k > MAX_UNFOLDED_VERTICES:
+        raise StagedTreeError(f"unfolding has {k} inner vertices, over {MAX_UNFOLDED_VERTICES}")
     for level, var in enumerate(order):
         history = order[:level]
         parents = set(bn.parents(var))
@@ -292,33 +304,43 @@ def find_simple_ordering(bn: DiscreteBN) -> Optional[tuple[str, ...]]:
 
     Returns None when no topological ordering satisfies the containment.
     Depth-first search over partial orders, pruning as soon as the condition
-    fails for the vertex just placed.
+    fails for the vertex just placed.  An explicit stack holds, per placed
+    prefix, the candidates for the next place, in name order.
     """
     parents = {v: set(bn.parents(v)) for v in bn.variables}
-    n = len(bn.variables)
+    names = sorted(bn.variables)
+    placed: list[str] = []
+    done: set[str] = set()
 
-    def extend(placed: list[str], remaining: set[str]) -> Optional[list[str]]:
-        if not remaining:
-            return placed
-        for v in sorted(remaining):
-            if parents[v] - set(placed):
-                continue  # not yet topologically placeable
-            if placed and not parents[v] <= ({placed[-1]} | parents[placed[-1]]):
-                continue
-            result = extend(placed + [v], remaining - {v})
-            if result is not None:
-                return result
-        return None
+    def candidates():
+        # each placed vertex's parents lie in ``done``, so ``allowed`` does too;
+        # a frame is resumed only once ``done`` is back to its own prefix
+        allowed = {placed[-1]} | parents[placed[-1]] if placed else set()
+        return (v for v in names if v not in done and parents[v] <= allowed)
 
-    result = extend([], set(bn.variables))
-    return tuple(result) if result is not None and len(result) == n else None
+    stack = [candidates()]
+    while len(placed) < len(names):
+        v = next(stack[-1], None)
+        if v is None:  # every extension of this prefix failed
+            stack.pop()
+            if not stack:
+                return None
+            done.discard(placed.pop())
+        else:
+            placed.append(v)
+            done.add(v)
+            stack.append(candidates())
+    return tuple(placed)
 
 
-@dataclass(frozen=True)
-class BNReport:
-    decomposable: bool
-    simple_ordering: Optional[tuple[str, ...]]
-    regular_certified: bool
+class BNReport(_Record):
+    __slots__ = ("decomposable", "simple_ordering", "regular_certified")
+
+    def __init__(self, decomposable: bool, simple_ordering: Optional[tuple[str, ...]],
+                 regular_certified: bool):
+        _set(self, "decomposable", decomposable)
+        _set(self, "simple_ordering", simple_ordering)
+        _set(self, "regular_certified", regular_certified)
 
 
 def classify_bn(bn: DiscreteBN) -> BNReport:

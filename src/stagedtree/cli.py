@@ -5,7 +5,7 @@ reads JSON/CSV inputs, writes a JSON object to stdout (or ``--output``), and
 exits 0 on success, 2 on validation errors (with a machine-readable error
 object), 1 on internal errors.  ``-`` stands for stdin/stdout.  The commands
 that print floats round them to 12 significant digits so outputs are
-byte-stable.
+byte-stable.  Each subcommand imports the modules it runs, and no others.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ import json
 import sys
 
 from . import __version__
-from .algebra import classify, stage_equations
-from .bayesnet import DiscreteBN, bn_to_staged_tree
 from .errors import StagedTreeError
-from .expfam import natural_parameters, render_formulas
-from .fit import SearchConfig, bic, ingest_csv, select_staging
-from .tree import ParameterVector, StagedTree, _is_real, dimensions
 
 
 def _round(x: float) -> float:
@@ -58,10 +53,12 @@ def _read_text(path: str) -> str:
 
 
 def _load_tree(path: str) -> StagedTree:
+    from .tree import StagedTree
     return StagedTree.from_json(_read_text(path))
 
 
 def _load_theta(spec: str, tree: StagedTree) -> ParameterVector:
+    from .tree import ParameterVector, _is_real
     if spec == "uniform":
         return ParameterVector.uniform(tree)
     raw = json.loads(_read_text(spec))
@@ -90,6 +87,7 @@ def _load_theta(spec: str, tree: StagedTree) -> ParameterVector:
 
 
 def cmd_inspect(args) -> dict:
+    from .tree import dimensions
     tree = _load_tree(args.tree)
     d0, d = dimensions(tree)
     return {
@@ -106,6 +104,7 @@ def cmd_inspect(args) -> dict:
 
 
 def cmd_expfam(args) -> dict:
+    from .expfam import natural_parameters, render_formulas
     tree = _load_tree(args.tree)
     theta = _load_theta(args.theta, tree)
     form = natural_parameters(tree, theta)
@@ -120,6 +119,7 @@ def cmd_expfam(args) -> dict:
 
 
 def cmd_check(args) -> dict:
+    from .algebra import classify, stage_equations
     tree = _load_tree(args.tree)
     report = classify(tree)
     out = {
@@ -143,6 +143,7 @@ def cmd_check(args) -> dict:
 
 
 def cmd_from_bn(args) -> dict:
+    from .bayesnet import DiscreteBN, bn_to_staged_tree
     bn = DiscreteBN.from_json(_read_text(args.bn))
     order = args.order.split(",") if args.order else None
     tree = bn_to_staged_tree(bn, order)
@@ -151,12 +152,14 @@ def cmd_from_bn(args) -> dict:
 
 
 def cmd_fit(args) -> dict:
+    from .fit import bic, ingest_csv
     tree = _load_tree(args.tree)
     table = ingest_csv(sys.stdin if args.data == "-" else args.data, tree)
     return _fit_dict(bic(tree, table, alpha=args.alpha))
 
 
 def cmd_select(args) -> dict:
+    from .fit import SearchConfig, ingest_csv, select_staging
     tree = _load_tree(args.tree_graph)
     table = ingest_csv(sys.stdin if args.data == "-" else args.data, tree)
     config = SearchConfig()
@@ -164,7 +167,7 @@ def cmd_select(args) -> dict:
         raw = json.loads(_read_text(args.config))
         if not isinstance(raw, dict):
             raise StagedTreeError("search configuration must be a JSON object")
-        unknown = set(raw) - set(SearchConfig.__dataclass_fields__)
+        unknown = set(raw) - set(SearchConfig.__slots__)
         if unknown:
             raise StagedTreeError(f"unknown search configuration keys: {sorted(unknown)}")
         config = SearchConfig(**raw)

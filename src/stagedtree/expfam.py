@@ -12,15 +12,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import NontrivialStaging, StagedTreeError
 from .tree import (
-    Atom,
-    ParameterVector,
-    StagedTree,
-    labels_from_distribution,
+    Atom, ParameterVector, StagedTree, _is_real, _Record, _set, labels_from_distribution
 )
 
 if TYPE_CHECKING:
@@ -73,14 +69,18 @@ def statistic_layout(tree: StagedTree) -> tuple[tuple[str, int], ...]:
     return tuple(layout)
 
 
-@dataclass(frozen=True)
-class ExpFamForm:
+class ExpFamForm(_Record):
     """Natural parameters, cumulant value, and statistic layout at a given theta."""
 
-    layout: tuple[tuple[str, int], ...]
-    eta: dict[tuple[str, int], float]
-    psi: float
-    logN: dict[str, float] = field(repr=False)
+    __slots__ = ("layout", "eta", "psi", "logN")
+    _hidden = ("logN",)
+
+    def __init__(self, layout: tuple[tuple[str, int], ...], eta: dict[tuple[str, int], float],
+                 psi: float, logN: dict[str, float]):
+        _set(self, "layout", layout)
+        _set(self, "eta", eta)
+        _set(self, "psi", psi)
+        _set(self, "logN", logN)
 
     def eta_vector(self) -> np.ndarray:
         import numpy as np
@@ -132,18 +132,26 @@ def theta_from_eta(tree: StagedTree, eta) -> ParameterVector:
     ``eta`` is either a mapping keyed by exactly the statistic layout or a
     flat vector in layout order.  The atom distribution proportional to
     exp(eta . T(x)) is evaluated, normalized, and converted back to edge labels.
+    Every entry must be a finite real number.
     """
     if not tree.is_saturated():
         raise NontrivialStaging("theta_from_eta is defined for saturated trees only")
     layout = statistic_layout(tree)
     if not isinstance(eta, Mapping):
-        vec = list(eta)
+        try:
+            vec = list(eta)
+        except TypeError:
+            raise StagedTreeError(f"eta must be a mapping or a sequence, got {eta!r}") from None
         if len(vec) != len(layout):
             raise StagedTreeError(f"expected {len(layout)} natural parameters, got {len(vec)}")
         eta = dict(zip(layout, vec))
     elif eta.keys() != set(layout):
         odd = sorted(eta.keys() ^ set(layout), key=repr)
         raise StagedTreeError(f"eta keys differ from the statistic layout at {odd}")
+    for v, j in layout:
+        x = eta[(v, j)]
+        if not (_is_real(x) and math.isfinite(x)):
+            raise StagedTreeError(f"natural parameter eta[{v},{j}]={x!r} is not a finite number")
     scores = [
         math.fsum(eta[(v, j)] for v, j in x.steps if (v, j) in eta) for x in tree.atoms
     ]

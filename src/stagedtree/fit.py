@@ -13,7 +13,6 @@ import csv
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import (
@@ -22,7 +21,9 @@ from .errors import (
     UnknownCategory,
     ZeroStageTraffic,
 )
-from .tree import Atom, ParameterVector, StagedTree, _is_integer, _is_real, dimensions
+from .tree import (
+    Atom, ParameterVector, StagedTree, _is_integer, _is_real, _Record, _set, dimensions
+)
 
 
 class AtomTable:
@@ -219,14 +220,18 @@ def _pooled_log_likelihood(theta: ParameterVector, edges: dict) -> float:
     return math.fsum(n * math.log(theta[key]) for key, n in edges.items() if n)
 
 
-@dataclass(frozen=True)
-class FitResult:
-    theta: ParameterVector = field(repr=False)
-    log_likelihood: float
-    d: int
-    n_obs: int
-    bic: float
-    boundary: bool
+class FitResult(_Record):
+    __slots__ = ("theta", "log_likelihood", "d", "n_obs", "bic", "boundary")
+    _hidden = ("theta",)
+
+    def __init__(self, theta: ParameterVector, log_likelihood: float, d: int, n_obs: int,
+                 bic: float, boundary: bool):
+        _set(self, "theta", theta)
+        _set(self, "log_likelihood", log_likelihood)
+        _set(self, "d", d)
+        _set(self, "n_obs", n_obs)
+        _set(self, "bic", bic)
+        _set(self, "boundary", boundary)
 
     def as_dict(self) -> dict:
         return {
@@ -264,41 +269,44 @@ def _check_alpha(alpha) -> None:
         raise StagedTreeError(f"alpha must be a finite number >= 0, got {alpha!r}")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    max_merges: Optional[int] = None
-    same_depth: bool = True
-    alpha: float = 0.0
+class SearchConfig(_Record):
+    __slots__ = ("max_merges", "same_depth", "alpha")
 
-    def __post_init__(self):
-        if self.max_merges is not None and (
-            not _is_integer(self.max_merges) or self.max_merges < 0
-        ):
+    def __init__(self, max_merges: Optional[int] = None, same_depth: bool = True,
+                 alpha: float = 0.0):
+        if max_merges is not None and (not _is_integer(max_merges) or max_merges < 0):
             raise StagedTreeError(
-                f"max_merges must be null or an integer >= 0, got {self.max_merges!r}"
+                f"max_merges must be null or an integer >= 0, got {max_merges!r}"
             )
-        if not isinstance(self.same_depth, bool):
-            raise StagedTreeError(f"same_depth must be a boolean, got {self.same_depth!r}")
-        _check_alpha(self.alpha)
+        if not isinstance(same_depth, bool):
+            raise StagedTreeError(f"same_depth must be a boolean, got {same_depth!r}")
+        _check_alpha(alpha)
+        _set(self, "max_merges", max_merges)
+        _set(self, "same_depth", same_depth)
+        _set(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
-class MergeStep:
-    kept: str
-    absorbed: str
-    bic_before: float
-    bic_after: float
+class MergeStep(_Record):
+    __slots__ = ("kept", "absorbed", "bic_before", "bic_after")
+
+    def __init__(self, kept: str, absorbed: str, bic_before: float, bic_after: float):
+        _set(self, "kept", kept)
+        _set(self, "absorbed", absorbed)
+        _set(self, "bic_before", bic_before)
+        _set(self, "bic_after", bic_after)
 
     @property
     def delta(self) -> float:
         return self.bic_after - self.bic_before
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    tree: StagedTree
-    fit: FitResult
-    trace: tuple[MergeStep, ...]
+class SearchResult(_Record):
+    __slots__ = ("tree", "fit", "trace")
+
+    def __init__(self, tree: StagedTree, fit: FitResult, trace: tuple[MergeStep, ...]):
+        _set(self, "tree", tree)
+        _set(self, "fit", fit)
+        _set(self, "trace", trace)
 
 
 def _stage_loglik(counts: Sequence[int], alpha: float) -> float:

@@ -48,6 +48,46 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+_set = object.__setattr__  # how a record's own __init__ writes its fields
+
+
+class _Record:
+    """Base of the immutable result records, which behave as frozen dataclasses.
+
+    A record lists its fields in ``__slots__``, in constructor order, and sets
+    them in its own ``__init__`` with ``_set``; its repr leaves out ``_hidden``.
+    Copy and pickle rebuild a record through its constructor.
+    """
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__
+                 if name not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
 class Atom:
     """A root-to-leaf path, stored as a tuple of (vertex, edge-index) steps.
 

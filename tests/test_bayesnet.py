@@ -17,6 +17,7 @@ from stagedtree import (
     is_regular,
     is_simple,
 )
+from stagedtree import bayesnet
 from stagedtree.bayesnet import _is_chordal, _topological_order, skeleton
 from stagedtree.errors import OrderInconsistentWithDAG, StagedTreeError
 
@@ -116,6 +117,44 @@ class TestUnfolding:
             DiscreteBN(("A", "B"), cards, (("A", "B"),))
 
 
+class TestUnfoldingLimit:
+    """An unfolding over MAX_UNFOLDED_VERTICES inner vertices is refused before
+    any vertex is made, by both users of the unfolding.
+    """
+
+    @staticmethod
+    def chain(m):
+        names = [f"X{i}" for i in range(m)]
+        cpts = {v: [[0.5, 0.5]] * (1 if i == 0 else 2) for i, v in enumerate(names)}
+        return binary_bn(names, zip(names, names[1:]), cpts)
+
+    def test_forty_binary_variables_refused(self):
+        bn = self.chain(40)
+        for unfold in (bn_to_staged_tree, bn_edge_labels):
+            with pytest.raises(StagedTreeError, match=f"{2**40 - 1} inner vertices, over"):
+                unfold(bn)
+
+    def test_wide_variable_counts_its_cardinality(self):
+        wide = DiscreteBN(("A", "B"), {"A": bayesnet.MAX_UNFOLDED_VERTICES, "B": 2}, ())
+        with pytest.raises(StagedTreeError, match="inner vertices, over"):
+            bn_to_staged_tree(wide)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(bayesnet, "MAX_UNFOLDED_VERTICES", 7)
+        assert bn_to_staged_tree(self.chain(3)).k == 7
+        assert len(bn_edge_labels(self.chain(3))) == 10  # five stages, two labels each
+        for unfold in (bn_to_staged_tree, bn_edge_labels):
+            with pytest.raises(StagedTreeError, match="15 inner vertices, over 7"):
+                unfold(self.chain(4))
+
+    def test_every_shipped_bn_is_below_the_limit(self):
+        from conftest import DATA
+
+        for path in DATA.glob("*_bn.json"):
+            bn = DiscreteBN.from_json(path.read_text())
+            assert bn_to_staged_tree(bn).k <= bayesnet.MAX_UNFOLDED_VERTICES
+
+
 class TestDecomposable:
     def test_collider_not_decomposable(self):
         assert not is_decomposable(COLLIDER)
@@ -132,6 +171,28 @@ class TestDecomposable:
         assert not is_decomposable(bn)
 
 
+def recursive_simple_ordering(bn):
+    """The recursive search that find_simple_ordering replaced, kept as its oracle."""
+    parents = {v: set(bn.parents(v)) for v in bn.variables}
+    n = len(bn.variables)
+
+    def extend(placed, remaining):
+        if not remaining:
+            return placed
+        for v in sorted(remaining):
+            if parents[v] - set(placed):
+                continue  # not yet topologically placeable
+            if placed and not parents[v] <= ({placed[-1]} | parents[placed[-1]]):
+                continue
+            result = extend(placed + [v], remaining - {v})
+            if result is not None:
+                return result
+        return None
+
+    result = extend([], set(bn.variables))
+    return tuple(result) if result is not None and len(result) == n else None
+
+
 class TestSimpleOrdering:
     def test_chain_has_simple_ordering(self):
         assert find_simple_ordering(CHAIN) == ("X", "Y", "Z")
@@ -142,6 +203,23 @@ class TestSimpleOrdering:
     def test_single_node(self):
         bn = binary_bn("A", [])
         assert find_simple_ordering(bn) == ("A",)
+
+    def test_matches_the_recursive_search_on_every_dag_over_at_most_four_nodes(self):
+        for n in range(1, 5):
+            for bn in all_dags(n):
+                assert find_simple_ordering(bn) == recursive_simple_ordering(bn), bn.edges
+
+    def test_matches_the_recursive_search_on_seeded_random_dags(self):
+        found = Counter()
+        for nodes, edges in random_digraphs(np.random.default_rng(23), 600, max_nodes=8):
+            try:
+                bn = binary_bn(nodes, edges)
+            except StagedTreeError:
+                continue  # a cycle, a self-loop or a repeated edge
+            expected = recursive_simple_ordering(bn)
+            assert find_simple_ordering(bn) == expected, (nodes, edges)
+            found[expected is None, len(nodes) > 4] += 1
+        assert all(found[key] >= 10 for key in itertools.product((False, True), repeat=2))
 
     def test_returned_order_is_topological(self, rng):
         for _ in range(30):
@@ -175,6 +253,17 @@ class TestClassify:
             if report.regular_certified:
                 order = report.simple_ordering or bn.default_order()
                 assert is_regular(bn_to_staged_tree(bn, order))[0]
+
+    def test_long_chain_without_recursion(self):
+        names = [f"X{i}" for i in range(1200)]
+        report = classify_bn(binary_bn(names, zip(names, names[1:])))
+        assert report.simple_ordering == tuple(names) and report.regular_certified
+
+    def test_many_edgeless_variables_without_recursion(self):
+        names = [f"X{i}" for i in range(1100)]
+        report = classify_bn(binary_bn(names, []))
+        assert report.simple_ordering == tuple(sorted(names))
+        assert report.decomposable and report.regular_certified
 
     def test_simple_ordering_gives_simple_tree(self):
         for bn in all_dags(3):

@@ -83,6 +83,20 @@ class TestFromBN:
         stages = out["stages"]
         assert stages["v_0"] == stages["v_1"]
 
+    def test_oversized_unfolding_exits_2(self, capsys, tmp_path):
+        names = [f"X{i}" for i in range(40)]
+        bn = tmp_path / "bn40.json"
+        bn.write_text(json.dumps({
+            "variables": [{"name": v, "card": 2} for v in names],
+            "edges": [list(pair) for pair in zip(names, names[1:])],
+        }))
+        code, out = invoke(capsys, "from-bn", str(bn))
+        assert code == 2
+        assert out["error"] == {
+            "type": "StagedTreeError",
+            "message": "unfolding has 1099511627775 inner vertices, over 262144",
+        }
+
     def test_pipeline_from_bn_check(self):
         # from-bn collider.json | check -
         script = (
@@ -159,6 +173,38 @@ class TestContract:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "set()\n"
+        # each subcommand loads exactly the package modules it runs; typing is
+        # not asserted on, because site loads it
+        report = (
+            "import json, sys\n"
+            "from stagedtree import cli\n"
+            "code = cli.run(sys.argv[1:])\n"
+            "names = {'numpy', 'networkx', 'dataclasses', 'inspect'} & set(sys.modules)\n"
+            "mine = [m for m in sys.modules if m.split('.')[0] == 'stagedtree']\n"
+            "sys.stderr.write(json.dumps([code, sorted(mine), sorted(names)]))\n"
+        )
+        fig1a, example1 = str(data_path("fig1a.json")), str(data_path("example1.json"))
+        commands = {
+            ("--version",): [],
+            ("inspect", fig1a): ["tree"],
+            ("expfam", fig1a, "--symbolic"): ["expfam", "tree"],
+            ("check", fig1a, "--equations", "pretty"): ["algebra", "expfam", "tree"],
+            ("from-bn", str(data_path("chain_bn.json"))): ["bayesnet", "tree"],
+            ("fit", "--tree", fig1a, "--data", str(data_path("xyz_rows.csv"))): ["fit", "tree"],
+            ("select", "--tree-graph", example1, "--data", str(data_path("atom_counts.csv"))): [
+                "fit", "tree"
+            ],
+        }
+        for argv, modules in commands.items():
+            proc = subprocess.run(
+                [sys.executable, "-c", report, *argv],
+                env=src_env(), capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            code, loaded, others = json.loads(proc.stderr)
+            expected = {"stagedtree", "stagedtree.cli", "stagedtree.errors"}
+            assert code == 0 and others == [], (argv, proc.stderr)
+            assert set(loaded) == expected | {f"stagedtree.{m}" for m in modules}, argv
 
     def test_missing_file_exits_2(self, capsys):
         code, out = invoke(capsys, "check", "no-such-file.json")

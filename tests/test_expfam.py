@@ -198,6 +198,23 @@ class TestThetaFromEta:
         expected = theta_from_eta(t, [eta[key] for key in statistic_layout(t)])
         assert dict(theta_from_eta(t, MappingProxyType(eta))) == dict(expected)
 
+    def test_string_entry_of_a_mapping_rejected(self):
+        with pytest.raises(StagedTreeError, match=r"eta\[r,1\]='x' is not a finite number"):
+            theta_from_eta(star(3), {("r", 1): "x", ("r", 2): 0.0})
+
+    def test_string_as_vector_rejected(self):
+        with pytest.raises(StagedTreeError, match=r"eta\[r,1\]='a' is not a finite number"):
+            theta_from_eta(star(3), "ab")
+
+    def test_non_iterable_rejected(self):
+        with pytest.raises(StagedTreeError, match="mapping or a sequence, got 1.0"):
+            theta_from_eta(star(3), 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, None])
+    def test_entry_that_is_no_finite_real_rejected(self, bad):
+        with pytest.raises(StagedTreeError, match=r"eta\[r,2\]=.* is not a finite number"):
+            theta_from_eta(star(3), [0.5, bad])
+
 
 class TestStarForm:
     """The classical multinomial form: on a star with downward edge k,

@@ -2,10 +2,14 @@
 traced benchmark run finds every name it calls there.
 """
 
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import stagedtree
+from conftest import src_env
 
 TRACED = Path(__file__).resolve().parent.parent / "benchmark" / "traced.py"
 
@@ -21,3 +25,62 @@ def test_public_names_resolve_and_the_traced_run_finds_its_own():
     called = set(re.findall(r"\bst\.([A-Za-z_]\w*)", TRACED.read_text()))
     assert {"StagedTree", "ingest_csv", "select_staging", "is_regular"} <= called
     assert called <= set(names), sorted(called - set(names))
+
+
+def run_fresh(code: str) -> str:
+    """stdout of ``code`` in a new interpreter, where nothing is imported yet."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_names_resolve_lazily_from_their_modules():
+    out = run_fresh(
+        "import json, sys, stagedtree\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('stagedtree.'))\n"
+        "before = loaded()\n"
+        "found = {}\n"
+        "for name in stagedtree.__all__:\n"
+        "    value = getattr(stagedtree, name)\n"
+        "    found[name] = [getattr(value, '__module__', None), name in vars(stagedtree)]\n"
+        "print(json.dumps([before, found, loaded()]))\n"
+    )
+    before, found, after = json.loads(out)
+    assert before == []
+    assert set(found) == set(stagedtree.__all__)
+    for name, (module, cached) in found.items():
+        assert cached, name
+        if module is not None:  # a function or class names the module that defines it
+            assert module == getattr(stagedtree, name).__module__
+    assert set(after) == {
+        f"stagedtree.{m}"
+        for m in ("algebra", "bayesnet", "errors", "expfam", "fit", "random_trees", "tree")
+    }
+
+
+def test_dir_lists_every_public_name():
+    names = json.loads(run_fresh("import json, stagedtree; print(json.dumps(dir(stagedtree)))"))
+    assert names == sorted(names)
+    assert set(stagedtree.__all__) | {"__version__"} <= set(names)
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from stagedtree import *", namespace)
+    assert set(stagedtree.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(stagedtree, name) for name in stagedtree.__all__)
+
+
+def test_submodule_resolves_after_a_bare_import():
+    out = run_fresh(
+        "import stagedtree\n"
+        "print(stagedtree.tree.StagedTree is stagedtree.StagedTree, stagedtree.fit.__name__)\n"
+        "try:\n"
+        "    stagedtree.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert out == "True stagedtree.fit\nmodule 'stagedtree' has no attribute 'no_such_name'\n"
