@@ -28,9 +28,9 @@ _EXPORTS = {
         ),
         "errors": ("StagedTreeError",),
         "expfam": (
-            "ExpFamForm", "density_expform", "downward_products", "natural_parameters",
-            "render_formulas", "statistic_layout", "sufficient_statistic",
-            "symbolic_natural_parameters", "theta_from_eta",
+            "ExpFamForm", "density_expform", "natural_parameters", "render_formulas",
+            "statistic_layout", "sufficient_statistic", "symbolic_natural_parameters",
+            "theta_from_eta",
         ),
         "fit": (
             "AtomTable", "FitResult", "SearchConfig", "SearchResult", "bic", "ingest_csv",

@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from typing import TYPE_CHECKING, Optional
 
-from .expfam import _downward_fold, _is_single_index, natural_parameters
+from .expfam import _downward_fold, _is_single_index, _log_xi_fold, natural_parameters
 from .tree import ParameterVector, StagedTree, _Record, _set, dimensions
 
 if TYPE_CHECKING:
@@ -224,6 +224,14 @@ class ConstraintMatrix(_Record):
         _set(self, "coords", coords)
         _set(self, "matrix", matrix)
 
+    def __eq__(self, other):
+        """Equal coords, then an elementwise-equal matrix of the same shape."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        import numpy as np
+
+        return self.coords == other.coords and np.array_equal(self.matrix, other.matrix)
+
     @property
     def rank(self) -> int:
         if self.matrix.shape[0] == 0:
@@ -339,22 +347,14 @@ def stage_equations(tree: StagedTree) -> list[StageEquation]:
 
 
 def check_np_identity(tree: StagedTree, theta: ParameterVector) -> float:
-    """Max residual |N_v * P_v(xi) - 1| over all vertices, xi = exp(eta)."""
+    """Max residual |N_v * P_v(xi) - 1| over all vertices, xi = exp(eta).
+
+    Each residual is |expm1(log N_v + log P_v)|, with log P_v from the
+    log-space fold of the xi-polynomials, so no exp(eta) is formed.
+    """
     form = natural_parameters(tree, theta)
-    xi = {key: math.exp(val) for key, val in form.eta.items()}
-
-    def combine(u: str, below: list[float]) -> float:
-        down = tree.downward_edge(u)
-        val = 0.0
-        for j, p in enumerate(below, start=1):
-            val += (1.0 if j == down else xi[(u, j)]) * p
-        return val
-
-    P = tree.fold(1.0, combine)
-    residual = 0.0
-    for v in tree.vertices:
-        residual = max(residual, abs(math.exp(form.logN[v]) * P[v] - 1.0))
-    return residual
+    _, logP = _log_xi_fold(tree, form.eta)
+    return max(abs(math.expm1(form.logN[v] + logP[v])) for v in tree.vertices)
 
 
 def classify(tree: StagedTree) -> dict:

@@ -73,6 +73,7 @@ class DiscreteBN(_Record):
     def _validate_cpts(self) -> None:
         if not isinstance(self.cpts, dict):
             raise StagedTreeError("cpts must map each variable to its list of rows")
+        parents = _parents_table(self)
         for var in self.variables:
             rows = self.cpts.get(var)
             if rows is None:
@@ -80,7 +81,7 @@ class DiscreteBN(_Record):
             if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
                 raise StagedTreeError(f"CPT for {var!r} must be a list of rows, got {rows!r}")
             n_configs = 1
-            for p in self.parents(var):
+            for p in parents[var]:
                 n_configs *= self.cards[p]
             if len(rows) != n_configs:
                 raise StagedTreeError(
@@ -99,8 +100,7 @@ class DiscreteBN(_Record):
 
     def parents(self, var: str) -> tuple[str, ...]:
         """Parents of var, sorted by position in the variable list."""
-        pos = {v: i for i, v in enumerate(self.variables)}
-        return tuple(sorted((a for a, b in self.edges if b == var), key=pos.get))
+        return _parents_table(self)[var]
 
     def default_order(self) -> tuple[str, ...]:
         """The declaration order if topological, else a topological sort."""
@@ -148,6 +148,18 @@ class DiscreteBN(_Record):
     @classmethod
     def from_json(cls, text: str) -> "DiscreteBN":
         return cls.from_spec(json.loads(text))
+
+
+def _parents_table(bn: DiscreteBN) -> dict[str, tuple[str, ...]]:
+    """The parents of every variable, each sorted by position in the variable
+    list, from one pass over the edges; callers that ask for many variables'
+    parents build it once.
+    """
+    table: dict[str, list[str]] = {v: [] for v in bn.variables}
+    for a, b in bn.edges:
+        table[b].append(a)
+    pos = {v: i for i, v in enumerate(bn.variables)}
+    return {v: tuple(sorted(ps, key=pos.get)) for v, ps in table.items()}
 
 
 def _repeated(items) -> list:
@@ -214,9 +226,10 @@ def _unfolding(bn: DiscreteBN, order: Optional[Sequence[str]]):
         k, width = k + width, width * bn.cards[var]
     if k > MAX_UNFOLDED_VERTICES:
         raise StagedTreeError(f"unfolding has {k} inner vertices, over {MAX_UNFOLDED_VERTICES}")
+    table = _parents_table(bn)
     for level, var in enumerate(order):
         history = order[:level]
-        parents = set(bn.parents(var))
+        parents = set(table[var])
         for states in itertools.product(*(range(bn.cards[w]) for w in history)):
             config = ",".join(f"{w}={s}" for w, s in zip(history, states) if w in parents)
             yield var, dict(zip(history, states)), f"{var}|{config}"
@@ -261,8 +274,8 @@ def skeleton(bn: DiscreteBN) -> dict[str, set[str]]:
 def has_immorality(bn: DiscreteBN) -> bool:
     """True iff some vertex has two non-adjacent parents (a v-structure)."""
     adj = skeleton(bn)
-    for var in bn.variables:
-        for a, b in itertools.combinations(bn.parents(var), 2):
+    for ps in _parents_table(bn).values():
+        for a, b in itertools.combinations(ps, 2):
             if b not in adj[a]:
                 return True
     return False
@@ -307,7 +320,7 @@ def find_simple_ordering(bn: DiscreteBN) -> Optional[tuple[str, ...]]:
     fails for the vertex just placed.  An explicit stack holds, per placed
     prefix, the candidates for the next place, in name order.
     """
-    parents = {v: set(bn.parents(v)) for v in bn.variables}
+    parents = {v: set(ps) for v, ps in _parents_table(bn).items()}
     names = sorted(bn.variables)
     placed: list[str] = []
     done: set[str] = set()

@@ -79,7 +79,7 @@ def _load_theta(spec: str, tree: StagedTree) -> ParameterVector:
                 f"theta of stage {stage!r} must be a list of {kappa} numbers, got {probs!r}"
             )
         for j, p in enumerate(probs, start=1):
-            vals[(stage, j)] = float(p)
+            vals[(stage, j)] = p
     return ParameterVector(vals)
 
 

@@ -15,9 +15,7 @@ from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
 from .errors import NontrivialStaging, StagedTreeError
-from .tree import (
-    Atom, ParameterVector, StagedTree, _is_real, _Record, _set, labels_from_distribution
-)
+from .tree import Atom, ParameterVector, StagedTree, _is_real, _Record, _set
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,11 +46,6 @@ def log_downward_products(tree: StagedTree, theta: ParameterVector) -> dict[str,
     log_down = {s: math.log(theta[(s, j)]) for s, j in tree.downward.items()}
     stage_of = tree.stage_of
     return _downward_fold(tree, 0.0, lambda v, j, below: log_down[stage_of[v]] + below)
-
-
-def downward_products(tree: StagedTree, theta: ParameterVector) -> dict[str, float]:
-    """N_v for every vertex (products of downward labels below v)."""
-    return {v: math.exp(lv) for v, lv in log_downward_products(tree, theta).items()}
 
 
 def statistic_layout(tree: StagedTree) -> tuple[tuple[str, int], ...]:
@@ -126,13 +119,38 @@ def density_expform(tree: StagedTree, theta: ParameterVector, atom: Atom) -> flo
     return math.exp(s - form.psi)
 
 
+def _log_xi_fold(tree: StagedTree, eta) -> tuple[dict[str, list[float]], dict[str, float]]:
+    """The edge labels and log P_v(xi) at xi = exp(eta), from one pass in log space.
+
+    At each inner v, with eta = 0 on the downward edge, a_j = eta_vj + log P_c
+    for the child c at edge j.  Then log P_v = m + log(fsum_j exp(a_j - m)),
+    m = max_j a_j, and the label of edge j is exp(a_j - m) over that fsum.
+    Leaves get log P = 0, so psi(eta) = log P_root, and the pass takes O(sum
+    kappa) steps.  Returns the labels of each inner vertex, in edge order, and
+    log P of every vertex.
+    """
+    downward, stage_of = tree.downward, tree.stage_of
+    labels: dict[str, list[float]] = {}
+
+    def combine(v: str, below: list[float]) -> float:
+        down = downward[stage_of[v]]
+        a = [lp if j == down else eta[(v, j)] + lp for j, lp in enumerate(below, start=1)]
+        m = max(a)
+        weights = [math.exp(x - m) for x in a]
+        total = math.fsum(weights)
+        labels[v] = [w / total for w in weights]
+        return m + math.log(total)
+
+    return labels, tree.fold(0.0, combine)
+
+
 def theta_from_eta(tree: StagedTree, eta) -> ParameterVector:
     """Invert the natural parametrization on a saturated tree.
 
     ``eta`` is either a mapping keyed by exactly the statistic layout or a
-    flat vector in layout order.  The atom distribution proportional to
-    exp(eta . T(x)) is evaluated, normalized, and converted back to edge labels.
-    Every entry must be a finite real number.
+    flat vector in layout order.  Every entry must be a finite real number.
+    The labels are theta_vj = xi_vj * P_c(xi) / P_v(xi), read off the log-space
+    fold of the xi-polynomials (the identity N_v * P_v(xi) = 1 backwards).
     """
     if not tree.is_saturated():
         raise NontrivialStaging("theta_from_eta is defined for saturated trees only")
@@ -152,14 +170,11 @@ def theta_from_eta(tree: StagedTree, eta) -> ParameterVector:
         x = eta[(v, j)]
         if not (_is_real(x) and math.isfinite(x)):
             raise StagedTreeError(f"natural parameter eta[{v},{j}]={x!r} is not a finite number")
-    scores = [
-        math.fsum(eta[(v, j)] for v, j in x.steps if (v, j) in eta) for x in tree.atoms
-    ]
-    top = max(scores)
-    weights = [math.exp(s - top) for s in scores]
-    total = math.fsum(weights)
-    p = {x: w / total for x, w in zip(tree.atoms, weights)}
-    return labels_from_distribution(tree, p)
+    labels, _ = _log_xi_fold(tree, eta)
+    stage_of = tree.stage_of
+    return ParameterVector(
+        {(stage_of[v], j): p for v in tree.inner for j, p in enumerate(labels[v], start=1)}
+    )
 
 
 # -- symbolic presentation ----------------------------------------------------

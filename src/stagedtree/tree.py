@@ -91,26 +91,20 @@ class _Record:
 class Atom:
     """A root-to-leaf path, stored as a tuple of (vertex, edge-index) steps.
 
-    The sets behind ``traverses`` and ``visits`` are built on first use.
+    The set behind ``traverses`` is built on first use.
     """
 
-    __slots__ = ("steps", "leaf", "_edge_set", "_vertex_set")
+    __slots__ = ("steps", "leaf", "_edge_set")
 
     def __init__(self, steps: tuple[tuple[str, int], ...], leaf: str):
         self.steps = steps
         self.leaf = leaf
         self._edge_set = None
-        self._vertex_set = None
 
     def traverses(self, vertex: str, j: int) -> bool:
         if self._edge_set is None:
             self._edge_set = frozenset(self.steps)
         return (vertex, j) in self._edge_set
-
-    def visits(self, vertex: str) -> bool:
-        if self._vertex_set is None:
-            self._vertex_set = frozenset(v for v, _ in self.steps)
-        return vertex in self._vertex_set or vertex == self.leaf
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -360,17 +354,6 @@ class StagedTree:
                 stack.extend((cs[j - 1], steps + ((v, j),)) for j in range(len(cs), 0, -1))
         return tuple(out)
 
-    def indicator(self, atom: Atom, v: str, j: int) -> int:
-        """Edge indicator: 1 iff the atom traverses edge j out of vertex v."""
-        self.child(v, j)  # validates indices
-        return int(atom.traverses(v, j))
-
-    def indicator_vertex(self, atom: Atom, v: str) -> int:
-        """Vertex indicator: 1 iff the atom visits v."""
-        if v not in self.vertices:
-            raise IndexOutOfRange(f"unknown vertex {v!r}")
-        return int(atom.visits(v))
-
     # -- restaging ------------------------------------------------------------
 
     def with_staging(
@@ -474,14 +457,16 @@ class ParameterVector(Mapping):
         values: Mapping[tuple[str, int], float],
         allow_boundary: bool = False,
     ):
-        self._values = {(str(s), int(j)): float(p) for (s, j), p in values.items()}
         self.allow_boundary = allow_boundary
-        by_stage: dict[str, list[float]] = {}
-        for (s, j), p in self._values.items():
+        # the range is checked before float(), which overflows on a huge int
+        for (s, j), p in values.items():
             lo_ok = p > 0.0 if not allow_boundary else p >= 0.0
             hi_ok = p < 1.0 if not allow_boundary else p <= 1.0
             if not (lo_ok and hi_ok):
                 raise StagedTreeError(f"label theta[{s},{j}]={p} outside the open unit interval")
+        self._values = {(str(s), int(j)): float(p) for (s, j), p in values.items()}
+        by_stage: dict[str, list[float]] = {}
+        for (s, j), p in self._values.items():
             by_stage.setdefault(s, []).append(p)
         for s, labels in by_stage.items():
             if abs(math.fsum(labels) - 1.0) > SUM_TOL:
@@ -524,7 +509,9 @@ class ParameterVector(Mapping):
         return cls(vals)
 
     def validate_for(self, tree: StagedTree) -> None:
-        """Require a label for every (stage, edge) of the tree, and for nothing else."""
+        """Require a label for every (stage, edge) of the tree, for nothing else,
+        and no zero label, whose log the parametrizing passes cannot take.
+        """
         needed = {
             (s, j) for s, kappa in tree.stage_degrees.items() for j in range(1, kappa + 1)
         }
@@ -536,6 +523,10 @@ class ParameterVector(Mapping):
             raise StagedTreeError(
                 f"parameter vector has labels for edges not in the tree: {sorted(extra)}"
             )
+        zeros = sorted(key for key, p in self._values.items() if p == 0.0)
+        if zeros:
+            s, j = zeros[0]
+            raise ZeroMass(f"label theta[{s},{j}] is 0, a boundary value with no log")
 
 
 class AtomDistribution(Mapping):
@@ -572,8 +563,19 @@ def atom_probability(tree: StagedTree, theta: ParameterVector, atom: Atom) -> fl
 
 
 def distribution_from_labels(tree: StagedTree, theta: ParameterVector) -> AtomDistribution:
+    """The atom probabilities; refused where one underflows to 0.0, which
+    happens below exp(-745), e.g. for uniform binary labels from depth 1075 on.
+    """
     theta.validate_for(tree)
-    return AtomDistribution({x: atom_probability(tree, theta, x) for x in tree.atoms})
+    probs = {x: atom_probability(tree, theta, x) for x in tree.atoms}
+    for x, p in probs.items():
+        if p == 0.0:
+            log_p = log_atom_probability(tree, theta, x)
+            raise ZeroMass(
+                f"the atom at leaf {x.leaf!r} has probability exp({log_p:.6g}),"
+                " below the smallest positive double"
+            )
+    return AtomDistribution(probs)
 
 
 def labels_from_distribution(tree: StagedTree, p: Mapping[Atom, float]) -> ParameterVector:

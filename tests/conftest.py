@@ -69,3 +69,13 @@ def src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+def caterpillar(depth: int) -> StagedTree:
+    """Saturated binary tree whose vertex v_i has a leaf at edge 1 and
+    v_{i+1} at edge 2, down to depth ``depth``; its deepest atoms have
+    probability 2**-depth under uniform labels.
+    """
+    children = {f"v{i}": [f"l{i}", f"v{i + 1}"] for i in range(1, depth)}
+    children[f"v{depth}"] = [f"l{depth}", f"l{depth + 1}"]
+    return StagedTree(children, root="v1")

@@ -231,6 +231,21 @@ class TestSimpleOrdering:
             assert all(pos[a] < pos[b] for a, b in bn.edges)
 
 
+class TestParentsTable:
+    def test_matches_parents_on_every_dag_over_at_most_four_nodes(self):
+        # criterion 7's DAGs, with the variables declared in name order and reversed
+        for n in range(1, 5):
+            for dag in all_dags(n):
+                for variables in (dag.variables, dag.variables[::-1]):
+                    bn = DiscreteBN(variables, dag.cards, dag.edges)
+                    table = bayesnet._parents_table(bn)
+                    assert list(table) == list(variables)
+                    edges = set(bn.edges)
+                    for v in variables:
+                        expected = tuple(a for a in variables if (a, v) in edges)
+                        assert table[v] == bn.parents(v) == expected
+
+
 class TestClassify:
     def test_chain_certified_and_regular(self):
         report = classify_bn(CHAIN)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stagedtree import StagedTree
 from stagedtree.cli import run
@@ -544,6 +546,14 @@ class TestMalformedInput:
         assert out["error"]["type"] == "StagedTreeError"
         assert "not UTF-8 text" in out["error"]["message"]
 
+    def test_theta_label_too_large_for_a_double_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps({"cyan": [10**400, 0.5]}))
+        code, out = invoke(capsys, "expfam", str(data_path("fig1a.json")), "--theta", str(path))
+        assert code == 2
+        assert out["error"]["message"].startswith("label theta[cyan,1]=1000")
+        assert out["error"]["message"].endswith("0 outside the open unit interval")
+
     def test_oversized_csv_cell_exits_2(self, capsys, tmp_path):
         data = tmp_path / "rows.csv"
         data.write_text("X,Y,Z\n0,1,0\n" + "0" * 131073 + ",1,0\n")
@@ -603,3 +613,83 @@ class TestDeepTree:
         assert out["regular"] and out["balanced"] and out["simple"]
         assert out["d0"] == out["d"] == self.DEPTH
         assert out.get("equations", []) == []
+
+
+# -- fuzz: random inputs exit 0 or 2, never 1 ----------------------------------
+
+NAMES = st.sampled_from(["A", "B", "C", "D"])
+# JSON reads NaN, Infinity and integers beyond the range of a double
+NUMBERS = st.one_of(
+    st.floats(0.0, 1.0), st.floats(), st.integers(-2, 3), st.sampled_from([10**400, -(10**400)])
+)
+JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), NUMBERS, st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=4,
+)
+
+
+def mostly(draw, valid, junk=JUNK):
+    """A draw from ``valid``, or from ``junk`` one time in ten."""
+    return draw(junk) if draw(st.integers(0, 9)) == 0 else draw(valid)
+
+
+@st.composite
+def from_bn_args(draw):
+    """A BN description over a few named variables, with junk in any field,
+    and an order: none, a permutation of the names, or any list of names.
+    """
+    names = draw(st.lists(NAMES, unique=True, max_size=4))
+    variables = [
+        {"name": mostly(draw, st.just(name)), "card": mostly(draw, st.integers(2, 3))}
+        for name in names
+    ]
+    forward = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    edges = st.lists(st.sampled_from(forward), unique=True) if forward else st.just([])
+    edges = edges.map(lambda pairs: [list(pair) for pair in pairs])
+    spec = {"variables": variables, "edges": mostly(draw, edges)}
+    if draw(st.integers(0, 2)) == 0:
+        rows = st.lists(st.lists(NUMBERS, max_size=3), max_size=4)
+        spec["cpts"] = draw(st.dictionaries(NAMES, st.one_of(rows, JUNK), max_size=4))
+    order = st.one_of(st.none(), st.permutations(names), st.lists(NAMES, max_size=5))
+    return mostly(draw, st.just(spec)), draw(order)
+
+
+@st.composite
+def theta_specs(draw):
+    """Label files for fig1a, each stage's labels valid nine times in ten."""
+    label = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    pair = label.map(lambda p: [p, 1.0 - p])
+    junk = st.one_of(st.lists(NUMBERS, min_size=2, max_size=2), JUNK)
+    spec = {stage: mostly(draw, pair, junk) for stage in ("cyan", "v1", "v4", "v5", "v6", "v7")}
+    return mostly(draw, st.just(spec))
+
+
+class TestFuzz:
+    """cli.run in process, so each example costs no interpreter start-up."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @staticmethod
+    def run_on(workdir, spec, *argv):
+        path = workdir / "input.json"
+        path.write_text(json.dumps(spec))
+        return run([argv[0], *[str(path) if a is None else a for a in argv[1:]],
+                    "--output", str(workdir / "out.json")])
+
+    @given(args=from_bn_args())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_from_bn_exits_0_or_2(self, workdir, args):
+        spec, order = args
+        argv = ["from-bn", None] + ([] if order is None else [f"--order={','.join(order)}"])
+        assert self.run_on(workdir, spec, *argv) in (0, 2)
+
+    @given(spec=theta_specs())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_expfam_theta_exits_0_or_2(self, workdir, spec):
+        tree = str(data_path("fig1a.json"))
+        assert self.run_on(workdir, spec, "expfam", tree, "--theta", None) in (0, 2)

@@ -8,8 +8,8 @@ from stagedtree import (
     ParameterVector,
     StagedTree,
     atom_probability,
+    check_np_identity,
     density_expform,
-    downward_products,
     natural_parameters,
     product_tree,
     star,
@@ -19,11 +19,18 @@ from stagedtree import (
     theta_from_eta,
 )
 from stagedtree.errors import NontrivialStaging, StagedTreeError
+from stagedtree.expfam import log_downward_products
 from stagedtree.random_trees import random_staged_tree
+from conftest import caterpillar
 
 
 def half_labels(tree):
     return ParameterVector.uniform(tree)
+
+
+def downward_products(tree, theta):
+    """N_v for every vertex, as exp(log N_v)."""
+    return {v: math.exp(lv) for v, lv in log_downward_products(tree, theta).items()}
 
 
 class TestDownwardProducts:
@@ -144,6 +151,28 @@ class TestDensityExpform:
             theta = ParameterVector.random(t, rng)
             total = math.fsum(density_expform(t, theta, x) for x in t.atoms)
             assert abs(total - 1.0) < 1e-10
+
+
+class TestLogSpaceFold:
+    """At depth 1100, exp(eta) overflows and 2**-1100 underflows a double."""
+
+    @pytest.fixture(params=["uniform", "random"])
+    def deep(self, request):
+        tree = caterpillar(1100)
+        if request.param == "uniform":
+            return tree, ParameterVector.uniform(tree)
+        return tree, ParameterVector.random(tree, np.random.default_rng(1100))
+
+    def test_np_identity_holds(self, deep):
+        tree, theta = deep
+        assert check_np_identity(tree, theta) < 1e-10
+
+    def test_eta_round_trips_to_the_labels(self, deep):
+        tree, theta = deep
+        back = theta_from_eta(tree, natural_parameters(tree, theta).eta)
+        assert back.keys() == theta.keys()
+        for key, p in theta.items():
+            assert back[key] == pytest.approx(p, abs=1e-9)
 
 
 class TestThetaFromEta:

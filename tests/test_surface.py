@@ -19,8 +19,11 @@ def test_public_names_resolve_and_the_traced_run_finds_its_own():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(stagedtree, name) is not None
-    for gone in ("downward_invariance_probe", "star_form", "StarForm"):
+    for gone in ("downward_invariance_probe", "star_form", "StarForm", "downward_products"):
         assert gone not in names and not hasattr(stagedtree, gone)
+    for cls, gone in ((stagedtree.StagedTree, "indicator"),
+                      (stagedtree.StagedTree, "indicator_vertex"), (stagedtree.Atom, "visits")):
+        assert not hasattr(cls, gone), gone
     # read as text, so the test does not import the benchmark
     called = set(re.findall(r"\bst\.([A-Za-z_]\w*)", TRACED.read_text()))
     assert {"StagedTree", "ingest_csv", "select_staging", "is_regular"} <= called

@@ -6,18 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stagedtree import (
+    AtomTable,
     ParameterVector,
     StagedTree,
     atom_probability,
     dimensions,
     distribution_from_labels,
     labels_from_distribution,
+    mle,
+    natural_parameters,
     star,
 )
 from stagedtree.errors import (
     CycleDetected,
     DownwardEdgeInconsistentWithinStage,
-    IndexOutOfRange,
     NontrivialStaging,
     StageOutDegreeMismatch,
     StagedTreeError,
@@ -25,6 +27,7 @@ from stagedtree.errors import (
     ZeroMass,
 )
 from stagedtree.random_trees import random_staged_tree
+from conftest import caterpillar
 
 
 class TestConstruction:
@@ -100,36 +103,26 @@ class TestAtoms:
         first = example1.atoms[0]
         assert first.steps == (("v1", 1), ("v2", 1), ("v4", 1))
 
-    def test_indicator(self, example1):
-        up = example1.atoms[0]
-        assert example1.indicator(up, "v1", 1) == 1
-        assert example1.indicator(up, "v3", 1) == 0
-        assert example1.indicator_vertex(up, "v3") == 0
-        assert example1.indicator_vertex(up, "v4") == 1
-
-    def test_indicator_index_errors(self, example1):
-        with pytest.raises(IndexOutOfRange):
-            example1.indicator(example1.atoms[0], "v1", 3)
-
     def test_edge_indicators_sum_to_vertex_indicator(self, rng):
+        # the vertex indicator of v is 1 iff the atom's steps leave v
         for _ in range(25):
             t = random_staged_tree(rng)
             for x in t.atoms:
+                visited = {v for v, _ in x.steps}
                 for v in t.inner:
-                    total = sum(
-                        t.indicator(x, v, j) for j in range(1, t.out_degree(v) + 1)
-                    )
-                    assert total == t.indicator_vertex(x, v)
+                    total = sum(x.traverses(v, j) for j in range(1, t.out_degree(v) + 1))
+                    assert total == (v in visited)
 
     def test_last_edge_indicator_identity(self, rng):
         # alpha_{i kappa}(x) = alpha_i(x) * (1 - sum_{j<kappa} alpha_ij(x))
         for _ in range(25):
             t = random_staged_tree(rng)
             for x in t.atoms:
+                visited = {v for v, _ in x.steps}
                 for v in t.inner:
                     kappa = t.out_degree(v)
-                    rest = sum(t.indicator(x, v, j) for j in range(1, kappa))
-                    assert t.indicator(x, v, kappa) == t.indicator_vertex(x, v) * (1 - rest)
+                    rest = sum(x.traverses(v, j) for j in range(1, kappa))
+                    assert x.traverses(v, kappa) == (v in visited) * (1 - rest)
 
 
 class TestParameterVector:
@@ -199,6 +192,23 @@ class TestAtomProbability:
             theta = ParameterVector.random(t, rng)
             dist = distribution_from_labels(t, theta)
             assert abs(math.fsum(dist.values()) - 1.0) < 1e-12
+
+    def test_boundary_labels_refused_with_zero_mass(self):
+        t = star(3)
+        theta = mle(t, AtomTable(t, [3, 0, 1]))
+        assert theta[("r", 2)] == 0.0
+        for fn in (distribution_from_labels, natural_parameters):
+            with pytest.raises(ZeroMass, match=r"label theta\[r,2\] is 0"):
+                fn(t, theta)
+
+    def test_underflowing_atom_refused_with_zero_mass(self):
+        # 2**-1074 is the smallest positive double; 2**-1075 rounds to 0
+        t = caterpillar(1074)
+        dist = distribution_from_labels(t, ParameterVector.uniform(t))
+        assert dist[t.atoms[-1]] == 2.0**-1074
+        t = caterpillar(1100)
+        with pytest.raises(ZeroMass, match="leaf 'l1075' .* below the smallest positive double"):
+            distribution_from_labels(t, ParameterVector.uniform(t))
 
 
 class TestLabelsFromDistribution:
