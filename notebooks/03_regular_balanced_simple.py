@@ -46,8 +46,9 @@ simple_tree = StagedTree(
 print("\ndiagonal third-level pairing:", classify(simple_tree))
 
 # For a regular staging the constraints assemble into a 0/±1 matrix whose
-# kernel dimension equals the model dimension d.
+# kernel dimension equals the model dimension d.  Each row is stored as the
+# columns of its +1 and its -1, and the rank is the number of rows.
 M = constraint_matrix(simple_tree)
-print("\nconstraint matrix rows (coordinate order", M.coords, "):")
-print(M.matrix)
+print("\nconstraint matrix rows as (+1, -1) columns (coordinate order", M.coords, "):")
+print(M.rows)
 print("kernel dimension:", M.kernel_dimension(), "= d =", classify(simple_tree)["d"])

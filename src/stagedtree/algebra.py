@@ -14,13 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .expfam import _downward_fold, _is_single_index, _log_xi_fold, natural_parameters
 from .tree import ParameterVector, StagedTree, _Record, _set, dimensions
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Label = tuple[str, int]
 Monomial = tuple[Label, ...]  # sorted tuple, repeats = exponents
@@ -214,53 +211,42 @@ def is_simple(tree: StagedTree) -> bool:
 class ConstraintMatrix(_Record):
     """Linear identifications of edge labels over the saturated coordinates.
 
-    One row per identification theta_ij - theta_sj between consecutive
-    same-stage vertices, over the d0 coordinates (v, j) with j < kappa_v.
+    ``coords`` are the d0 coordinates (v, j) with j < kappa_v.  There is one
+    row theta_aj - theta_bj per edge j < kappa and per pair of consecutive
+    members a, b of a stage, stored as the column indices of its +1 and -1.
     """
 
-    __slots__ = ("coords", "matrix")
+    __slots__ = ("coords", "rows")
 
-    def __init__(self, coords: tuple[tuple[str, int], ...], matrix: np.ndarray):
+    def __init__(self, coords: tuple[tuple[str, int], ...], rows: tuple[tuple[int, int], ...]):
         _set(self, "coords", coords)
-        _set(self, "matrix", matrix)
-
-    def __eq__(self, other):
-        """Equal coords, then an elementwise-equal matrix of the same shape."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        import numpy as np
-
-        return self.coords == other.coords and np.array_equal(self.matrix, other.matrix)
+        _set(self, "rows", rows)
 
     @property
     def rank(self) -> int:
-        if self.matrix.shape[0] == 0:
-            return 0
-        import numpy as np
+        """The number of rows: the matrix has full row rank.
 
-        return int(np.linalg.matrix_rank(self.matrix))
+        The rows of one (stage, j) group are the incidence rows of the path
+        through the stage's members, and the incidence matrix of a tree with
+        m vertices has rank m - 1 (Biggs, Algebraic Graph Theory, 1974).  The
+        groups use disjoint columns, so their ranks add up.
+        """
+        return len(self.rows)
 
     def kernel_dimension(self) -> int:
         return len(self.coords) - self.rank
 
 
 def constraint_matrix(tree: StagedTree) -> ConstraintMatrix:
-    import numpy as np
-
-    coords = [
-        (v, j) for v in tree.inner for j in range(1, tree.out_degree(v))
-    ]
+    coords = tuple((v, j) for v in tree.inner for j in range(1, tree.out_degree(v)))
     col = {c: i for i, c in enumerate(coords)}
-    rows = []
-    for members in tree.stage_members.values():
-        for va, vb in zip(members, members[1:]):
-            for j in range(1, tree.out_degree(va)):
-                row = np.zeros(len(coords), dtype=int)
-                row[col[(va, j)]] = 1
-                row[col[(vb, j)]] = -1
-                rows.append(row)
-    matrix = np.array(rows, dtype=int) if rows else np.zeros((0, len(coords)), dtype=int)
-    return ConstraintMatrix(tuple(coords), matrix)
+    rows = tuple(
+        (col[(va, j)], col[(vb, j)])
+        for members in tree.stage_members.values()
+        for va, vb in zip(members, members[1:])
+        for j in range(1, tree.out_degree(va))
+    )
+    return ConstraintMatrix(coords, rows)
 
 
 # -- stage equations in natural coordinates -----------------------------------

@@ -111,17 +111,14 @@ class DiscreteBN(_Record):
 
     def cpt_row(self, var: str, assignment: dict[str, int]) -> list[float]:
         """CPT row of var for the parent states in the given assignment."""
-        parents = self.parents(var)
-        idx = 0
-        for p in parents:
-            idx = idx * self.cards[p] + assignment[p]
-        return self.cpts[var][idx]
+        return _cpt_row(self, self.parents(var), var, assignment)
 
     def joint_probability(self, assignment: dict[str, int]) -> float:
         """Product of CPT entries for a full assignment."""
+        parents = _parents_table(self)
         prob = 1.0
         for var in self.variables:
-            prob *= self.cpt_row(var, assignment)[assignment[var]]
+            prob *= _cpt_row(self, parents[var], var, assignment)[assignment[var]]
         return prob
 
     @classmethod
@@ -160,6 +157,17 @@ def _parents_table(bn: DiscreteBN) -> dict[str, tuple[str, ...]]:
         table[b].append(a)
     pos = {v: i for i, v in enumerate(bn.variables)}
     return {v: tuple(sorted(ps, key=pos.get)) for v, ps in table.items()}
+
+
+def _cpt_row(bn: DiscreteBN, parents: tuple[str, ...], var: str,
+             assignment: dict[str, int]) -> list[float]:
+    """The row of var's CPT for the states that ``assignment`` gives its parents."""
+    if bn.cpts is None:
+        raise StagedTreeError("BN has no CPTs")
+    idx = 0
+    for p in parents:
+        idx = idx * bn.cards[p] + assignment[p]
+    return bn.cpts[var][idx]
 
 
 def _repeated(items) -> list:
@@ -255,9 +263,10 @@ def bn_edge_labels(bn: DiscreteBN, order: Optional[Sequence[str]] = None) -> Par
     """Transfer the CPT entries onto the stages of the unfolded tree."""
     if bn.cpts is None:
         raise StagedTreeError("BN has no CPTs to transfer")
+    parents = _parents_table(bn)
     vals: dict[tuple[str, int], float] = {}
     for var, history, stage in _unfolding(bn, order):
-        for j, p in enumerate(bn.cpt_row(var, history), start=1):
+        for j, p in enumerate(_cpt_row(bn, parents[var], var, history), start=1):
             vals[(stage, j)] = p
     return ParameterVector(vals)
 

@@ -12,13 +12,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from typing import TYPE_CHECKING
 
 from .errors import NontrivialStaging, StagedTreeError
-from .tree import Atom, ParameterVector, StagedTree, _is_real, _Record, _set
-
-if TYPE_CHECKING:
-    import numpy as np
+from .tree import Atom, ParameterVector, StagedTree, _is_real, _Record, _require_atom_of, _set
 
 
 def _downward_fold(tree: StagedTree, leaf_value, step) -> dict:
@@ -75,11 +71,6 @@ class ExpFamForm(_Record):
         _set(self, "psi", psi)
         _set(self, "logN", logN)
 
-    def eta_vector(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.eta[key] for key in self.layout])
-
 
 def natural_parameters(tree: StagedTree, theta: ParameterVector) -> ExpFamForm:
     """eta_vj = log(theta_vj * N_vj / N_v) for every non-downward edge.
@@ -103,17 +94,15 @@ def natural_parameters(tree: StagedTree, theta: ParameterVector) -> ExpFamForm:
     return ExpFamForm(tuple(layout), eta, -logN[tree.root], logN)
 
 
-def sufficient_statistic(tree: StagedTree, atom: Atom) -> np.ndarray:
-    """0/1 vector of non-downward edge indicators, in layout order."""
-    import numpy as np
-
-    return np.array(
-        [1 if atom.traverses(v, j) else 0 for v, j in statistic_layout(tree)]
-    )
+def sufficient_statistic(tree: StagedTree, atom: Atom) -> tuple[int, ...]:
+    """0/1 indicators of the non-downward edges, in layout order."""
+    _require_atom_of(tree, atom)
+    return tuple(int(atom.traverses(v, j)) for v, j in statistic_layout(tree))
 
 
 def density_expform(tree: StagedTree, theta: ParameterVector, atom: Atom) -> float:
     """Evaluate exp(eta . T(x) - psi) for one atom."""
+    _require_atom_of(tree, atom)
     form = natural_parameters(tree, theta)
     s = math.fsum(form.eta[(v, j)] for v, j in atom.steps if (v, j) in form.eta)
     return math.exp(s - form.psi)
@@ -151,6 +140,7 @@ def theta_from_eta(tree: StagedTree, eta) -> ParameterVector:
     flat vector in layout order.  Every entry must be a finite real number.
     The labels are theta_vj = xi_vj * P_c(xi) / P_v(xi), read off the log-space
     fold of the xi-polynomials (the identity N_v * P_v(xi) = 1 backwards).
+    An eta whose labels at some vertex round to 0.0 or 1.0 is refused.
     """
     if not tree.is_saturated():
         raise NontrivialStaging("theta_from_eta is defined for saturated trees only")
@@ -171,6 +161,13 @@ def theta_from_eta(tree: StagedTree, eta) -> ParameterVector:
         if not (_is_real(x) and math.isfinite(x)):
             raise StagedTreeError(f"natural parameter eta[{v},{j}]={x!r} is not a finite number")
     labels, _ = _log_xi_fold(tree, eta)
+    for v in tree.inner:
+        if 0.0 in labels[v] or 1.0 in labels[v]:
+            given = ", ".join(f"eta[{u},{j}]={eta[(u, j)]!r}" for u, j in layout if u == v)
+            raise StagedTreeError(
+                f"the labels at vertex {v!r} round to the boundary 0 or 1 in double"
+                f" precision (its eta: {given})"
+            )
     stage_of = tree.stage_of
     return ParameterVector(
         {(stage_of[v], j): p for v in tree.inner for j, p in enumerate(labels[v], start=1)}

@@ -22,7 +22,8 @@ from .errors import (
     ZeroStageTraffic,
 )
 from .tree import (
-    Atom, ParameterVector, StagedTree, _is_integer, _is_real, _Record, _set, dimensions
+    Atom, ParameterVector, StagedTree, _is_integer, _is_real, _Record, _require_atom_of, _set,
+    dimensions,
 )
 
 
@@ -47,6 +48,7 @@ class AtomTable:
         return sum(self.counts)
 
     def count(self, atom: Atom) -> int:
+        _require_atom_of(self.tree, atom)
         return self.counts[self.tree.leaf_position[atom.leaf]]
 
     def __repr__(self) -> str:

@@ -119,6 +119,22 @@ class Atom:
         return "Atom(%s)" % "->".join(f"{v}:{j}" for v, j in self.steps)
 
 
+def _require_atom_of(tree: StagedTree, atom: Atom) -> None:
+    """Refuse an atom whose steps do not walk from the root of ``tree`` down
+    its edges to ``atom.leaf``; O(depth).
+    """
+    children, v = tree.children, tree.root
+    for u, j in atom.steps:
+        cs = children.get(v)
+        if u != v or cs is None or not (_is_integer(j) and 1 <= j <= len(cs)):
+            break
+        v = cs[j - 1]
+    else:
+        if v == atom.leaf and v not in children:
+            return
+    raise StagedTreeError(f"{atom!r} at leaf {atom.leaf!r} is not a root-to-leaf path of the tree")
+
+
 class StagedTree:
     """An immutable staged tree.
 
@@ -460,6 +476,8 @@ class ParameterVector(Mapping):
         self.allow_boundary = allow_boundary
         # the range is checked before float(), which overflows on a huge int
         for (s, j), p in values.items():
+            if not _is_real(p):
+                raise StagedTreeError(f"label theta[{s},{j}]={p!r} is not a real number")
             lo_ok = p > 0.0 if not allow_boundary else p >= 0.0
             hi_ok = p < 1.0 if not allow_boundary else p <= 1.0
             if not (lo_ok and hi_ok):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from collections import Counter
 
@@ -244,6 +245,36 @@ class TestParentsTable:
                     for v in variables:
                         expected = tuple(a for a in variables if (a, v) in edges)
                         assert table[v] == bn.parents(v) == expected
+
+
+class TestCptLookups:
+    def test_edge_labels_and_joint_match_the_per_vertex_cpt_rows(self, rng):
+        # criterion 7's DAGs, each given random CPTs
+        for n in range(1, 5):
+            for dag in all_dags(n):
+                cpts = {
+                    v: [list(rng.dirichlet([1.0, 1.0])) for _ in range(2 ** len(dag.parents(v)))]
+                    for v in dag.variables
+                }
+                bn = binary_bn(dag.variables, dag.edges, cpts)
+                order = bn.default_order()
+                theta = bn_edge_labels(bn, order)
+                for var, history, stage in bayesnet._unfolding(bn, order):
+                    assert [theta[(stage, 1)], theta[(stage, 2)]] == bn.cpt_row(var, history)
+                for states in itertools.product((0, 1), repeat=n):
+                    x = dict(zip(bn.variables, states))
+                    expected = math.prod(bn.cpt_row(v, x)[x[v]] for v in bn.variables)
+                    assert bn.joint_probability(x) == expected
+
+    def test_lookups_without_cpts_refused(self):
+        bn = binary_bn("AB", [("A", "B")])
+        for call in (
+            lambda: bn.cpt_row("B", {"A": 0}),
+            lambda: bn.joint_probability({"A": 0, "B": 1}),
+            lambda: bn_edge_labels(bn),
+        ):
+            with pytest.raises(StagedTreeError, match="^BN has no CPTs"):
+                call()
 
 
 class TestClassify:

@@ -667,6 +667,35 @@ def theta_specs(draw):
     return mostly(draw, st.just(spec))
 
 
+@st.composite
+def tree_specs(draw):
+    """A tree description: a random shape of at most six inner vertices, with
+    stages shared only at equal out-degree and in-range downward edges, and
+    then one time in ten junk in the whole, in a field or in one vertex entry.
+    """
+    leaves, children = ["v0"], {}
+    for _ in range(draw(st.integers(1, 6))):
+        v = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
+        children[v] = [f"v{len(children)}.{j}" for j in range(draw(st.integers(2, 3)))]
+        leaves.extend(children[v])
+    ids = st.sampled_from(sorted({"v0", *leaves, *children}))
+    vertices = [{"id": v, "children": cs} for v, cs in children.items()]
+    i = draw(st.integers(0, len(vertices) - 1))
+    vertices[i] = {"id": vertices[i]["id"],
+                   "children": mostly(draw, st.just(vertices[i]["children"]),
+                                      st.one_of(JUNK, st.lists(ids, max_size=3)))}
+    stages = {v: draw(st.sampled_from([v, f"s{len(cs)}"])) for v, cs in children.items()}
+    downward = {}
+    for v, cs in children.items():
+        if draw(st.integers(0, 2)) == 0:
+            downward[stages[v]] = draw(st.integers(1, len(cs)))
+    spec = {"vertices": mostly(draw, st.just(vertices))}
+    if draw(st.booleans()):
+        spec["stages"] = mostly(draw, st.just(stages))
+        spec["downward"] = mostly(draw, st.just(downward))
+    return mostly(draw, st.just(spec))
+
+
 class TestFuzz:
     """cli.run in process, so each example costs no interpreter start-up."""
 
@@ -693,3 +722,18 @@ class TestFuzz:
     def test_expfam_theta_exits_0_or_2(self, workdir, spec):
         tree = str(data_path("fig1a.json"))
         assert self.run_on(workdir, spec, "expfam", tree, "--theta", None) in (0, 2)
+
+    def test_tree_json_exits_0_or_2(self, workdir):
+        commands = (["inspect", None], ["check", None, "--equations", "json"],
+                    ["expfam", None, "--symbolic"])
+        codes = []
+
+        @given(spec=tree_specs())
+        @settings(max_examples=150, derandomize=True, deadline=None)
+        def each(spec):
+            codes.append([self.run_on(workdir, spec, *argv) for argv in commands])
+            assert set(codes[-1]) <= {0, 2}, spec
+
+        each()
+        # enough valid descriptions that the fuzz reaches the commands' own work
+        assert sum(c == [0, 0, 0] for c in codes) >= len(codes) / 4

@@ -1,4 +1,5 @@
 import math
+import re
 from types import MappingProxyType
 
 import numpy as np
@@ -108,20 +109,22 @@ class TestSufficientStatistic:
 
     def test_all_downward_atom_is_zero_vector(self, example1):
         down = example1.atoms[-1]
-        assert not sufficient_statistic(example1, down).any()
+        vec = sufficient_statistic(example1, down)
+        assert vec == (0,) * 7
 
     def test_all_up_atom(self, example1):
         up = example1.atoms[0]
         vec = sufficient_statistic(example1, up)
         layout = statistic_layout(example1)
-        ones = {layout[i] for i in np.flatnonzero(vec)}
+        assert type(vec) is tuple and set(vec) == {0, 1}
+        ones = {key for key, x in zip(layout, vec, strict=True) if x}
         assert ones == {("v1", 1), ("v2", 1), ("v4", 1)}
 
     def test_star_unit_vectors(self):
         t = star(4)
         for r, atom in enumerate(t.atoms[:-1]):
             vec = sufficient_statistic(t, atom)
-            assert vec.sum() == 1 and vec[r] == 1
+            assert vec == tuple(int(i == r) for i in range(3))
 
 
 class TestDensityExpform:
@@ -192,7 +195,7 @@ class TestThetaFromEta:
             t = random_staged_tree(rng, merge_prob=0.0)
             theta = ParameterVector.random(t, rng)
             form = natural_parameters(t, theta)
-            theta2 = theta_from_eta(t, form.eta_vector())
+            theta2 = theta_from_eta(t, [form.eta[key] for key in form.layout])
             for key in theta:
                 assert theta2[key] == pytest.approx(theta[key], abs=1e-9)
 
@@ -201,8 +204,9 @@ class TestThetaFromEta:
             t = random_staged_tree(rng, merge_prob=0.0)
             eta = rng.normal(size=len(statistic_layout(t)))
             theta = theta_from_eta(t, eta)
-            back = natural_parameters(t, theta).eta_vector()
-            assert np.max(np.abs(back - eta)) < 1e-9
+            form = natural_parameters(t, theta)
+            back = [form.eta[key] for key in form.layout]
+            assert max(abs(b - e) for b, e in zip(back, eta, strict=True)) < 1e-9
 
     def test_requires_saturated(self, fig1a):
         with pytest.raises(NontrivialStaging):
@@ -239,6 +243,28 @@ class TestThetaFromEta:
         with pytest.raises(StagedTreeError, match="mapping or a sequence, got 1.0"):
             theta_from_eta(star(3), 1.0)
 
+    @pytest.mark.parametrize(
+        "tree, eta, vertex, given",
+        [
+            (star(2), [40.0], "r", "eta[r,1]=40.0"),
+            (star(2), [-40.0], "r", "eta[r,1]=-40.0"),
+            (star(3), [800, 0], "r", "eta[r,1]=800, eta[r,2]=0"),
+            # labels about 0.0, 0.5 and 0.5: one rounds to 0, none to 1
+            (star(3), [-800, 0], "r", "eta[r,1]=-800, eta[r,2]=0"),
+            (product_tree([2, 2]), [0.0, 40.0, 40.0], "v_0", "eta[v_0,1]=40.0"),
+            # P(xi) of the child at the root's downward edge is 1 + exp(40)
+            (product_tree([2, 2]), [0.0, 0.0, 40.0], "v_root", "eta[v_root,1]=0.0"),
+        ],
+        ids=["star2+40", "star2-40", "star3+800", "star3-800", "inner", "above"],
+    )
+    def test_labels_that_round_to_the_boundary_are_refused(self, tree, eta, vertex, given):
+        message = (
+            f"the labels at vertex {vertex!r} round to the boundary 0 or 1 in double"
+            f" precision (its eta: {given})"
+        )
+        with pytest.raises(StagedTreeError, match=f"^{re.escape(message)}$"):
+            theta_from_eta(tree, eta)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, None])
     def test_entry_that_is_no_finite_real_rejected(self, bad):
         with pytest.raises(StagedTreeError, match=r"eta\[r,2\]=.* is not a finite number"):
@@ -266,7 +292,8 @@ class TestStarForm:
         t = star(4)
         theta = ParameterVector({(t.root, j): p for j, p in enumerate([0.1, 0.2, 0.3, 0.4], 1)})
         form = natural_parameters(t, theta)
-        eta = form.eta_vector()
+        assert list(form.eta) == list(form.layout)
+        eta = list(form.eta.values())
         assert eta[0] == pytest.approx(math.log(0.25))
         assert eta[1] == pytest.approx(math.log(0.5))
         assert eta[2] == pytest.approx(math.log(0.75))

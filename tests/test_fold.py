@@ -36,6 +36,9 @@ xi-polynomials, so the two must agree within 1e-12 relative.
 ``check_np_identity`` reads log P_v off the same fold and
 ``oracle_check_np_identity`` evaluates P_v(exp(eta)) in linear space, so
 their residuals, each at most a few ulps, must agree within 1e-14.
+``oracle_dense_rank`` builds the dense 0/+-1 constraint matrix from the
+stored rows and takes its rank by SVD; ``ConstraintMatrix.rank``, the row
+count, must equal it.
 ``oracle_downward_invariance_probe`` recomputes the pairwise verdicts under
 every one-stage change of a downward edge; none may flip (the proofs are in
 the docstrings of ``is_regular`` and ``is_balanced``).
@@ -59,6 +62,7 @@ from stagedtree import (
     bn_to_staged_tree,
     check_np_identity,
     classify,
+    constraint_matrix,
     dimensions,
     downward_monomials,
     ingest_csv,
@@ -912,12 +916,46 @@ def test_downward_invariance_probe_matches_recursive_checks():
         assert oracle_downward_invariance_probe(tree) == []
 
 
-def test_classify_matches_oracle_on_the_fuzz_family():
-    # the 10^4 trees of acceptance criterion 5, drawn the same way
+def fuzz_family():
+    """The 10^4 trees of acceptance criterion 5, drawn the same way."""
     rng = np.random.default_rng(1234)
-    for _ in range(10_000):
-        tree = random_staged_tree(rng)
+    return (random_staged_tree(rng) for _ in range(10_000))
+
+
+def test_classify_matches_oracle_on_the_fuzz_family():
+    for tree in fuzz_family():
         assert classify(tree) == oracle_classify(tree)
+
+
+def oracle_dense_rank(rows, n_columns: int) -> int:
+    """Rank by SVD of the dense matrix with +1 and -1 at each row's two columns."""
+    if not rows:
+        return 0
+    dense = np.zeros((len(rows), n_columns))
+    for i, (plus, minus) in enumerate(rows):
+        dense[i, plus] += 1
+        dense[i, minus] -= 1
+    return int(np.linalg.matrix_rank(dense))
+
+
+def ternary_chain(m: int) -> StagedTree:
+    names = tuple(f"X{i}" for i in range(m))
+    chain = DiscreteBN(names, dict.fromkeys(names, 3), tuple(zip(names, names[1:])))
+    return bn_to_staged_tree(chain)
+
+
+@pytest.mark.parametrize("family", ["fixtures", "fuzz", "chains"])
+def test_constraint_rank_is_the_dense_rank(family):
+    trees = {
+        "fixtures": lambda: ALGEBRA_FAMILIES["fixtures"],
+        "fuzz": fuzz_family,
+        # k = 364 and 1093: 696 x 728 and 2148 x 2186 matrices
+        "chains": lambda: [ternary_chain(6), ternary_chain(7)],
+    }[family]()
+    for tree in trees:
+        cm = constraint_matrix(tree)
+        d0, _ = dimensions(tree)
+        assert cm.rank == oracle_dense_rank(cm.rows, d0)
 
 
 def one_stage_tree(members: str, inner_edges: dict) -> StagedTree:

@@ -3,15 +3,20 @@ traced benchmark run finds every name it calls there.
 """
 
 import json
+import math
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import stagedtree
 from conftest import src_env
 
-TRACED = Path(__file__).resolve().parent.parent / "benchmark" / "traced.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACED = ROOT / "benchmark" / "traced.py"
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_public_names_resolve_and_the_traced_run_finds_its_own():
@@ -22,7 +27,9 @@ def test_public_names_resolve_and_the_traced_run_finds_its_own():
     for gone in ("downward_invariance_probe", "star_form", "StarForm", "downward_products"):
         assert gone not in names and not hasattr(stagedtree, gone)
     for cls, gone in ((stagedtree.StagedTree, "indicator"),
-                      (stagedtree.StagedTree, "indicator_vertex"), (stagedtree.Atom, "visits")):
+                      (stagedtree.StagedTree, "indicator_vertex"), (stagedtree.Atom, "visits"),
+                      (stagedtree.ExpFamForm, "eta_vector"),
+                      (stagedtree.ConstraintMatrix, "matrix")):
         assert not hasattr(cls, gone), gone
     # read as text, so the test does not import the benchmark
     called = set(re.findall(r"\bst\.([A-Za-z_]\w*)", TRACED.read_text()))
@@ -62,6 +69,28 @@ def test_names_resolve_lazily_from_their_modules():
         f"stagedtree.{m}"
         for m in ("algebra", "bayesnet", "errors", "expfam", "fit", "random_trees", "tree")
     }
+
+
+def test_the_library_runs_without_numpy():
+    out = run_fresh(
+        "import sys\n"
+        "from stagedtree import *\n"
+        "tree = StagedTree({'r': ['a', 'b'], 'a': ['w', 'x'], 'b': ['y', 'z']},\n"
+        "                  stages={'a': 's', 'b': 's'})\n"
+        "cm = constraint_matrix(tree)\n"
+        "form = natural_parameters(tree, ParameterVector.uniform(tree))\n"
+        "theta = theta_from_eta(tree.saturated(), [0.0, 1.0, -1.0])\n"
+        "print(cm.rank, cm.kernel_dimension(), sufficient_statistic(tree, tree.atoms[0]),\n"
+        "      form.psi, classify(tree)['regular'], len(theta), 'numpy' in sys.modules)\n"
+    )
+    assert out == f"1 2 (1, 1, 0) {math.log(4)} True 6 False\n"
+
+
+def test_pyproject_lists_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    assert project.get("dependencies", []) == []
+    assert "numpy" in " ".join(project["optional-dependencies"]["test"])
 
 
 def test_dir_lists_every_public_name():

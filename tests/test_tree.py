@@ -6,16 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stagedtree import (
+    Atom,
     AtomTable,
     ParameterVector,
     StagedTree,
     atom_probability,
+    density_expform,
     dimensions,
     distribution_from_labels,
     labels_from_distribution,
     mle,
     natural_parameters,
+    product_tree,
     star,
+    sufficient_statistic,
 )
 from stagedtree.errors import (
     CycleDetected,
@@ -125,6 +129,37 @@ class TestAtoms:
                     assert x.traverses(v, kappa) == (v in visited) * (1 - rest)
 
 
+class TestAtomOfAnotherTree:
+    """Functions that take an atom refuse one that is no root-to-leaf path of the tree."""
+
+    FOREIGN = {
+        "other root": (star(3), product_tree([2, 2]).atoms[0]),
+        "wrong leaf": (star(3), Atom((("r", 1),), "e2")),
+        "misnamed vertex": (star(3), Atom((("v_root", 1),), "e1")),
+        "edge out of range": (star(3), Atom((("r", 4),), "e4")),
+        "edge index no integer": (star(3), Atom((("r", "1"),), "e1")),
+        "stops at an inner vertex": (product_tree([2, 2]), Atom((("v_root", 1),), "v_0")),
+        "skips a vertex": (product_tree([2, 2]), Atom((("v_0", 1),), "v_0.0")),
+        "goes past a leaf": (star(2), Atom((("r", 1), ("e1", 1)), "x")),
+    }
+
+    @pytest.fixture(params=sorted(FOREIGN))
+    def foreign(self, request):
+        return self.FOREIGN[request.param]
+
+    def test_refused(self, foreign):
+        tree, atom = foreign
+        theta = ParameterVector.uniform(tree)
+        table = AtomTable(tree, range(tree.n))
+        for call in (
+            lambda: density_expform(tree, theta, atom),
+            lambda: sufficient_statistic(tree, atom),
+            lambda: table.count(atom),
+        ):
+            with pytest.raises(StagedTreeError, match="is not a root-to-leaf path of the tree"):
+                call()
+
+
 class TestParameterVector:
     def test_boundary_rejected(self):
         with pytest.raises(StagedTreeError):
@@ -133,6 +168,13 @@ class TestParameterVector:
     def test_sum_to_one_enforced(self):
         with pytest.raises(StagedTreeError):
             ParameterVector({("s", 1): 0.5, ("s", 2): 0.6})
+
+    @pytest.mark.parametrize("label", ["0.5", None, [0.5], True], ids=repr)
+    def test_label_that_is_no_real_number_refused(self, label):
+        with pytest.raises(StagedTreeError, match=r"label theta\[s,1\]=.* is not a real number"):
+            ParameterVector({("s", 1): label, ("s", 2): 0.5})
+        with pytest.raises(StagedTreeError, match=r"label theta\[s,1\]=.* is not a real number"):
+            ParameterVector({("s", 1): label, ("s", 2): 0.5}, allow_boundary=True)
 
     def test_uniform_on_a_wide_star(self):
         # 36217 labels of 1/36217 add up, one after another, to 1 + 1.005e-12;
