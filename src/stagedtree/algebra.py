@@ -3,10 +3,20 @@
 Monomials and polynomials here are purely formal objects.  No local
 sum-to-one simplification is ever applied, and all coefficients are
 nonnegative integers, so polynomials are multisets of monomials and
-monomials are multisets of labels.  Each check indexes tables built in one
-bottom-up pass over the tree: the interpolating polynomials t_v (balanced,
-simple) and downward monomials N_v (regular) over (stage id, edge) labels,
-and the xi-polynomials P_v of the stage equations over (vertex, edge) labels.
+monomials are multisets of labels.  The public tables over label tuples,
+built in one bottom-up pass over the tree, present the polynomials: the
+interpolating polynomials t_v and downward monomials N_v over (stage id,
+edge) labels, and the xi-polynomials P_v of the stage equations over
+(vertex, edge) labels.
+
+The checks read integer tables instead (:class:`_Codes`).  Each (stage,
+edge) label has its own prime, so a monomial is coded by the product of its
+labels' primes, exactly, by unique factorization.  Each t_v is also
+fingerprinted: evaluated modulo the prime 2**61 - 1 at a fixed point.
+Evaluation is a ring homomorphism, so a fingerprint mismatch proves that an
+identity fails; where all fingerprints agree, the identity is confirmed on
+the prime-coded polynomials.  Every verdict is exact, and the point changes
+only how often the exact confirmation runs.
 """
 
 from __future__ import annotations
@@ -16,7 +26,6 @@ import math
 from collections import Counter
 from typing import Optional
 
-from .expfam import _downward_fold, _is_single_index, _log_xi_fold, natural_parameters
 from .tree import ParameterVector, StagedTree, _Record, _set, dimensions
 
 Label = tuple[str, int]
@@ -99,25 +108,109 @@ def downward_monomials(tree: StagedTree) -> dict[str, Monomial]:
     """N_v for every vertex: the (stage id, edge) labels along the
     all-downward path from v; empty for leaves.
     """
+    from .expfam import _downward_fold
+
     return _downward_fold(
         tree, (), lambda v, j, below: monomial_mul(below, ((tree.stage_of[v], j),))
     )
 
 
-def _ratio_key(num: Monomial, den: Monomial) -> tuple[tuple[Label, int], ...]:
-    """The Laurent monomial num / den as its sorted nonzero signed exponents."""
-    exps = Counter(num)
-    exps.subtract(den)
-    return tuple(sorted((lbl, e) for lbl, e in exps.items() if e))
+# -- integer tables of the checks ---------------------------------------------
+
+_P = (1 << 61) - 1  # the Mersenne prime modulus of the fingerprints
+_M64 = (1 << 64) - 1
 
 
-def _member_ratios(tree: StagedTree):
+def _first_primes(n: int) -> list[int]:
+    """The first n primes, from one sieve of Eratosthenes."""
+    # p_n < n (ln n + ln ln n) for n >= 6 (Rosser, 1941); p_6 = 13
+    limit = 13 if n < 6 else int(n * (math.log(n) + math.log(math.log(n))))
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(itertools.compress(range(limit + 1), sieve))[:n]
+
+
+def _residue(i: int) -> int:
+    """The fingerprint point at label i: splitmix64 of i, mapped into [1, _P)."""
+    z = (i + 1) * 0x9E3779B97F4A7C15 & _M64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+    return (z ^ z >> 31) % (_P - 1) + 1
+
+
+class _Codes:
+    """The integer tables of one tree, from one pass in reversed BFS order.
+
+    ``prime[s][j - 1]`` is the prime of label (s, j), one per label in
+    ``stage_degrees`` order from one sieve.  ``ncode[v]`` is N_v as the
+    product of its labels' primes, and ``fp[v]`` is t_v modulo _P with label
+    number i set to ``_residue(i)``.  :meth:`exact` gives t_v itself.
+    """
+
+    __slots__ = ("tree", "prime", "ncode", "fp", "_exact")
+
+    def __init__(self, tree: StagedTree):
+        self.tree, self._exact = tree, None
+        degrees = tree.stage_degrees
+        primes = _first_primes(sum(degrees.values()))
+        prime, point, i = {}, {}, 0
+        for s, kappa in degrees.items():
+            prime[s] = primes[i : i + kappa]
+            point[s] = [_residue(n) for n in range(i, i + kappa)]
+            i += kappa
+        stage_of, downward, children = tree.stage_of, tree.downward, tree.children
+        self.prime, ncode, fp = prime, {}, {}
+        self.ncode, self.fp = ncode, fp
+        for v in reversed(tree.vertices):
+            cs = children.get(v)
+            if cs is None:
+                ncode[v] = fp[v] = 1
+            else:
+                s = stage_of[v]
+                k = downward[s] - 1
+                ncode[v] = prime[s][k] * ncode[cs[k]]
+                fp[v] = sum(r * fp[c] for r, c in zip(point[s], cs)) % _P
+
+    def exact(self) -> dict[str, dict[int, int]]:
+        """t_v for every vertex as {code of a monomial: coefficient}, built on
+        first use by one fold.
+        """
+        if self._exact is None:
+            prime, stage_of = self.prime, self.tree.stage_of
+
+            def combine(v: str, below: list[dict[int, int]]) -> dict[int, int]:
+                terms: dict[int, int] = {}
+                for p, poly in zip(prime[stage_of[v]], below):
+                    for m, c in poly.items():
+                        m *= p
+                        terms[m] = terms.get(m, 0) + c
+                return terms
+
+            self._exact = self.tree.fold({1: 1}, combine)
+        return self._exact
+
+
+def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two prime-coded polynomials."""
+    out: dict[int, int] = {}
+    right = b.items()
+    for m1, c1 in a.items():
+        for m2, c2 in right:
+            m = m1 * m2
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def _member_ratios(tree: StagedTree, ncode: dict[str, int]):
     """(kappa, members, keys) for every stage with at least two members.
 
     ``keys[m][j - 1]`` is the ratio N_cj / N_ck of member m's children at
-    edge j and at the downward edge k = kappa.
+    edge j and at the downward edge k = kappa, as a fraction of the codes in
+    lowest terms, so equal keys are equal Laurent monomials.
     """
-    down = downward_monomials(tree)
     for s_id, members in tree.stage_members.items():
         if len(members) < 2:
             continue
@@ -125,8 +218,37 @@ def _member_ratios(tree: StagedTree):
         keys = []
         for v in members:
             cs = tree.children[v]
-            keys.append([_ratio_key(down[c], down[cs[kappa - 1]]) for c in cs])
+            den = ncode[cs[kappa - 1]]
+            key = []
+            for c in cs:
+                num = ncode[c]
+                g = math.gcd(num, den)
+                key.append((num // g, den // g))
+            keys.append(key)
         yield kappa, members, keys
+
+
+def _member_pairs(tree: StagedTree):
+    """(k, children of a stage's first member, children of a later member)
+    for every later member of every stage; k is the 0-based downward edge.
+    """
+    children = tree.children
+    for s_id, members in tree.stage_members.items():
+        first, k = children[members[0]], tree.downward[s_id] - 1
+        for vs in members[1:]:
+            yield k, first, children[vs]
+
+
+def _regular(tree: StagedTree, codes: _Codes) -> tuple[bool, list[tuple[str, str, int]]]:
+    witnesses = []
+    for _, members, keys in _member_ratios(tree, codes.ncode):
+        if all(key == keys[0] for key in keys):
+            continue
+        for (vi, ki), (vs, ks) in itertools.combinations(zip(members, keys), 2):
+            witnesses.extend(
+                (vi, vs, j) for j, (a, b) in enumerate(zip(ki, ks), start=1) if a != b
+            )
+    return not witnesses, witnesses
 
 
 def is_regular(tree: StagedTree) -> tuple[bool, list[tuple[str, str, int]]]:
@@ -147,49 +269,47 @@ def is_regular(tree: StagedTree) -> tuple[bool, list[tuple[str, str, int]]]:
     tree, N'_u = N_u c^m(u) with c = theta_gk' Q_g(k'), so Q'_v(j) / Q_v(j)
     = c^(m(c_vj) - m(v)) is stage-constant.  README "check" has the steps.
     """
-    witnesses = []
-    for _, members, keys in _member_ratios(tree):
-        if all(key == keys[0] for key in keys):
-            continue
-        for (vi, ki), (vs, ks) in itertools.combinations(zip(members, keys), 2):
-            witnesses.extend(
-                (vi, vs, j) for j, (a, b) in enumerate(zip(ki, ks), start=1) if a != b
-            )
-    return not witnesses, witnesses
+    return _regular(tree, _Codes(tree))
 
 
-def _balanced(tree: StagedTree, t: dict[str, FormalPolynomial]) -> bool:
+def _balanced(tree: StagedTree, codes: _Codes) -> bool:
     """t_1j t_sk = t_1k t_sj for the first member 1 and every later member s.
 
     Z[labels] is an integral domain and no t_v is zero, so this says that
     t_sj / t_sk equals t_1j / t_1k, and equality with the first member's
-    ratios is transitive.  Cancellation also decides the pairs that share a
-    factor without a product: if t_1k = t_sk the condition is t_1j = t_sj,
-    and if not, t_1j = t_sj violates it.
+    ratios is transitive.  The fingerprints are compared first, for every
+    stage; only if all agree is each identity confirmed on the exact
+    tables.  Cancellation there decides the pairs that share a factor
+    without a product: if t_1k = t_sk the condition is t_1j = t_sj, and if
+    not, t_1j = t_sj violates it.
     """
-    for s_id, members in tree.stage_members.items():
-        k = tree.downward[s_id] - 1
-        first = [t[c] for c in tree.children[members[0]]]
-        for vs in members[1:]:
-            other = [t[c] for c in tree.children[vs]]
-            if first[k] == other[k]:
-                if other != first:
-                    return False
-                continue
-            for j, (t1j, tsj) in enumerate(zip(first, other)):
-                if j != k and (t1j == tsj or t1j * other[k] != first[k] * tsj):
-                    return False
-    return True
-
-
-def _simple(tree: StagedTree, t: dict[str, FormalPolynomial]) -> bool:
-    """t_sj = t_1j for the first member 1, every later member s and edge j."""
-    for members in tree.stage_members.values():
-        first = [t[c] for c in tree.children[members[0]]]
-        for vs in members[1:]:
-            if [t[c] for c in tree.children[vs]] != first:
+    fp, pairs = codes.fp, list(_member_pairs(tree))
+    for k, first, other in pairs:
+        f1k, fsk = fp[first[k]], fp[other[k]]
+        if any((fp[a] * fsk - f1k * fp[b]) % _P for a, b in zip(first, other)):
+            return False
+    t = codes.exact() if pairs else None
+    for k, first, other in pairs:
+        t1, ts = [t[c] for c in first], [t[c] for c in other]
+        if t1[k] == ts[k]:
+            if ts != t1:
+                return False
+            continue
+        for j, (t1j, tsj) in enumerate(zip(t1, ts)):
+            if j != k and (t1j == tsj or _times(t1j, ts[k]) != _times(t1[k], tsj)):
                 return False
     return True
+
+
+def _simple(tree: StagedTree, codes: _Codes) -> bool:
+    """t_sj = t_1j for the first member 1, every later member s and edge j,
+    on the fingerprints first and then on the exact tables.
+    """
+    fp, pairs = codes.fp, list(_member_pairs(tree))
+    if any(fp[a] != fp[b] for _, first, other in pairs for a, b in zip(first, other)):
+        return False
+    t = codes.exact() if pairs else None
+    return all(t[a] == t[b] for _, first, other in pairs for a, b in zip(first, other))
 
 
 def is_balanced(tree: StagedTree) -> bool:
@@ -199,13 +319,13 @@ def is_balanced(tree: StagedTree) -> bool:
     t_sj / t_sk' is t_sj / t_sk divided by t_sk' / t_sk, so equal ratios for
     one reference edge k give equal ratios for any other k'.
     """
-    # a saturated tree has no same-stage pair, so the table is not built
-    return tree.is_saturated() or _balanced(tree, interpolating_polynomials(tree))
+    # a saturated tree has no same-stage pair, so no table is built
+    return tree.is_saturated() or _balanced(tree, _Codes(tree))
 
 
 def is_simple(tree: StagedTree) -> bool:
     """Check t_ij = t_sj for all same-stage pairs and edges."""
-    return tree.is_saturated() or _simple(tree, interpolating_polynomials(tree))
+    return tree.is_saturated() or _simple(tree, _Codes(tree))
 
 
 class ConstraintMatrix(_Record):
@@ -292,6 +412,8 @@ class StageEquation(_Record):
 
 def _name(tree: StagedTree, symbol: str, v: str, j: int) -> str:
     """``xi3`` for a single-index vertex v_3, else ``xi[3,j]``."""
+    from .expfam import _is_single_index
+
     i = tree.index[v]
     return f"{symbol}{i}" if _is_single_index(tree, v) else f"{symbol}[{i},{j}]"
 
@@ -312,7 +434,7 @@ def stage_equations(tree: StagedTree) -> list[StageEquation]:
         return []
     xi = xi_polynomials(tree)
     equations = []
-    for kappa, members, keys in _member_ratios(tree):
+    for kappa, members, keys in _member_ratios(tree, _Codes(tree).ncode):
         for (vi, ki), (vs, ks) in itertools.combinations(zip(members, keys), 2):
             ci, cs = tree.children[vi], tree.children[vs]
             for j in range(1, len(ci) + 1):
@@ -338,6 +460,8 @@ def check_np_identity(tree: StagedTree, theta: ParameterVector) -> float:
     Each residual is |expm1(log N_v + log P_v)|, with log P_v from the
     log-space fold of the xi-polynomials, so no exp(eta) is formed.
     """
+    from .expfam import _log_xi_fold, natural_parameters
+
     form = natural_parameters(tree, theta)
     _, logP = _log_xi_fold(tree, form.eta)
     return max(abs(math.expm1(form.logN[v] + logP[v])) for v in tree.vertices)
@@ -345,15 +469,13 @@ def check_np_identity(tree: StagedTree, theta: ParameterVector) -> float:
 
 def classify(tree: StagedTree) -> dict:
     """Regular/balanced/simple report, with dimensions and witnesses."""
-    regular, witnesses = is_regular(tree)
+    codes = _Codes(tree)  # one set of tables serves all three checks
+    regular, witnesses = _regular(tree, codes)
     d0, d = dimensions(tree)
-    # one table serves both checks; a saturated tree needs none
-    saturated = tree.is_saturated()
-    t = None if saturated else interpolating_polynomials(tree)
     return {
         "regular": regular,
-        "balanced": saturated or _balanced(tree, t),
-        "simple": saturated or _simple(tree, t),
+        "balanced": _balanced(tree, codes),
+        "simple": _simple(tree, codes),
         "d0": d0,
         "d": d,
         "witnesses": witnesses,

@@ -328,9 +328,17 @@ def find_simple_ordering(bn: DiscreteBN) -> Optional[tuple[str, ...]]:
     Depth-first search over partial orders, pruning as soon as the condition
     fails for the vertex just placed.  An explicit stack holds, per placed
     prefix, the candidates for the next place, in name order.
+
+    The first vertex has no parents, so every w with parents follows some
+    u != w with pa(w) <= {u} + pa(u).  A BN in which some w has no such u
+    has no simple ordering, and is answered before the search, in O(n^2)
+    subset tests.
     """
     parents = {v: set(ps) for v, ps in _parents_table(bn).items()}
     names = sorted(bn.variables)
+    for w, pw in parents.items():
+        if pw and not any(u != w and pw <= pu | {u} for u, pu in parents.items()):
+            return None
     placed: list[str] = []
     done: set[str] = set()
 

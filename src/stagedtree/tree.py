@@ -571,24 +571,36 @@ class AtomDistribution(Mapping):
 # -- core operations ----------------------------------------------------------
 
 
-def log_atom_probability(tree: StagedTree, theta: ParameterVector, atom: Atom) -> float:
+def _log_atom_probability(tree: StagedTree, theta: ParameterVector, atom: Atom) -> float:
+    """The log of an atom's probability, for an atom known to be of ``tree``."""
     return math.fsum(math.log(theta.label(tree, v, j)) for v, j in atom.steps)
 
 
+def log_atom_probability(tree: StagedTree, theta: ParameterVector, atom: Atom) -> float:
+    """Sum of the logs of the traversed edge labels; refuses an atom that is
+    not a root-to-leaf path of ``tree``.
+    """
+    _require_atom_of(tree, atom)
+    return _log_atom_probability(tree, theta, atom)
+
+
 def atom_probability(tree: StagedTree, theta: ParameterVector, atom: Atom) -> float:
-    """Product of the traversed edge labels, accumulated in log space."""
+    """Product of the traversed edge labels, accumulated in log space; refuses
+    an atom that is not a root-to-leaf path of ``tree``.
+    """
     return math.exp(log_atom_probability(tree, theta, atom))
 
 
 def distribution_from_labels(tree: StagedTree, theta: ParameterVector) -> AtomDistribution:
     """The atom probabilities; refused where one underflows to 0.0, which
     happens below exp(-745), e.g. for uniform binary labels from depth 1075 on.
+    The tree's own atoms need no membership check.
     """
     theta.validate_for(tree)
-    probs = {x: atom_probability(tree, theta, x) for x in tree.atoms}
+    probs = {x: math.exp(_log_atom_probability(tree, theta, x)) for x in tree.atoms}
     for x, p in probs.items():
         if p == 0.0:
-            log_p = log_atom_probability(tree, theta, x)
+            log_p = _log_atom_probability(tree, theta, x)
             raise ZeroMass(
                 f"the atom at leaf {x.leaf!r} has probability exp({log_p:.6g}),"
                 " below the smallest positive double"

@@ -7,6 +7,7 @@ from stagedtree import (
     FormalPolynomial,
     ParameterVector,
     check_np_identity,
+    classify,
     constraint_matrix,
     dimensions,
     downward_monomials,
@@ -15,6 +16,7 @@ from stagedtree import (
     is_regular,
     is_simple,
     natural_parameters,
+    product_tree,
     stage_equations,
     star,
 )
@@ -112,6 +114,14 @@ class TestClassification:
                 assert balanced
             if balanced:
                 assert regular
+
+    def test_thirteen_binary_variables_with_two_staged_vertices(self):
+        # t of each level-2 vertex has 2**11 terms over its own labels; the
+        # fingerprints refute balance and simplicity without expanding them
+        t = product_tree([2] * 13).with_staging({"v_0": "s", "v_1": "s"})
+        report = classify(t)
+        assert (report["regular"], report["balanced"], report["simple"]) == (False, False, False)
+        assert report["witnesses"] == [("v_0", "v_1", 1)]
 
 
 class TestConstraintMatrix:

@@ -190,6 +190,7 @@ class TestContract:
             ("--version",): [],
             ("inspect", fig1a): ["tree"],
             ("expfam", fig1a, "--symbolic"): ["expfam", "tree"],
+            ("check", fig1a): ["algebra", "tree"],
             ("check", fig1a, "--equations", "pretty"): ["algebra", "expfam", "tree"],
             ("from-bn", str(data_path("chain_bn.json"))): ["bayesnet", "tree"],
             ("fit", "--tree", fig1a, "--data", str(data_path("xyz_rows.csv"))): ["fit", "tree"],
@@ -696,6 +697,31 @@ def tree_specs(draw):
     return mostly(draw, st.just(spec))
 
 
+# cells a hand-written CSV may hold where a 0-based state or an integer belongs
+CELLS = st.one_of(
+    st.sampled_from(["", " 1 ", "-1", "2", "01", "+1", "1.5", "1e3", "x", "\u0661", "9" * 30]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def csv_bytes(draw):
+    """CSV bytes for a tree of three binary levels: a header of level columns
+    or ``atom_id,count`` and valid rows, then one time in ten junk in the
+    header or in one cell, and one time in ten raw bytes in place of it all.
+    """
+    if draw(st.booleans()):
+        header, cells = ["X", "Y", "Z"], [st.sampled_from(["0", "1"])] * 3
+    else:
+        header, cells = ["atom_id", "count"], [st.integers(1, 8), st.integers(0, 5)]
+    rows = [header] + [[str(draw(c)) for c in cells] for _ in range(draw(st.integers(0, 16)))]
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[i]) - 1))
+    rows[i][j] = mostly(draw, st.just(rows[i][j]), CELLS)
+    text = "\n".join(",".join(row) for row in rows) + draw(st.sampled_from(["", "\n"]))
+    return mostly(draw, st.just(text.encode()), st.binary(max_size=40))
+
+
 class TestFuzz:
     """cli.run in process, so each example costs no interpreter start-up."""
 
@@ -722,6 +748,24 @@ class TestFuzz:
     def test_expfam_theta_exits_0_or_2(self, workdir, spec):
         tree = str(data_path("fig1a.json"))
         assert self.run_on(workdir, spec, "expfam", tree, "--theta", None) in (0, 2)
+
+    def test_csv_bytes_exit_0_or_2(self, workdir):
+        fig1a, example1 = str(data_path("fig1a.json")), str(data_path("example1.json"))
+        commands = (["fit", "--tree", fig1a], ["fit", "--tree", fig1a, "--alpha", "0.5"],
+                    ["select", "--tree-graph", example1])
+        data, codes = workdir / "input.csv", []
+
+        @given(raw=csv_bytes())
+        @settings(max_examples=150, derandomize=True, deadline=None)
+        def each(raw):
+            data.write_bytes(raw)
+            codes.append([run([*argv, "--data", str(data), "--output", str(workdir / "out.json")])
+                          for argv in commands])
+            assert set(codes[-1]) <= {0, 2}, raw
+
+        each()
+        # enough tables that fit and select reach their own work
+        assert sum(c == [0, 0, 0] for c in codes) >= len(codes) / 4
 
     def test_tree_json_exits_0_or_2(self, workdir):
         commands = (["inspect", None], ["check", None, "--equations", "json"],

@@ -42,6 +42,10 @@ count, must equal it.
 ``oracle_downward_invariance_probe`` recomputes the pairwise verdicts under
 every one-stage change of a downward edge; none may flip (the proofs are in
 the docstrings of ``is_regular`` and ``is_balanced``).
+The checks read integer tables (``algebra._Codes``): their prime codes are
+decoded back to label tuples and must equal ``downward_monomials`` and
+``interpolating_polynomials``, and each fingerprint must equal t_v evaluated
+at the residues modulo 2**61 - 1.
 """
 
 import csv
@@ -80,7 +84,16 @@ from stagedtree import (
     theta_from_eta,
     xi_polynomials,
 )
-from stagedtree.algebra import FormalPolynomial, StageEquation, monomial_mul
+from stagedtree.algebra import (
+    _P,
+    FormalPolynomial,
+    StageEquation,
+    _Codes,
+    _first_primes,
+    _residue,
+    monomial_mul,
+)
+from stagedtree import algebra
 from stagedtree.bayesnet import DiscreteBN
 from stagedtree.errors import (
     NontrivialStaging,
@@ -893,6 +906,72 @@ def test_algebra_tables_match_recursive_walkers(family):
             assert interp[v] == oracle_interpolating_polynomial(tree, v)
             assert xi[v] == oracle_xi_polynomial(tree, v)
             assert down[v] == oracle_downward_monomial(tree, v)
+
+
+def decode(code: int, labels: dict[int, tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+    """The sorted label tuple of a prime code; ``labels`` maps each prime to its label."""
+    out = []
+    for p, label in labels.items():
+        while code % p == 0:
+            code //= p
+            out.append(label)
+    assert code == 1
+    return tuple(sorted(out))
+
+
+def test_first_primes_are_the_primes_by_trial_division():
+    def is_prime(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    primes = [n for n in range(20_000) if is_prime(n)]
+    for n in [*range(40), 100, 1000, len(primes)]:
+        assert _first_primes(n) == primes[:n]
+
+
+@pytest.mark.parametrize("family", ALGEBRA_FAMILIES)
+def test_integer_tables_decode_to_the_label_tables(family):
+    for tree in ALGEBRA_FAMILIES[family]:
+        codes = _Codes(tree)
+        labels = {p: (s, j) for s, ps in codes.prime.items() for j, p in enumerate(ps, start=1)}
+        assert len(labels) == sum(tree.stage_degrees.values())
+        point = {label: _residue(i) for i, label in enumerate(labels.values())}
+        down, interp, exact = downward_monomials(tree), interpolating_polynomials(tree), codes.exact()
+        for v in tree.vertices:
+            assert decode(codes.ncode[v], labels) == down[v]
+            terms = {decode(m, labels): c for m, c in exact[v].items()}
+            assert len(terms) == len(exact[v]) and terms == interp[v].terms
+            value = sum(c * math.prod(point[label] for label in m) for m, c in terms.items())
+            assert codes.fp[v] == value % _P
+
+
+def six_ternary(edges) -> StagedTree:
+    """The unfolding of a BN over six ternary variables, as check-bn6 runs them."""
+    names = tuple(f"X{i}" for i in range(6))
+    return bn_to_staged_tree(DiscreteBN(names, dict.fromkeys(names, 3), tuple(edges)))
+
+
+@pytest.mark.parametrize(
+    "edges, balanced",
+    [
+        ((("X0", "X2"), ("X1", "X2"), ("X2", "X3"), ("X3", "X5")), False),  # an immorality
+        ((("X0", "X1"), ("X1", "X2"), ("X2", "X4"), ("X4", "X5")), True),  # a chain
+    ],
+    ids=["collider", "chain"],
+)
+def test_classify_multiplies_no_label_tuples(monkeypatch, edges, balanced):
+    # a structural guard: the checks read the integer tables, never the
+    # tuple-monomial products of FormalPolynomial
+    tree = six_ternary(edges)
+    expected = oracle_classify(tree)
+    assert expected["balanced"] is balanced
+
+    def refuse(*args):
+        raise AssertionError("a tuple-monomial product was formed")
+
+    monkeypatch.setattr(FormalPolynomial, "__mul__", refuse)
+    monkeypatch.setattr(algebra, "monomial_mul", refuse)
+    assert classify(tree) == expected
+    assert (is_balanced(tree), is_simple(tree)) == (balanced, expected["simple"])
 
 
 @pytest.mark.parametrize("family", ALGEBRA_FAMILIES)

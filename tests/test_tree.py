@@ -31,6 +31,7 @@ from stagedtree.errors import (
     ZeroMass,
 )
 from stagedtree.random_trees import random_staged_tree
+from stagedtree.tree import log_atom_probability
 from conftest import caterpillar
 
 
@@ -152,6 +153,8 @@ class TestAtomOfAnotherTree:
         theta = ParameterVector.uniform(tree)
         table = AtomTable(tree, range(tree.n))
         for call in (
+            lambda: atom_probability(tree, theta, atom),
+            lambda: log_atom_probability(tree, theta, atom),
             lambda: density_expform(tree, theta, atom),
             lambda: sufficient_statistic(tree, atom),
             lambda: table.count(atom),
