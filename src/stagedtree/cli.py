@@ -3,7 +3,8 @@
 Subcommands: inspect, expfam, check, from-bn, fit, select.  Every command
 reads JSON/CSV inputs, writes a JSON object to stdout (or ``--output``), and
 exits 0 on success, 2 on validation errors (with a machine-readable error
-object), 1 on internal errors.  ``-`` stands for stdin/stdout.  The commands
+object), 1 on internal errors and when stdout is closed before the output is
+written.  ``-`` stands for stdin/stdout.  The commands
 that print floats round them to 12 significant digits so outputs are
 byte-stable.  Each subcommand imports the modules it runs, and no others.
 """
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import StagedTreeError
@@ -33,13 +36,44 @@ def _fit_dict(fit) -> dict:
     return out
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2 if args.pretty else None, sort_keys=False)
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+def _emit(payload: dict, output, pretty: bool) -> None:
+    """Write ``payload`` as one JSON object, the text of ``json.dumps(payload)``
+    (``indent=2`` under ``pretty``) and a newline, to ``output`` or stdout.
+
+    The object is written one key at a time and each value is encoded on its
+    own, so no string of the whole document is built.  A value that is an
+    iterator yields its JSON text in pieces instead, in the form ``pretty``
+    asks for; it runs as it is written, so it must not fail.  Under
+    ``pretty`` each value's ``indent=2`` text is indented one more level by
+    two spaces after each newline: with ``ensure_ascii`` its only raw
+    newlines are indentation.
+    """
+    if output and output != "-":
+        with open(output, "w", encoding="utf-8") as fh:
+            _write_object(payload, fh.write, pretty)
     else:
-        sys.stdout.write(text + "\n")
+        _write_object(payload, sys.stdout.write, pretty)
+        sys.stdout.flush()
+
+
+def _write_object(payload: dict, write, pretty: bool) -> None:
+    lead, sep, close = ("\n  ", ",\n  ", "\n}") if pretty else ("", ", ", "}")
+    write("{")
+    for key, value in payload.items():
+        write(lead + encode_basestring_ascii(key) + ": ")
+        if hasattr(value, "__next__"):
+            pieces = value
+        else:
+            pieces = (json.dumps(value, indent=2 if pretty else None),)
+        for piece in pieces:
+            write(piece.replace("\n", "\n  ") if pretty else piece)
+        lead = sep
+    write(close if payload else "}")
+    write("\n")
+
+
+def _error(exc: BaseException) -> dict:
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
 def _read_text(path: str) -> str:
@@ -90,17 +124,65 @@ def cmd_inspect(args) -> dict:
     from .tree import dimensions
     tree = _load_tree(args.tree)
     d0, d = dimensions(tree)
+    enc, stage_of, pretty = encode_basestring_ascii, tree.stage_of, args.pretty
     return {
         "k": tree.k,
         "n": tree.n,
         "d0": d0,
         "d": d,
         "root": tree.root,
-        "inner": list(tree.inner),
-        "stages": {v: tree.stage_of[v] for v in tree.inner},
-        "downward": dict(tree.downward),
-        "atoms": [x.steps for x in tree.atoms],
+        "inner": _json_items(map(enc, tree.inner), "[]", pretty),
+        "stages": _json_items((f"{enc(v)}: {enc(stage_of[v])}" for v in tree.inner), "{}", pretty),
+        "downward": _json_items((f"{enc(s)}: {j}" for s, j in tree.downward.items()), "{}", pretty),
+        "atoms": _json_items(_atom_texts(tree, pretty), "[]", pretty),
     }
+
+
+def _json_items(texts, brackets: str, pretty: bool):
+    """The JSON text of a list (``brackets`` ``"[]"``) or an object (``"{}"``)
+    with the given entry texts, one entry per piece.
+
+    Under ``pretty`` each entry starts a line one level in, so an entry text
+    that spans lines indents them as ``json.dumps(..., indent=2)`` does one
+    level down.
+    """
+    opened, closed = brackets
+    if pretty:
+        lead, between, end = opened + "\n  ", ",\n  ", "\n" + closed
+    else:
+        lead, between, end = opened, ", ", closed
+    for text in texts:
+        yield lead + text
+        lead = between
+    yield end if lead is between else opened + closed
+
+
+def _atom_texts(tree, pretty: bool):
+    """The JSON text of each atom's steps, depth-first in edge order, from one
+    explicit-stack walk that builds no ``Atom``.
+
+    Each stack entry carries the encoded text of its path's steps, so a
+    vertex's step is encoded once for all the atoms below it.
+    """
+    if pretty:
+        opened, sep, closed = "[\n    ", ",\n    ", "\n  ]"
+        step = "[\n      {},\n      {}\n    ]"
+    else:
+        opened, sep, closed = "[", ", ", "]"
+        step = "[{}, {}]"
+    children = tree.children
+    stack = [(tree.root, "")]
+    while stack:
+        v, path = stack.pop()
+        cs = children.get(v)
+        if cs is None:
+            yield opened + path + closed if path else "[]"
+        else:
+            head = path + sep if path else ""
+            name = encode_basestring_ascii(v)
+            stack.extend(
+                (cs[j - 1], head + step.format(name, j)) for j in range(len(cs), 0, -1)
+            )
 
 
 def cmd_expfam(args) -> dict:
@@ -245,15 +327,25 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload = args.func(args)
+        payload, code = args.func(args), 0
     except (StagedTreeError, OSError, json.JSONDecodeError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args)
-        return 2
+        payload, code = _error(exc), 2
     except Exception as exc:  # pragma: no cover - internal errors
         sys.stderr.write(f"internal error: {exc}\n")
         return 1
-    _emit(payload, args)
-    return 0
+    try:
+        _emit(payload, args.output, args.pretty)
+    except OSError as exc:
+        if args.output and args.output != "-":
+            _emit(_error(exc), None, args.pretty)
+            return 2
+        if not isinstance(exc, BrokenPipeError):
+            raise
+        # the reader left: point stdout at devnull, so that the flush at
+        # interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 def main() -> None:

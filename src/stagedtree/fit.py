@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import re
 from collections import Counter
 from typing import Optional, Sequence
 
@@ -55,6 +56,21 @@ class AtomTable:
         return f"AtomTable(n_obs={self.n_obs}, atoms={len(self.counts)})"
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _csv_int(cell: str) -> int:
+    """A CSV cell's integer, written as ASCII digits after an optional minus.
+
+    ``int`` alone also reads ``+2``, ``1_0`` and non-ASCII digits; those
+    raise ValueError here.
+    """
+    cell = cell.strip()
+    if not _INTEGER.fullmatch(cell):
+        raise ValueError(f"not an integer: {cell!r}")
+    return int(cell)
+
+
 def _resolve_step(value: str, kappa: int, levels: Optional[Sequence[str]]) -> int:
     """Map a CSV cell onto a 1-based edge index."""
     if levels is not None:
@@ -62,7 +78,7 @@ def _resolve_step(value: str, kappa: int, levels: Optional[Sequence[str]]) -> in
             raise UnknownCategory(f"category {value!r} not among {list(levels)}")
         return levels.index(value) + 1
     try:
-        state = int(value)
+        state = _csv_int(value)
     except ValueError:
         raise UnknownCategory(f"category {value!r} is not an integer state") from None
     if not 0 <= state < kappa:
@@ -115,7 +131,7 @@ def _read_csv(reader, tree: StagedTree, levels) -> AtomTable:
             if not row or not any(cell.strip() for cell in row):
                 continue
             try:
-                atom_id, count = (int(cell) for cell in row)
+                atom_id, count = map(_csv_int, row)
             except ValueError:
                 raise StagedTreeError(
                     f"line {reader.line_num}: expected two integers 'atom_id,count', got {row}"

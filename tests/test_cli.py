@@ -2,13 +2,17 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagedtree import StagedTree
+from stagedtree import StagedTree, product_tree
+from stagedtree import cli
 from stagedtree.cli import run
+from stagedtree.random_trees import random_staged_tree
 from conftest import data_path, load_json, src_env
 
 
@@ -233,6 +237,117 @@ class TestContract:
         assert json.loads(target.read_text())["k"] == 7
 
 
+class TestStreamedOutput:
+    """The object is written key by key, and inspect's atoms from one walk."""
+
+    # ids with a quote, a backslash, control characters, non-ASCII and a
+    # character beyond the BMP, which JSON writes as a surrogate pair
+    ODD_IDS = {
+        'r"\\': ["a\x00\n", "\u00e9\u20ac", "\U0001f600"],
+        "a\x00\n": ["\u2028", "x\x7f\t"],
+        "\U0001f600": ["\\n", "\"\""],
+    }
+
+    @staticmethod
+    def trees():
+        fixtures = ["example1", "fig1a", "fig1b", "ternary_downward"]
+        yield from (StagedTree.from_json(data_path(f"{t}.json").read_text()) for t in fixtures)
+        rng = np.random.default_rng(20261020)
+        yield from (random_staged_tree(rng, max_depth=4, max_children=3, leaf_prob=0.3)
+                    for _ in range(150))
+        yield product_tree([2] * 10)
+        yield StagedTree(TestStreamedOutput.ODD_IDS)
+
+    @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+    def test_atoms_text_is_the_dump_of_the_atom_steps(self, pretty):
+        count = 0
+        for tree in self.trees():
+            expected = json.dumps([x.steps for x in tree.atoms], indent=2 if pretty else None)
+            assert "".join(cli._json_items(cli._atom_texts(tree, pretty), "[]", pretty)) == expected
+            count += 1
+        assert count == 4 + 150 + 2
+
+    @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+    def test_inspect_of_odd_ids_is_the_whole_document_dump(self, capsys, tmp_path, pretty):
+        odd = list(self.ODD_IDS)
+        tree = StagedTree(self.ODD_IDS, stages={odd[1]: 's\u00e9"\\', odd[2]: 's\u00e9"\\'},
+                          downward={odd[1]: 1})
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(tree.to_spec()))
+        assert run(["inspect", str(path)] + ["--pretty"] * pretty) == 0
+        expected = {
+            "k": 3, "n": 5, "d0": 4, "d": 3, "root": odd[0], "inner": odd,
+            "stages": {odd[0]: odd[0], odd[1]: 's\u00e9"\\', odd[2]: 's\u00e9"\\'},
+            "downward": {'s\u00e9"\\': 1, odd[0]: 3},
+            "atoms": [x.steps for x in tree.atoms],
+        }
+        indent = 2 if pretty else None
+        assert capsys.readouterr().out == json.dumps(expected, indent=indent) + "\n"
+
+    def test_inspect_builds_no_atoms(self, capsys, monkeypatch):
+        load_tree, loaded = cli._load_tree, []
+
+        def load(path):
+            loaded.append(load_tree(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "_load_tree", load)
+        assert run(["inspect", str(data_path("fig1b.json"))]) == 0
+        capsys.readouterr()
+        assert len(loaded) == 1 and "atoms" not in loaded[0].__dict__
+
+    def test_emission_peak_is_below_half_the_output(self, tmp_path, monkeypatch):
+        # a structural guard on the writer's memory, not a timing gate
+        tree, target = tmp_path / "tree.json", tmp_path / "out.json"
+        tree.write_text(json.dumps(product_tree([2] * 12).to_spec()))
+        emit, peaks = cli._emit, []
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            emit(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+        monkeypatch.setattr(cli, "_emit", traced)
+        tracemalloc.start()
+        try:
+            code = run(["inspect", str(tree), "--output", str(target)])
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert code == 0 and len(peaks) == 1 and size > 500_000
+        assert peaks[0] < size / 2, (peaks[0], size)
+
+    def test_closed_stdout_ends_without_a_traceback(self, tmp_path):
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(product_tree([2] * 12).to_spec()))
+        # the output is far larger than a pipe's buffer, so the writer is
+        # still writing when the reader leaves
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stagedtree.cli", "inspect", str(tree)],
+            env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(20) == b'{"k": 4095, "n": 409'
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == b""
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("argv", [["inspect", "fig1a.json"], ["check", "no-such-file.json"]],
+                             ids=["ok", "error"])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, where, argv):
+        target = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        argv = [str(data_path(a)) if data_path(a).is_file() else a for a in argv]
+        code, out = invoke(capsys, *argv, "--output", str(target))
+        assert code == 2
+        assert out["error"]["type"] == (
+            "FileNotFoundError" if where == "missing-directory" else "IsADirectoryError"
+        )
+        assert str(target) in out["error"]["message"]
+
+
 class TestSelectGolden:
     # stdout of the search that refitted a tree per candidate merge
     @pytest.mark.parametrize(
@@ -256,17 +371,42 @@ class TestSelectGolden:
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "rows",
-        ["1,2.5\n", "1\n", "x,2\n", "1,2,3\n", "1,-1\n"],
-        ids=["fractional-count", "short-row", "text-atom-id", "long-row", "negative-count"],
+        ["1,2.5\n", "1\n", "x,2\n", "1,2,3\n", "1,-1\n", "+2,1_0\n1,3\n", "\u0662,1\n",
+         "2,\uff11\n", "2, 1 0\n"],
+        ids=["fractional-count", "short-row", "text-atom-id", "long-row", "negative-count",
+             "plus-and-underscore", "arabic-indic-digit", "fullwidth-digit", "inner-space"],
     )
     def test_atom_counts_csv_exits_2(self, capsys, tmp_path, rows):
         data = tmp_path / "counts.csv"
         data.write_text("atom_id,count\n" + rows)
         code, out = invoke(
-            capsys, "fit", "--tree", str(data_path("fig1a.json")), "--data", str(data)
+            capsys, "fit", "--tree", str(data_path("fig1a.json")), "--data", str(data),
+            "--alpha", "0.5",
         )
         assert code == 2
         assert out["error"]["type"] == "StagedTreeError"
+        if rows == "1,-1\n":
+            assert out["error"]["message"] == "line 2: negative count -1"
+
+    @pytest.mark.parametrize("cell", ["+1", "\u0661", "\uff10", "0_0", "1.0", " 1 1 "])
+    def test_level_cell_that_is_not_ascii_digits_exits_2(self, capsys, tmp_path, cell):
+        data = tmp_path / "rows.csv"
+        data.write_text(f"X,Y,Z\n0,1,0\n{cell},0,1\n", encoding="utf-8")
+        code, out = invoke(
+            capsys, "fit", "--tree", str(data_path("fig1a.json")), "--data", str(data)
+        )
+        assert code == 2
+        assert out["error"]["type"] == "UnknownCategory"
+        assert out["error"]["message"] == f"category {cell.strip()!r} is not an integer state"
+
+    def test_integer_cells_with_spaces_and_leading_zeros_are_read(self, capsys, tmp_path):
+        data = tmp_path / "counts.csv"
+        data.write_text("atom_id,count\n 02 , 010\n1,3\n")
+        code, out = invoke(
+            capsys, "fit", "--tree", str(data_path("fig1a.json")), "--data", str(data),
+            "--alpha", "0.5",
+        )
+        assert code == 0 and out["n_obs"] == 13
 
     @pytest.mark.parametrize(
         "config",
@@ -699,7 +839,8 @@ def tree_specs(draw):
 
 # cells a hand-written CSV may hold where a 0-based state or an integer belongs
 CELLS = st.one_of(
-    st.sampled_from(["", " 1 ", "-1", "2", "01", "+1", "1.5", "1e3", "x", "\u0661", "9" * 30]),
+    st.sampled_from(["", " 1 ", "-1", "2", "01", "+1", "1.5", "1e3", "x", "\u0661", "9" * 30,
+                     "1_0", "+0", "\uff11", "\u0663", "-0", " 0 "]),
     st.text(max_size=3),
 )
 

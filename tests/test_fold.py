@@ -729,8 +729,10 @@ def malformed_rows(tree: StagedTree, rng) -> list[list[str]]:
     """One valid row turned into each kind of bad row the walk rejects."""
     row = sampled_rows(tree, rng, 1)[0]
     used = sum(1 for c in row if c)
-    # states out of range (far, and one past the root's last), not an integer
+    # states out of range (far, and one past the root's last), not an integer,
+    # and integers that int() reads but that are not written in ASCII digits
     bad = [["9"] + row[1:], [str(tree.out_degree(tree.root))] + row[1:], ["x"] + row[1:]]
+    bad += [[cell] + row[1:] for cell in ("+0", "0_0", "\u0660", "\uff10")]
     if used >= 2:  # stops one step short of the leaf
         bad.append(row[: used - 1] + [""] * (len(row) - used + 1))
     if used < len(row):  # continues past the leaf

@@ -6,11 +6,18 @@ every byte of it unchanged.  ``ternary_downward.json`` has a ternary stage and
 a binary stage with a non-default downward edge, so its cases pin the
 bracket-style names ``th[i,j]``, ``eta[i,j]`` and ``xi[i,j]`` next to the
 single-index ones.
+
+The same cases, with and without ``--pretty`` and on stdout and ``--output``,
+are also compared with the emitter the streamed one replaced: one
+``json.dumps`` of the whole payload.
 """
+
+import json
 
 import pytest
 
-from stagedtree.cli import run
+from stagedtree.cli import _load_tree, build_parser, run
+from stagedtree.errors import StagedTreeError
 from conftest import DATA, data_path
 
 TREES = ("example1", "fig1a", "fig1b")
@@ -44,3 +51,50 @@ def argv_for(name: str) -> list[str]:
 def test_stdout_is_byte_identical(capsys, name):
     assert run(argv_for(name)) == 0
     assert capsys.readouterr().out == (DATA / "golden" / f"{name}.out").read_text()
+
+
+# cases whose payload is the error object
+ERRORS = {
+    "missing_file": ["check", "no-such-file.json"],
+    "not_a_tree": ["inspect", "chain_bn.json"],
+    "bad_theta": ["expfam", "fig1a.json", "--theta", "fig1b.json"],
+}
+
+
+def oracle_output(argv: list[str], pretty: bool) -> str:
+    """The document of the emitter the streamed one replaced: the payload,
+    with inspect's streamed values built as they were, dumped whole.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        payload = args.func(args)
+    except (StagedTreeError, OSError, json.JSONDecodeError) as exc:
+        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    if args.command == "inspect" and "error" not in payload:
+        tree = _load_tree(args.tree)
+        payload.update(
+            inner=list(tree.inner),
+            stages={v: tree.stage_of[v] for v in tree.inner},
+            downward=dict(tree.downward),
+            atoms=[x.steps for x in tree.atoms],
+        )
+    assert not any(hasattr(value, "__next__") for value in payload.values())
+    return json.dumps(payload, indent=2 if pretty else None, sort_keys=False) + "\n"
+
+
+@pytest.mark.parametrize("sink", ["stdout", "output"])
+@pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(ERRORS))
+def test_output_matches_whole_document_dump(capsys, tmp_path, name, pretty, sink):
+    argv = CASES[name] if name in CASES else ERRORS[name]
+    argv = [str(data_path(a)) if (DATA / a).is_file() else a for a in argv]
+    expected = oracle_output(argv, pretty)
+    extra = ["--pretty"] * pretty
+    if sink == "output":
+        extra += ["--output", str(tmp_path / "out.json")]
+    assert run(argv + extra) == (2 if name in ERRORS else 0)
+    out = capsys.readouterr().out
+    if sink == "output":
+        assert out == ""
+        out = (tmp_path / "out.json").read_text()
+    assert out == expected
