@@ -110,9 +110,9 @@ def downward_monomials(tree: StagedTree) -> dict[str, Monomial]:
     """
     from .expfam import _downward_fold
 
-    return _downward_fold(
-        tree, (), lambda v, j, below: monomial_mul(below, ((tree.stage_of[v], j),))
-    )
+    ids = tree.stage_ids
+    monomials = _downward_fold(tree, (), lambda r, s, j, below: monomial_mul(below, ((ids[s], j),)))
+    return dict(zip(tree.vertices, monomials))
 
 
 # -- integer tables of the checks ---------------------------------------------
@@ -412,10 +412,11 @@ class StageEquation(_Record):
 
 def _name(tree: StagedTree, symbol: str, v: str, j: int) -> str:
     """``xi3`` for a single-index vertex v_3, else ``xi[3,j]``."""
-    from .expfam import _is_single_index
+    from .expfam import _single_index
 
     i = tree.index[v]
-    return f"{symbol}{i}" if _is_single_index(tree, v) else f"{symbol}[{i},{j}]"
+    single = _single_index(tree.out_degree(v), tree.downward_edge(v))
+    return f"{symbol}{i}" if single else f"{symbol}[{i},{j}]"
 
 
 def _poly_str(tree: StagedTree, poly: FormalPolynomial) -> str:

@@ -87,8 +87,11 @@ def _read_text(path: str) -> str:
 
 
 def _load_tree(path: str) -> StagedTree:
+    """The tree of a description file; the text is freed once it is parsed,
+    before the tree is built.
+    """
     from .tree import StagedTree
-    return StagedTree.from_json(_read_text(path))
+    return StagedTree.from_spec(json.loads(_read_text(path)))
 
 
 def _load_theta(spec: str, tree: StagedTree) -> ParameterVector:
@@ -124,15 +127,19 @@ def cmd_inspect(args) -> dict:
     from .tree import dimensions
     tree = _load_tree(args.tree)
     d0, d = dimensions(tree)
-    enc, stage_of, pretty = encode_basestring_ascii, tree.stage_of, args.pretty
+    enc, names, pretty = encode_basestring_ascii, tree.vertices, args.pretty
+    stage_texts = list(map(enc, tree.stage_ids))
+    inner = tree._inner_pos
     return {
         "k": tree.k,
         "n": tree.n,
         "d0": d0,
         "d": d,
         "root": tree.root,
-        "inner": _json_items(map(enc, tree.inner), "[]", pretty),
-        "stages": _json_items((f"{enc(v)}: {enc(stage_of[v])}" for v in tree.inner), "{}", pretty),
+        "inner": _json_items((enc(names[p]) for p in inner), "[]", pretty),
+        "stages": _json_items(
+            (f"{enc(names[p])}: {stage_texts[s]}" for p, s in zip(inner, tree._stage)), "{}", pretty
+        ),
         "downward": _json_items((f"{enc(s)}: {j}" for s, j in tree.downward.items()), "{}", pretty),
         "atoms": _json_items(_atom_texts(tree, pretty), "[]", pretty),
     }
@@ -170,33 +177,43 @@ def _atom_texts(tree, pretty: bool):
     else:
         opened, sep, closed = "[", ", ", "]"
         step = "[{}, {}]"
-    children = tree.children
-    stack = [(tree.root, "")]
+    names, degree, first = tree.vertices, tree._degree, tree._first
+    stack = [(0, "")]
     while stack:
-        v, path = stack.pop()
-        cs = children.get(v)
-        if cs is None:
+        p, path = stack.pop()
+        d = degree[p]
+        if d == 0:
             yield opened + path + closed if path else "[]"
         else:
             head = path + sep if path else ""
-            name = encode_basestring_ascii(v)
-            stack.extend(
-                (cs[j - 1], head + step.format(name, j)) for j in range(len(cs), 0, -1)
-            )
+            name, f = encode_basestring_ascii(names[p]), first[p] - 1
+            stack.extend((f + j, head + step.format(name, j)) for j in range(d, 0, -1))
 
 
 def cmd_expfam(args) -> dict:
-    from .expfam import natural_parameters, render_formulas
+    """The layout, eta and formulas are streamed; every check runs before the
+    first byte is written.
+    """
+    from .expfam import _edges, _eta, _formulas, _log_downward
     tree = _load_tree(args.tree)
     theta = _load_theta(args.theta, tree)
-    form = natural_parameters(tree, theta)
+    log_n = _log_downward(tree, theta)
+    enc, names, pretty = encode_basestring_ascii, tree.vertices, args.pretty
+    pair = "[\n    {},\n    {}\n  ]" if pretty else "[{}, {}]"
     out = {
-        "layout": form.layout,
-        "eta": {f"{v},{j}": _round(val) for (v, j), val in form.eta.items()},
-        "psi": _round(form.psi),
+        "layout": _json_items(
+            (pair.format(enc(names[p]), j) for _, p, _, j in _edges(tree)), "[]", pretty
+        ),
+        "eta": _json_items(
+            (f"{enc(f'{names[p]},{j}')}: {_round(x)!r}" for p, j, x in _eta(tree, theta, log_n)),
+            "{}", pretty,
+        ),
+        "psi": _round(-log_n[0]),
     }
     if args.symbolic:
-        out["formulas"] = render_formulas(tree)
+        out["formulas"] = _json_items(
+            (f"{enc(name)}: {enc(text)}" for name, text in _formulas(tree)), "{}", pretty
+        )
     return out
 
 
@@ -227,7 +244,7 @@ def cmd_check(args) -> dict:
 def cmd_from_bn(args) -> dict:
     from .bayesnet import DiscreteBN, bn_to_staged_tree
     bn = DiscreteBN.from_json(_read_text(args.bn))
-    order = args.order.split(",") if args.order else None
+    order = args.order.split(",") if args.order is not None else None
     tree = bn_to_staged_tree(bn, order)
     # output stays a pure tree-description so it can be piped into `check -`
     return tree.to_spec()

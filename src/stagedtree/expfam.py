@@ -10,6 +10,7 @@ along the downward path from v_i.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 
@@ -17,31 +18,48 @@ from .errors import NontrivialStaging, StagedTreeError
 from .tree import Atom, ParameterVector, StagedTree, _is_real, _Record, _require_atom_of, _set
 
 
-def _downward_fold(tree: StagedTree, leaf_value, step) -> dict:
-    """Fold ``step(v, j, below)`` down the all-downward path from every vertex.
+def _downward_fold(tree: StagedTree, leaf_value, step) -> list:
+    """Fold ``step(r, s, j, below)`` down the all-downward path from every vertex.
 
-    The pass runs in reversed BFS order, as :meth:`StagedTree.fold` does, and
-    reads only the downward child j of each inner vertex v.
+    The pass runs over the inner vertices in reversed BFS order, as
+    :meth:`StagedTree.fold` does: r is the 0-based index of the vertex, s its
+    stage int and j its downward edge, and ``below`` is the value of the
+    child at edge j.  Returns the value of every BFS position.
     """
-    downward, stage_of, children = tree.downward, tree.stage_of, tree.children
-    out: dict = {}
-    for v in reversed(tree.vertices):
-        cs = children.get(v)
-        if cs is None:
-            out[v] = leaf_value
-        else:
-            j = downward[stage_of[v]]
-            out[v] = step(v, j, out[cs[j - 1]])
+    first, down = tree._first, tree._down
+    out = [leaf_value] * len(tree.vertices)
+    inner, stage = tree._inner_pos, tree._stage
+    for r in range(len(inner) - 1, -1, -1):
+        p, s = inner[r], stage[r]
+        j = down[s]
+        out[p] = step(r, s, j, out[first[p] + j - 1])
     return out
 
 
-def log_downward_products(tree: StagedTree, theta: ParameterVector) -> dict[str, float]:
-    """log N_v for every vertex; leaves get log 1 = 0."""
+def _log_downward(tree: StagedTree, theta: ParameterVector) -> list[float]:
+    """log N_v by BFS position; leaves get log 1 = 0."""
     theta.validate_for(tree)
     # the log of each stage's downward label, taken once
-    log_down = {s: math.log(theta[(s, j)]) for s, j in tree.downward.items()}
-    stage_of = tree.stage_of
-    return _downward_fold(tree, 0.0, lambda v, j, below: log_down[stage_of[v]] + below)
+    log_down = [math.log(theta[(s, j)]) for s, j in zip(tree.stage_ids, tree._down)]
+    return _downward_fold(tree, 0.0, lambda r, s, j, below: log_down[s] + below)
+
+
+def log_downward_products(tree: StagedTree, theta: ParameterVector) -> dict[str, float]:
+    """log N_v for every vertex, in BFS order; leaves get log 1 = 0."""
+    return dict(zip(tree.vertices, _log_downward(tree, theta)))
+
+
+def _edges(tree: StagedTree):
+    """(index i of v_i, BFS position, stage int, edge j) of each edge of the
+    statistic: vertex enumeration order, then edge index, without the
+    downward edges.
+    """
+    down, kappa = tree._down, tree._kappa
+    for i, p, s in zip(itertools.count(1), tree._inner_pos, tree._stage):
+        k = down[s]
+        for j in range(1, kappa[s] + 1):
+            if j != k:
+                yield i, p, s, j
 
 
 def statistic_layout(tree: StagedTree) -> tuple[tuple[str, int], ...]:
@@ -50,12 +68,8 @@ def statistic_layout(tree: StagedTree) -> tuple[tuple[str, int], ...]:
     Vertex enumeration order, then edge index; the downward edge of each
     vertex is excluded, so the layout has length d0.
     """
-    downward, stage_of, children = tree.downward, tree.stage_of, tree.children
-    layout = []
-    for v in tree.inner:
-        down = downward[stage_of[v]]
-        layout.extend((v, j) for j in range(1, len(children[v]) + 1) if j != down)
-    return tuple(layout)
+    names = tree.vertices
+    return tuple((names[p], j) for _, p, _, j in _edges(tree))
 
 
 class ExpFamForm(_Record):
@@ -72,26 +86,28 @@ class ExpFamForm(_Record):
         _set(self, "logN", logN)
 
 
-def natural_parameters(tree: StagedTree, theta: ParameterVector) -> ExpFamForm:
-    """eta_vj = log(theta_vj * N_vj / N_v) for every non-downward edge.
-
-    The log of each stage label is taken once, and each vertex's stage and
-    downward edge are looked up once.  The layout is built in the same pass,
-    in the order of :func:`statistic_layout`.
+def _eta(tree: StagedTree, theta: ParameterVector, log_n: list[float]):
+    """(BFS position, edge j, eta_vj) of each edge of the statistic, in layout
+    order, from the values ``log_n`` of :func:`_log_downward`.  The log of
+    each stage label is taken once, before the first value.
     """
-    logN = log_downward_products(tree, theta)
-    log_theta = {key: math.log(p) for key, p in theta.items()}
-    downward, stage_of, children = tree.downward, tree.stage_of, tree.children
-    layout = []
-    eta = {}
-    for v in tree.inner:
-        s = stage_of[v]
-        down, log_v = downward[s], logN[v]
-        for j, c in enumerate(children[v], start=1):
-            if j != down:
-                layout.append((v, j))
-                eta[(v, j)] = log_theta[(s, j)] + logN[c] - log_v
-    return ExpFamForm(tuple(layout), eta, -logN[tree.root], logN)
+    log_theta = [
+        [math.log(theta[(s, j)]) for j in range(1, kappa + 1)]
+        for s, kappa in zip(tree.stage_ids, tree._kappa)
+    ]
+    first = tree._first
+    for _, p, s, j in _edges(tree):
+        yield p, j, log_theta[s][j - 1] + log_n[first[p] + j - 1] - log_n[p]
+
+
+def natural_parameters(tree: StagedTree, theta: ParameterVector) -> ExpFamForm:
+    """eta_vj = log(theta_vj * N_vj / N_v) for every non-downward edge, with
+    the layout of :func:`statistic_layout`.
+    """
+    log_n = _log_downward(tree, theta)
+    names = tree.vertices
+    eta = {(names[p], j): x for p, j, x in _eta(tree, theta, log_n)}
+    return ExpFamForm(tuple(eta), eta, -log_n[0], dict(zip(names, log_n)))
 
 
 def sufficient_statistic(tree: StagedTree, atom: Atom) -> tuple[int, ...]:
@@ -186,46 +202,46 @@ def symbolic_natural_parameters(
     labels below the child at edge j; the denominator collects the downward
     labels below v itself.
     """
-    down = _downward_fold(tree, (), lambda v, j, below: ((v, j),) + below)
+    names, inner, first = tree.vertices, tree._inner_pos, tree._first
+    down = _downward_fold(tree, (), lambda r, s, j, below: ((names[inner[r]], j),) + below)
     return {
-        (v, j): (((v, j),) + down[tree.child(v, j)], down[v])
-        for v, j in statistic_layout(tree)
+        (names[p], j): (((names[p], j),) + down[first[p] + j - 1], down[p])
+        for _, p, _, j in _edges(tree)
     }
 
 
-def _is_single_index(tree: StagedTree, v: str) -> bool:
+def _single_index(kappa: int, down: int) -> bool:
     """A binary vertex with the default downward edge, whose labels and
     parameters are named by the vertex index alone.
     """
-    return len(tree.children[v]) == 2 and tree.downward[tree.stage_of[v]] == 2
+    return kappa == 2 and down == 2
 
 
-def render_formulas(tree: StagedTree) -> dict[str, str]:
-    """Human-readable formulas for each eta and for psi.
+def _formulas(tree: StagedTree):
+    """(name, formula) of each eta, in layout order, then of psi.
 
     Binary vertices with the default downward edge are printed in single-index
     style, ``t3`` and ``(1-t3)``; other edges as ``th[i,j]``.
     """
+    single = list(map(_single_index, tree._kappa, tree._down))
+
+    def label(i: int, s: int, j: int) -> str:
+        if single[s]:
+            return f"t{i}" if j == 1 else f"(1-t{i})"
+        return f"th[{i},{j}]"
 
     def times(label: str, below: str) -> str:
         return f"{label}*{below}" if below else label
 
-    downward, stage_of, children, index = tree.downward, tree.stage_of, tree.children, tree.index
-    # each vertex's edge labels, named once
-    labels = {}
-    for v in tree.inner:
-        i = index[v]
-        if _is_single_index(tree, v):
-            labels[v] = (f"t{i}", f"(1-t{i})")
-        else:
-            labels[v] = tuple(f"th[{i},{j}]" for j in range(1, len(children[v]) + 1))
     # the downward labels below each vertex
-    below = _downward_fold(tree, "", lambda v, j, b: times(labels[v][j - 1], b))
-    out = {}
-    for v in tree.inner:
-        i, down, den = index[v], downward[stage_of[v]], below[v]
-        for j, (label, c) in enumerate(zip(labels[v], children[v]), start=1):
-            if j != down:
-                out[f"eta[{i},{j}]"] = f"log({times(label, below[c])}/({den}))"
-    out["psi"] = f"-log({below[tree.root]})"
-    return out
+    below = _downward_fold(tree, "", lambda r, s, j, b: times(label(r + 1, s, j), b))
+    first = tree._first
+    for i, p, s, j in _edges(tree):
+        numerator = times(label(i, s, j), below[first[p] + j - 1])
+        yield f"eta[{i},{j}]", f"log({numerator}/({below[p]}))"
+    yield "psi", f"-log({below[0]})"
+
+
+def render_formulas(tree: StagedTree) -> dict[str, str]:
+    """Human-readable formulas for each eta and for psi (see :func:`_formulas`)."""
+    return dict(_formulas(tree))

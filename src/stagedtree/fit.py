@@ -13,6 +13,7 @@ import csv
 import math
 import operator
 import re
+import sys
 from collections import Counter
 from typing import Optional, Sequence
 
@@ -151,36 +152,37 @@ def _count_rows(tree: StagedTree, rows, column_levels) -> AtomTable:
     at its leaf as often as it occurs.
 
     Distinct rows are walked in order of first occurrence, so the first bad
-    row of the input is the one reported.
+    row of the input is the one reported.  The walk steps from a position to
+    its child at edge j, position ``_first[p] + j - 1``.
     """
-    position = tree.leaf_position
-    counts = [0] * tree.n
-    children = tree.children
+    degree, first = tree._degree, tree._first
+    at = [0] * len(degree)  # the count of each leaf, by position
     # a 0-based state written the canonical way maps straight onto its edge;
     # every other cell, and a state past the out-degree, goes to _resolve_step
-    edge_of_state = {str(i): i + 1 for i in range(max(map(len, children.values())))}
+    edge_of_state = {str(i): i + 1 for i in range(max(degree))}
     for row, times in Counter(map(tuple, rows)).items():
         if not any(cell.strip() for cell in row):
             continue
-        v = tree.root
+        p = 0
         for levels, cell in zip(column_levels, row):
             cell = cell.strip()
-            cs = children.get(v)
-            if cs is None:
+            d = degree[p]
+            if d == 0:
                 if cell:
                     raise RowDoesNotReachLeaf(f"row {list(row)} continues past a leaf")
                 continue
             if not cell:
                 raise RowDoesNotReachLeaf(f"row {list(row)} stops before reaching a leaf")
             j = edge_of_state.get(cell) if levels is None else None
-            if j is None or j > len(cs):
-                j = _resolve_step(cell, len(cs), levels)
-            # a levels list longer than the out-degree reaches tree.child's range check
-            v = cs[j - 1] if j <= len(cs) else tree.child(v, j)
-        if v in children:
+            if j is None or j > d:
+                j = _resolve_step(cell, d, levels)
+                if j > d:  # a levels list longer than the out-degree
+                    tree.child(tree.vertices[p], j)
+            p = first[p] + j - 1
+        if degree[p]:
             raise RowDoesNotReachLeaf(f"row {list(row)} stops before reaching a leaf")
-        counts[position[v]] += times
-    return AtomTable(tree, counts)
+        at[p] += times
+    return AtomTable(tree, [at[p] for p in tree._leaf_order])
 
 
 def _stage_traffic(tree: StagedTree, table: AtomTable):
@@ -189,14 +191,13 @@ def _stage_traffic(tree: StagedTree, table: AtomTable):
     Edge j out of v carries every observation at the leaves below its child,
     so a vertex's edge-traversal counts are its edge totals of the table.
     """
-    pooled = {s: [0] * kappa for s, kappa in tree.stage_degrees.items()}
-    stage_of = tree.stage_of
-    for v, counts in tree.edge_totals(table.counts).items():
-        s = stage_of[v]
+    pooled = [[0] * kappa for kappa in tree._kappa]
+    for s, counts in zip(tree._stage, tree._edge_totals(table.counts)):
         pooled[s] = list(map(operator.add, pooled[s], counts))
-    visits = {s: sum(counts) for s, counts in pooled.items()}
+    ids = tree.stage_ids
+    visits = {ids[s]: sum(counts) for s, counts in enumerate(pooled)}
     edges = {
-        (s, j): n for s, counts in pooled.items() for j, n in enumerate(counts, start=1)
+        (ids[s], j): n for s, counts in enumerate(pooled) for j, n in enumerate(counts, start=1)
     }
     return visits, edges
 
@@ -265,10 +266,10 @@ class FitResult(_Record):
 def bic(tree: StagedTree, table: AtomTable, alpha: float = 0.0) -> FitResult:
     """Fit the staging and score it with d * log(N) - 2 * log-likelihood."""
     _check_alpha(alpha)
-    visits, edges = _stage_traffic(tree, table)
-    theta = _mle(tree, visits, edges, alpha)
     if table.n_obs == 0:
         raise StagedTreeError("BIC needs at least one observation, the table is empty")
+    visits, edges = _stage_traffic(tree, table)
+    theta = _mle(tree, visits, edges, alpha)
     ll = _pooled_log_likelihood(theta, edges)
     _, d = dimensions(tree)
     return FitResult(
@@ -282,8 +283,10 @@ def bic(tree: StagedTree, table: AtomTable, alpha: float = 0.0) -> FitResult:
 
 
 def _check_alpha(alpha) -> None:
-    """Reject a smoothing constant that is not a finite number >= 0."""
-    if not _is_real(alpha) or not math.isfinite(alpha) or alpha < 0:
+    """Reject a smoothing constant that is not a finite number >= 0 within the
+    range of a double (NaN fails both comparisons).
+    """
+    if not _is_real(alpha) or not 0 <= alpha <= sys.float_info.max:
         raise StagedTreeError(f"alpha must be a finite number >= 0, got {alpha!r}")
 
 
@@ -363,24 +366,24 @@ def select_staging(
     limit = config.max_merges if config.max_merges is not None else float("inf")
     log_n = math.log(table.n_obs)
     alpha = config.alpha
-    depth = saturated.depth
-    index = saturated.index
 
-    # A stage is named after its first member in BFS order, and every stage
-    # of the saturated tree has the default (last) downward edge, so equal
-    # out-degrees imply equal downward edges.
-    counts = {v: tuple(c) for v, c in saturated.edge_totals(table.counts).items()}
-    loglik = {s: _stage_loglik(c, alpha) for s, c in counts.items()}
-    members = {s: [s] for s in counts}
+    # A stage is the 0-based index of its first member in BFS order, so that
+    # order breaks ties, and every stage of the saturated tree has the
+    # default (last) downward edge, so equal out-degrees imply equal
+    # downward edges.
+    counts = list(map(tuple, saturated._edge_totals(table.counts)))
+    loglik = [_stage_loglik(c, alpha) for c in counts]
+    members = {s: [s] for s in range(len(counts))}
+    depth = [saturated._depth[p] for p in saturated._inner_pos]
 
-    def group_key(s: str) -> tuple[int, int]:
+    def group_key(s: int) -> tuple[int, int]:
         return len(counts[s]), depth[s] if config.same_depth else 0
 
-    groups: dict[tuple[int, int], list[str]] = {}
-    for s in counts:
+    groups: dict[tuple[int, int], list[int]] = {}
+    for s in members:
         groups.setdefault(group_key(s), []).append(s)
 
-    def score(a: str, b: str):
+    def score(a: int, b: int):
         merged = tuple(x + y for x, y in zip(counts[a], counts[b]))
         ll = _stage_loglik(merged, alpha)
         delta = -(len(merged) - 1) * log_n - 2.0 * (ll - loglik[a] - loglik[b])
@@ -393,17 +396,17 @@ def select_staging(
         for b in group[i + 1 :]
     }
     current = start.bic
+    names = saturated.inner
     trace: list[MergeStep] = []
     while len(trace) < limit and cache:
         (kept, absorbed), (delta, ll, merged) = min(
             cache.items(),
-            key=lambda item: (
-                current + item[1][0], depth[item[0][0]], index[item[0][0]], index[item[0][1]]
-            ),
+            key=lambda item: (current + item[1][0], depth[item[0][0]], *item[0]),
         )
         if current + delta >= current - 1e-12:
             break
-        trace.append(MergeStep(kept, absorbed, bic_before=current, bic_after=current + delta))
+        trace.append(MergeStep(names[kept], names[absorbed], bic_before=current,
+                               bic_after=current + delta))
         current += delta
         counts[kept], loglik[kept] = merged, ll
         members[kept] += members.pop(absorbed)
@@ -413,18 +416,20 @@ def select_staging(
         cache = {pair: entry for pair, entry in cache.items() if absorbed not in pair}
         for s in group:
             if s != kept:
-                pair = (kept, s) if index[kept] < index[s] else (s, kept)
+                pair = (kept, s) if kept < s else (s, kept)
                 cache[pair] = score(*pair)
 
     if not trace:
         return SearchResult(tree=saturated, fit=start, trace=())
-    result = saturated.with_staging({v: s for s, vs in members.items() for v in vs})
+    result = saturated.with_staging(
+        {names[v]: names[s] for s, vs in members.items() for v in vs}
+    )
     fit = bic(result, table, alpha=alpha)
     return SearchResult(tree=result, fit=fit, trace=tuple(trace))
 
 
 def table_from_rows(tree: StagedTree, rows: Sequence[Sequence[int]]) -> AtomTable:
     """Convenience: build a table from 0-based state rows (testing, notebooks)."""
-    depth = max(tree.depth.values())
+    depth = max(tree._depth)
     cells = ([("" if c is None else str(c)) for c in row] for row in rows)
     return _count_rows(tree, cells, [None] * depth)

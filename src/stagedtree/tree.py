@@ -20,9 +20,10 @@ import itertools
 import json
 import math
 import numbers
+from array import array
 from collections.abc import Mapping
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     CycleDetected,
@@ -136,7 +137,20 @@ def _require_atom_of(tree: StagedTree, atom: Atom) -> None:
 
 
 class StagedTree:
-    """An immutable staged tree.
+    """An immutable staged tree, stored as arrays in BFS order.
+
+    Position p numbers the vertices breadth-first (the root is 0).  The
+    children of each inner vertex are one block of positions, in the order of
+    their parents, so the level-order degree sequence (LOUDS) is the graph:
+    ``vertices[p]`` names position p, ``_degree[p]`` is its out-degree (0 at
+    a leaf), and its children are positions ``_first[p]`` to
+    ``_first[p + 1] - 1``, prefix sums of the degrees.  Inner vertex v_{r+1}
+    is at position ``_inner_pos[r]``, and ``_stage[r]`` is its stage as a
+    small int, which indexes ``stage_ids``, ``_kappa`` (out-degrees) and
+    ``_down`` (downward edges).  ``downward`` lists the stages that the
+    description names first.  The vertex-keyed attributes (``children``,
+    ``stage_of``, ``index``, ``inner``, ``leaves``, ``depth``,
+    ``stage_members``, ``leaf_position``) are views built on first use.
 
     Parameters
     ----------
@@ -161,75 +175,73 @@ class StagedTree:
         downward: Optional[Mapping[str, int]] = None,
         root: Optional[str] = None,
     ):
-        self.children: dict[str, tuple[str, ...]] = {
-            str(v): tuple(str(c) for c in cs) for v, cs in children.items() if cs
-        }
-        declared = set(self.children)
-        mentioned = {c for cs in self.children.values() for c in cs}
-        self.root = str(root) if root is not None else self._infer_root(declared, mentioned)
-        self._validate_shape()
-        self.vertices = self._bfs_order()
-        self.inner = tuple(v for v in self.vertices if v in self.children)
-        if len(self.inner) != len(self.children):
-            unreachable = set(self.children) - set(self.inner)
-            raise CycleDetected(f"vertices not reachable from root: {sorted(unreachable)}")
-        self.leaves = tuple(v for v in self.vertices if v not in self.children)
-        self.index = {v: i + 1 for i, v in enumerate(self.inner)}
+        kids = {str(v): tuple(str(c) for c in cs) for v, cs in children.items() if cs}
+        self._set_shape(kids, None if root is None else str(root))
+        self._set_stages(stages or {}, downward or {})
 
-        stages = stages or {}
-        stray = stages.keys() - self.index.keys()
-        if stray:
+    # -- construction ---------------------------------------------------------
+
+    def _set_shape(self, kids: Mapping[str, Sequence[str]], root: Optional[str]) -> None:
+        """Lay out ``kids`` (each inner vertex's children, none empty) in BFS
+        order from ``root``, or from the one parentless vertex, after the
+        checks of :func:`_root_of`; then check that the root reaches every
+        vertex.  The children of one level, in order, are the next level.
+        """
+        order, degree, level = [], array("i"), [_root_of(kids, root)]
+        while level:
+            order.extend(level)
+            below = list(map(kids.get, level, itertools.repeat(())))
+            degree.extend(map(len, below))
+            level = list(itertools.chain.from_iterable(below))
+        inner = array("i", itertools.compress(range(len(order)), degree))
+        if len(inner) != len(kids):
+            unreachable = set(kids).difference(map(order.__getitem__, inner))
+            raise CycleDetected(f"vertices not reachable from root: {sorted(unreachable)}")
+        self.vertices = tuple(order)
+        self._degree = degree
+        self._first = array("i", itertools.accumulate(degree, initial=1))
+        self._inner_pos = inner
+
+    def _set_stages(self, stages: Mapping, downward: Mapping) -> None:
+        """Number the stages in BFS order of their first member, after checking
+        that every key of ``stages`` is an inner vertex, that each stage has one
+        out-degree, and that the downward edges agree within a stage and lie in
+        range.  A vertex that ``stages`` does not list is its own stage.
+        """
+        inner = list(map(self.vertices.__getitem__, self._inner_pos))
+        if sum(map(stages.__contains__, inner)) != len(stages):
+            stray = stages.keys() - set(inner)
             raise StagedTreeError(
                 f"'stages' names ids that are not inner vertices: {sorted(stray, key=str)}"
             )
-        self.stage_of = {v: str(stages.get(v, v)) for v in self.inner}
-        # out-degree per stage id, in order of first appearance (BFS)
-        self.stage_degrees = degree = {}
-        for v in self.inner:
-            s, k = self.stage_of[v], len(self.children[v])
-            if degree.setdefault(s, k) != k:
+        named = list(map(str, map(stages.get, inner, inner)))
+        ids = {s: i for i, s in enumerate(dict.fromkeys(named))}
+        stage = array("i", map(ids.__getitem__, named))
+        degrees = map(self._degree.__getitem__, self._inner_pos)
+        kappa = [0] * len(ids)  # each stage's out-degree, its first member's
+        for v, name, s, d in zip(inner, named, stage, degrees):
+            if not kappa[s]:
+                kappa[s] = d
+            elif kappa[s] != d:
                 raise StageOutDegreeMismatch(
-                    f"stage {s!r} mixes out-degrees {degree[s]} and {k} (at vertex {v!r})"
+                    f"stage {name!r} mixes out-degrees {kappa[s]} and {d} (at vertex {v!r})"
                 )
-        self.downward = self._resolve_downward(downward or {})
+        self.stage_ids = tuple(ids)
+        self._stage = stage
+        self._kappa = kappa
+        self.downward = self._resolve_downward(downward, inner, ids)
+        self._down = [self.downward[s] for s in self.stage_ids]
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def _infer_root(declared: set[str], mentioned: set[str]) -> str:
-        candidates = declared - mentioned
-        if len(candidates) != 1:
-            raise CycleDetected(
-                f"expected exactly one parentless vertex, found {sorted(candidates)}"
-            )
-        return candidates.pop()
-
-    def _validate_shape(self) -> None:
-        parent: dict[str, str] = {}
-        for v, cs in self.children.items():
-            if len(cs) == 1:
-                raise VertexWithOneChild(f"vertex {v!r} has exactly one child")
-            for c in cs:
-                if c in parent:
-                    raise CycleDetected(f"vertex {c!r} has two parents: {parent[c]!r}, {v!r}")
-                parent[c] = v
-        if self.root in parent:
-            raise CycleDetected(f"root {self.root!r} has a parent")
-        # One parent per vertex and none at the root: no cycle is reachable from
-        # the root, so the BFS ends; __init__ checks that it reaches every vertex.
-
-    def _bfs_order(self) -> tuple[str, ...]:
-        order = [self.root]
-        for v in order:  # the loop reaches the children appended behind it
-            order.extend(self.children.get(v, ()))
-        return tuple(order)
-
-    def _resolve_downward(self, spec: Mapping[str, int]) -> dict[str, int]:
-        """Return downward edge index per stage id."""
+    def _resolve_downward(self, spec: Mapping, inner: list[str], ids: dict) -> dict[str, int]:
+        """Return downward edge index per stage id: first the stages that
+        ``spec`` names, in its order, then the others in stage order.
+        """
+        keys = {str(key) for key in spec}
+        stage_of = {v: self.stage_ids[s] for v, s in zip(inner, self._stage) if v in keys}
         per_stage: dict[str, int] = {}
         for key, j in spec.items():
             key = str(key)
-            stage = self.stage_of.get(key, key if key in self.stage_degrees else None)
+            stage = stage_of.get(key, key if key in ids else None)
             if stage is None:
                 raise StagedTreeError(f"downward key {key!r} is neither a vertex nor a stage")
             if not _is_integer(j):
@@ -239,25 +251,62 @@ class StagedTree:
                 raise DownwardEdgeInconsistentWithinStage(
                     f"stage {stage!r}: conflicting downward indices {per_stage[stage]} and {j}"
                 )
-        for s, kappa in self.stage_degrees.items():
+        for s, kappa in zip(self.stage_ids, self._kappa):
             j = per_stage.setdefault(s, kappa)
             if not 1 <= j <= kappa:
                 raise IndexOutOfRange(f"downward index {j} out of range for stage {s!r}")
         return per_stage
 
-    # -- basic accessors ------------------------------------------------------
+    # -- name-keyed views -----------------------------------------------------
+
+    @property
+    def root(self) -> str:
+        return self.vertices[0]
 
     @cached_property
-    def stage_ids(self) -> tuple[str, ...]:
-        """Distinct stage ids, in order of first appearance (BFS)."""
-        return tuple(self.stage_degrees)
+    def inner(self) -> tuple[str, ...]:
+        return tuple(map(self.vertices.__getitem__, self._inner_pos))
+
+    @cached_property
+    def leaves(self) -> tuple[str, ...]:
+        return tuple(v for v, d in zip(self.vertices, self._degree) if not d)
+
+    @cached_property
+    def children(self) -> dict[str, tuple[str, ...]]:
+        """Each inner vertex's children, in edge order; the keys in BFS order."""
+        names, first = self.vertices, self._first
+        return {names[p]: names[first[p] : first[p + 1]] for p in self._inner_pos}
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.inner, start=1)}
+
+    @cached_property
+    def stage_of(self) -> dict[str, str]:
+        return dict(zip(self.inner, map(self.stage_ids.__getitem__, self._stage)))
+
+    @cached_property
+    def stage_degrees(self) -> dict[str, int]:
+        return dict(zip(self.stage_ids, self._kappa))
 
     @cached_property
     def stage_members(self) -> dict[str, tuple[str, ...]]:
-        members: dict[str, list[str]] = {s: [] for s in self.stage_degrees}
-        for v in self.inner:
-            members[self.stage_of[v]].append(v)
-        return {s: tuple(vs) for s, vs in members.items()}
+        members: list[list[str]] = [[] for _ in self.stage_ids]
+        for v, s in zip(self.inner, self._stage):
+            members[s].append(v)
+        return dict(zip(self.stage_ids, map(tuple, members)))
+
+    @cached_property
+    def depth(self) -> dict[str, int]:
+        """Number of edges from the root to each vertex."""
+        return dict(zip(self.vertices, self._depth))
+
+    @cached_property
+    def leaf_position(self) -> dict[str, int]:
+        """0-based index of each leaf's atom in the depth-first atom order."""
+        return dict(zip(map(self.vertices.__getitem__, self._leaf_order), itertools.count()))
+
+    # -- basic accessors ------------------------------------------------------
 
     def out_degree(self, v: str) -> int:
         return len(self.children.get(v, ()))
@@ -277,41 +326,58 @@ class StagedTree:
 
     def is_saturated(self) -> bool:
         """True if every inner vertex forms its own stage."""
-        return len(self.stage_degrees) == len(self.inner)
+        return len(self.stage_ids) == self.k
 
     @property
     def k(self) -> int:
-        return len(self.inner)
+        return len(self._inner_pos)
 
     @property
     def n(self) -> int:
-        return len(self.leaves)
+        return len(self.vertices) - self.k
 
-    # -- passes over the vertices --------------------------------------------
+    # -- passes over the positions --------------------------------------------
 
     @cached_property
-    def depth(self) -> dict[str, int]:
-        """Number of edges from the root to each vertex."""
-        depth = {self.root: 0}
-        for v in self.inner:
-            d = depth[v] + 1
-            for c in self.children[v]:
-                depth[c] = d
+    def _depth(self) -> array:
+        """Depth of each position.  The levels are runs of positions: the
+        level after positions a..b-1 is b..``_first[b]`` - 1.
+        """
+        first, depth = self._first, array("i")
+        a, b, level = 0, 1, 0
+        while a < b:
+            depth.extend(itertools.repeat(level, b - a))
+            a, b, level = b, first[b], level + 1
         return depth
+
+    @cached_property
+    def _leaf_order(self) -> array:
+        """The positions of the leaves in the depth-first atom order, from the
+        same explicit-stack walk as :attr:`atoms`.
+        """
+        degree, first = self._degree, self._first
+        out, stack = array("i"), [0]
+        while stack:
+            p = stack.pop()
+            if degree[p]:
+                stack.extend(range(first[p + 1] - 1, first[p] - 1, -1))
+            else:
+                out.append(p)
+        return out
 
     def fold(self, leaf_value, combine) -> dict:
         """Bottom-up pass in reversed BFS order: each leaf gets ``leaf_value``,
-        each inner v ``combine(v, [children's values in edge order])``.
+        each inner v ``combine(v, [children's values in edge order])``; returns
+        the value of every vertex, in BFS order.
         """
-        out: dict = {}
-        children = self.children
-        for v in reversed(self.vertices):
-            cs = children.get(v)
-            out[v] = leaf_value if cs is None else combine(v, [out[c] for c in cs])
-        return out
+        names, first = self.vertices, self._first
+        out = [leaf_value] * len(names)
+        for p in reversed(self._inner_pos):
+            out[p] = combine(names[p], out[first[p] : first[p + 1]])
+        return dict(zip(names, out))
 
-    def edge_totals(self, leaf_values) -> dict[str, list]:
-        """Per inner vertex, in ``inner`` order, the total of ``leaf_values``
+    def _edge_totals(self, leaf_values) -> list[list]:
+        """Per inner vertex, by inner index, the total of ``leaf_values``
         over the leaves below each of its edges.
 
         ``leaf_values`` holds one value per atom, in atom order.  Edge j out
@@ -322,32 +388,20 @@ class StagedTree:
             raise StagedTreeError(
                 f"expected {self.n} leaf values, one per atom, got {len(leaf_values)}"
             )
-        below = {leaf: leaf_values[i] for leaf, i in self.leaf_position.items()}
-        totals = dict.fromkeys(self.inner)
-        children = self.children
-        for v in reversed(self.inner):
-            edges = [below[c] for c in children[v]]
-            totals[v] = edges
-            below[v] = sum(edges)
+        below = [0] * len(self.vertices)
+        for p, x in zip(self._leaf_order, leaf_values):
+            below[p] = x
+        first, inner = self._first, self._inner_pos
+        totals = [None] * len(inner)
+        for r in range(len(inner) - 1, -1, -1):
+            p = inner[r]
+            totals[r] = edges = below[first[p] : first[p + 1]]
+            below[p] = sum(edges)
         return totals
 
-    @cached_property
-    def leaf_position(self) -> dict[str, int]:
-        """0-based index of each leaf's atom in the depth-first atom order.
-
-        The same explicit-stack walk as :attr:`atoms`, without building paths.
-        """
-        out: dict[str, int] = {}
-        children = self.children
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            cs = children.get(v)
-            if cs is None:
-                out[v] = len(out)
-            else:
-                stack.extend(reversed(cs))
-        return out
+    def edge_totals(self, leaf_values) -> dict[str, list]:
+        """:meth:`_edge_totals` keyed by inner vertex, in ``inner`` order."""
+        return dict(zip(self.inner, self._edge_totals(leaf_values)))
 
     # -- atoms ----------------------------------------------------------------
 
@@ -358,16 +412,17 @@ class StagedTree:
         The order is that of the recursive walk an explicit stack replaced,
         so deep trees no longer hit the recursion limit.
         """
+        names, degree, first = self.vertices, self._degree, self._first
         out: list[Atom] = []
-        children = self.children
-        stack = [(self.root, ())]
+        stack = [(0, ())]
         while stack:
-            v, steps = stack.pop()
-            cs = children.get(v)
-            if cs is None:
-                out.append(Atom(steps, v))
+            p, steps = stack.pop()
+            d = degree[p]
+            if d == 0:
+                out.append(Atom(steps, names[p]))
             else:
-                stack.extend((cs[j - 1], steps + ((v, j),)) for j in range(len(cs), 0, -1))
+                v, f = names[p], first[p] - 1
+                stack.extend((f + j, steps + ((v, j),)) for j in range(d, 0, -1))
         return tuple(out)
 
     # -- restaging ------------------------------------------------------------
@@ -377,8 +432,12 @@ class StagedTree:
         stages: Mapping[str, str],
         downward: Optional[Mapping[str, int]] = None,
     ) -> "StagedTree":
-        """Same tree graph with a different staging."""
-        return StagedTree(self.children, stages=stages, downward=downward, root=self.root)
+        """Same tree graph, sharing its arrays, with a different staging."""
+        tree = object.__new__(type(self))
+        tree.vertices, tree._degree = self.vertices, self._degree
+        tree._first, tree._inner_pos = self._first, self._inner_pos
+        tree._set_stages(stages or {}, downward or {})
+        return tree
 
     def saturated(self) -> "StagedTree":
         """Same tree graph with the trivial (all-singleton) staging."""
@@ -394,6 +453,9 @@ class StagedTree:
 
         ``{"vertices": [{"id": ..., "children": [...]}, ...],
            "stages": {vertex: stage, ...}, "downward": {stage: index, ...}}``
+
+        The arrays are laid out from the description's own lists, which are
+        not copied.
         """
         if not isinstance(spec, Mapping):
             raise StagedTreeError("tree description must be a JSON object")
@@ -406,12 +468,12 @@ class StagedTree:
         if not isinstance(vertices, list):
             raise StagedTreeError(f"'vertices' must be a list of objects, got {vertices!r}")
         children: dict[str, list] = {}
+        fields = {"id", "children"}
         for entry in vertices:
             if not isinstance(entry, dict):
                 raise StagedTreeError(f"vertex entry {entry!r} is not an object")
-            bad = entry.keys() - {"id", "children"}
-            if bad:
-                raise StagedTreeError(f"unknown vertex fields: {sorted(bad)}")
+            if not entry.keys() <= fields:
+                raise StagedTreeError(f"unknown vertex fields: {sorted(entry.keys() - fields)}")
             v, cs = entry.get("id"), entry.get("children", [])
             if not isinstance(v, str):
                 raise StagedTreeError(f"vertex entry {entry!r} needs a string 'id'")
@@ -434,19 +496,23 @@ class StagedTree:
             raise StagedTreeError(f"'stages' must map vertex ids to stage ids, got {stages!r}")
         if downward is not None and not isinstance(downward, Mapping):
             raise StagedTreeError(f"'downward' must map stage ids to indices, got {downward!r}")
-        return cls(children, stages=stages, downward=downward)
+        if not all(children.values()):  # a vertex listed without children is a leaf
+            children = {v: cs for v, cs in children.items() if cs}
+        tree = cls.__new__(cls)
+        tree._set_shape(children, None)
+        tree._set_stages(stages or {}, downward or {})
+        return tree
 
     def to_spec(self) -> dict:
+        names, first, ids = self.vertices, self._first, self.stage_ids
         spec: dict = {
             "vertices": [
-                {"id": v, "children": list(self.children[v])} for v in self.vertices
-                if v in self.children
+                {"id": names[p], "children": list(names[first[p] : first[p + 1]])}
+                for p in self._inner_pos
             ],
-            "stages": {v: self.stage_of[v] for v in self.inner},
+            "stages": {names[p]: ids[s] for p, s in zip(self._inner_pos, self._stage)},
         }
-        nondefault = {
-            s: j for s, j in self.downward.items() if j != self.stage_degrees[s]
-        }
+        nondefault = {s: j for s, j in self.downward.items() if j != self.stage_degrees[s]}
         if nondefault:
             spec["downward"] = nondefault
         return spec
@@ -457,6 +523,43 @@ class StagedTree:
 
     def __repr__(self) -> str:
         return f"StagedTree(k={self.k}, n={self.n}, stages={len(self.stage_ids)})"
+
+
+def _root_of(kids: Mapping[str, Sequence[str]], root: Optional[str]) -> str:
+    """``root``, or the one parentless vertex of ``kids``, after checking that
+    no vertex has one child or two parents and that the root has none.  One
+    parent per vertex and none at the root leave no cycle that the root
+    reaches, so a BFS from it ends.
+    """
+    sizes = list(map(len, kids.values()))
+    children = dict.fromkeys(itertools.chain.from_iterable(kids.values()))
+    fault = _first_fault(kids) if 1 in sizes or len(children) != sum(sizes) else None
+    if root is None:
+        candidates = list(itertools.filterfalse(children.__contains__, kids))
+        if len(candidates) != 1:
+            raise CycleDetected(
+                f"expected exactly one parentless vertex, found {sorted(candidates)}"
+            )
+        root = candidates[0]
+    if fault is not None:
+        raise fault
+    if root in children:
+        raise CycleDetected(f"root {root!r} has a parent")
+    return root
+
+
+def _first_fault(kids: Mapping[str, Sequence[str]]) -> StagedTreeError:
+    """The first vertex, in declaration order, with one child, or the first
+    child that a second parent lists.
+    """
+    parent: dict[str, str] = {}
+    for v, cs in kids.items():
+        if len(cs) == 1:
+            return VertexWithOneChild(f"vertex {v!r} has exactly one child")
+        for c in cs:
+            if c in parent:
+                return CycleDetected(f"vertex {c!r} has two parents: {parent[c]!r}, {v!r}")
+            parent[c] = v
 
 
 class ParameterVector(Mapping):
@@ -621,19 +724,19 @@ def labels_from_distribution(tree: StagedTree, p: Mapping[Atom, float]) -> Param
     if any(px <= 0.0 for px in mass):
         raise ZeroMass("atom distribution has a zero entry")
     vals = {}
-    stage_of = tree.stage_of
-    for v, edges in tree.edge_totals(mass).items():
+    ids = tree.stage_ids
+    for s, edges in zip(tree._stage, tree._edge_totals(mass)):
         total = math.fsum(edges)
         for j, m in enumerate(edges, start=1):
-            vals[(stage_of[v], j)] = m / total
+            vals[(ids[s], j)] = m / total
     return ParameterVector(vals)
 
 
 def dimensions(tree: StagedTree) -> tuple[int, int]:
-    """(d0, d): free parameters of the saturated and of the staged tree."""
-    d0 = sum(tree.out_degree(v) - 1 for v in tree.inner)
-    d = sum(kappa - 1 for kappa in tree.stage_degrees.values())
-    return d0, d
+    """(d0, d): free parameters of the saturated and of the staged tree; the
+    out-degrees count every vertex but the root, so d0 = (k + n - 1) - k.
+    """
+    return tree.n - 1, sum(tree._kappa) - len(tree._kappa)
 
 
 def star(n: int) -> StagedTree:

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagedtree import StagedTree, product_tree
+from stagedtree import ParameterVector, StagedTree, product_tree
 from stagedtree import cli
 from stagedtree.cli import run
 from stagedtree.random_trees import random_staged_tree
@@ -102,6 +103,12 @@ class TestFromBN:
             "type": "StagedTreeError",
             "message": "unfolding has 1099511627775 inner vertices, over 262144",
         }
+
+    def test_empty_order_is_refused(self, capsys):
+        # "" is the order of one variable named "", not a request for the default
+        code, out = invoke(capsys, "from-bn", str(data_path("chain_bn.json")), "--order", "")
+        assert code == 2
+        assert out["error"]["type"] == "OrderInconsistentWithDAG"
 
     def test_pipeline_from_bn_check(self):
         # from-bn collider.json | check -
@@ -296,6 +303,55 @@ class TestStreamedOutput:
         capsys.readouterr()
         assert len(loaded) == 1 and "atoms" not in loaded[0].__dict__
 
+    # the views keyed by vertex id that the array layout builds on first use
+    VERTEX_VIEWS = {"children", "stage_of", "index", "inner", "leaves", "depth",
+                    "stage_members", "leaf_position", "atoms"}
+
+    def test_commands_read_the_arrays_only(self, capsys, monkeypatch):
+        # a structural guard on the command paths, not a timing gate
+        load_tree, loaded = cli._load_tree, []
+
+        def load(path):
+            loaded.append(load_tree(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "_load_tree", load)
+        tree, theta = str(data_path("fig1b.json")), str(data_path("fig1a_theta.json"))
+        commands = [["inspect", tree], ["expfam", tree, "--symbolic"],
+                    ["expfam", str(data_path("fig1a.json")), "--theta", theta, "--symbolic"],
+                    ["fit", "--tree", tree, "--data", str(data_path("xyz_rows.csv"))]]
+        for argv in commands:
+            assert run(argv) == 0, argv
+        capsys.readouterr()
+        assert len(loaded) == len(commands)
+        for tree in loaded:
+            assert not self.VERTEX_VIEWS & tree.__dict__.keys()
+
+    @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+    def test_expfam_streams_what_natural_parameters_and_render_formulas_give(self, tmp_path,
+                                                                            pretty):
+        from stagedtree.expfam import natural_parameters, render_formulas
+        path = tmp_path / "tree.json"
+        count = 0
+        for tree in self.trees():
+            path.write_text(json.dumps(tree.to_spec()))
+            args = cli.build_parser().parse_args(["expfam", str(path), "--symbolic"]
+                                                 + ["--pretty"] * pretty)
+            payload = cli.cmd_expfam(args)
+            assert all(hasattr(payload[key], "__next__") for key in ("layout", "eta", "formulas"))
+            text = io.StringIO()
+            cli._write_object(payload, text.write, pretty)
+            form = natural_parameters(tree, ParameterVector.uniform(tree))
+            expected = {
+                "layout": form.layout,
+                "eta": {f"{v},{j}": cli._round(x) for (v, j), x in form.eta.items()},
+                "psi": cli._round(form.psi),
+                "formulas": render_formulas(tree),
+            }
+            assert text.getvalue() == json.dumps(expected, indent=2 if pretty else None) + "\n"
+            count += 1
+        assert count == 4 + 150 + 2
+
     def test_emission_peak_is_below_half_the_output(self, tmp_path, monkeypatch):
         # a structural guard on the writer's memory, not a timing gate
         tree, target = tmp_path / "tree.json", tmp_path / "out.json"
@@ -487,6 +543,26 @@ class TestMalformedInput:
         )
         assert code == 2
         assert out["error"]["type"] == "StagedTreeError"
+
+    @pytest.mark.parametrize("alpha", [0, 0.5])
+    @pytest.mark.parametrize("header", ["X,Y,Z", "atom_id,count"])
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    def test_header_only_table_is_refused_as_empty(self, capsys, tmp_path, command, header, alpha):
+        data = tmp_path / "rows.csv"
+        data.write_text(header + "\n")
+        if command == "fit":
+            argv = ["fit", "--tree", str(data_path("fig1a.json")), "--alpha", str(alpha)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"alpha": alpha}))
+            argv = ["select", "--tree-graph", str(data_path("example1.json")),
+                    "--config", str(config)]
+        code, out = invoke(capsys, *argv, "--data", str(data))
+        assert code == 2
+        assert out["error"] == {
+            "type": "StagedTreeError",
+            "message": "BIC needs at least one observation, the table is empty",
+        }
 
     def test_select_config_accepts_valid_values(self, capsys, tmp_path):
         path = tmp_path / "config.json"
@@ -863,6 +939,25 @@ def csv_bytes(draw):
     return mostly(draw, st.just(text.encode()), st.binary(max_size=40))
 
 
+@st.composite
+def search_configs(draw):
+    """A search configuration: each known key present or not, valid nine
+    times in ten, sometimes an unknown key, and one time in ten junk for the
+    whole.
+    """
+    values = {
+        "max_merges": st.one_of(st.none(), st.integers(0, 8), st.sampled_from([10**400])),
+        "same_depth": st.booleans(),
+        # JSON reads an integer beyond the range of a double exactly
+        "alpha": st.one_of(st.floats(0.0, 5.0), st.integers(0, 3),
+                           st.sampled_from([1e308, 10**400])),
+    }
+    config = {key: mostly(draw, valid) for key, valid in values.items() if draw(st.booleans())}
+    if draw(st.integers(0, 9)) == 0:
+        config[draw(st.text(max_size=3))] = draw(JUNK)
+    return mostly(draw, st.just(config))
+
+
 class TestFuzz:
     """cli.run in process, so each example costs no interpreter start-up."""
 
@@ -907,6 +1002,21 @@ class TestFuzz:
         each()
         # enough tables that fit and select reach their own work
         assert sum(c == [0, 0, 0] for c in codes) >= len(codes) / 4
+
+    def test_select_config_exits_0_or_2(self, workdir):
+        argv = ["select", "--tree-graph", str(data_path("example1.json")),
+                "--data", str(data_path("atom_counts.csv")), "--config", None]
+        codes = []
+
+        @given(config=search_configs())
+        @settings(max_examples=150, derandomize=True, deadline=None)
+        def each(config):
+            codes.append(self.run_on(workdir, config, *argv))
+            assert codes[-1] in (0, 2), config
+
+        each()
+        # enough valid configurations that the fuzz reaches the search
+        assert codes.count(0) >= len(codes) / 4
 
     def test_tree_json_exits_0_or_2(self, workdir):
         commands = (["inspect", None], ["check", None, "--equations", "json"],

@@ -215,8 +215,14 @@ class TestBIC:
         assert saturated.bic - staged.bic == pytest.approx(penalty_gap - ll_gap, abs=1e-10)
 
     def test_zero_count_table_errors(self, example1):
+        empty = AtomTable(example1, [0] * 8)
         with pytest.raises(ZeroStageTraffic):
-            bic(example1, AtomTable(example1, [0] * 8))
+            mle(example1, empty)
+        # BIC refuses the empty table as empty, before any stage's estimate
+        for alpha in (0.0, 0.5):
+            with pytest.raises(StagedTreeError, match="the table is empty") as caught:
+                bic(example1, empty, alpha=alpha)
+            assert caught.type is StagedTreeError
 
 
 class TestSelect:

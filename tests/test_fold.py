@@ -46,16 +46,24 @@ The checks read integer tables (``algebra._Codes``): their prime codes are
 decoded back to label tuples and must equal ``downward_monomials`` and
 ``interpolating_polynomials``, and each fingerprint must equal t_v evaluated
 at the residues modulo 2**61 - 1.
+``OracleTree`` is the dict-of-tuples build of ``StagedTree`` that the
+BFS-indexed arrays replaced, with its dict folds (``fold``, ``edge_totals``,
+the downward fold, ``depth``, ``leaf_position``).  The array tree must raise
+the same error with the same message for every description the dict build
+refused, and otherwise give the same name-keyed views, in the same order,
+and the same fold values.
 """
 
 import csv
 import io
 import itertools
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from stagedtree import (
     Atom,
@@ -79,6 +87,7 @@ from stagedtree import (
     natural_parameters,
     product_tree,
     stage_equations,
+    star,
     symbolic_natural_parameters,
     table_from_rows,
     theta_from_eta,
@@ -96,14 +105,20 @@ from stagedtree.algebra import (
 from stagedtree import algebra
 from stagedtree.bayesnet import DiscreteBN
 from stagedtree.errors import (
+    CycleDetected,
+    DownwardEdgeInconsistentWithinStage,
+    IndexOutOfRange,
     NontrivialStaging,
     RowDoesNotReachLeaf,
     StagedTreeError,
+    StageOutDegreeMismatch,
     UnknownCategory,
+    VertexWithOneChild,
     ZeroMass,
 )
 from stagedtree.expfam import (
     ExpFamForm,
+    _downward_fold,
     log_downward_products,
     render_formulas,
     statistic_layout,
@@ -118,6 +133,7 @@ from stagedtree.random_trees import random_staged_tree
 from stagedtree.tree import labels_from_distribution, log_atom_probability
 from conftest import BINARY_GRAPH, data_path, load_json
 from test_bayesnet import all_dags
+from test_cli import tree_specs
 
 
 def oracle_atoms(self) -> tuple[Atom, ...]:
@@ -1089,3 +1105,335 @@ def test_hand_built_stages_match_oracle(members, inner_edges, witnesses, flags):
     assert report == oracle_classify(tree)
     assert (is_balanced(tree), is_simple(tree)) == flags[1:]
     assert stage_equations(tree) == oracle_stage_equations(tree)
+
+
+# -- the array layout against the dict build it replaced -----------------------
+#
+# ``OracleTree`` is the name-keyed build of ``StagedTree`` before it moved onto
+# BFS-indexed arrays: the same checks in the same order, and dicts of tuples
+# keyed by vertex id.  Its folds are the dict folds of that build.  The array
+# tree must give the same error for every input that the dict build refused,
+# and otherwise the same name-keyed attributes, in the same order.
+
+
+class OracleTree:
+    """The dict build of a staged tree, with its dict folds."""
+
+    def __init__(self, children, stages=None, downward=None, root=None):
+        self.children = {
+            str(v): tuple(str(c) for c in cs) for v, cs in children.items() if cs
+        }
+        declared = set(self.children)
+        mentioned = {c for cs in self.children.values() for c in cs}
+        self.root = str(root) if root is not None else self._infer_root(declared, mentioned)
+        self._validate_shape()
+        self.vertices = self._bfs_order()
+        self.inner = tuple(v for v in self.vertices if v in self.children)
+        if len(self.inner) != len(self.children):
+            unreachable = set(self.children) - set(self.inner)
+            raise CycleDetected(f"vertices not reachable from root: {sorted(unreachable)}")
+        self.leaves = tuple(v for v in self.vertices if v not in self.children)
+        self.index = {v: i + 1 for i, v in enumerate(self.inner)}
+        stages = stages or {}
+        stray = stages.keys() - self.index.keys()
+        if stray:
+            raise StagedTreeError(
+                f"'stages' names ids that are not inner vertices: {sorted(stray, key=str)}"
+            )
+        self.stage_of = {v: str(stages.get(v, v)) for v in self.inner}
+        self.stage_degrees = degree = {}
+        for v in self.inner:
+            s, k = self.stage_of[v], len(self.children[v])
+            if degree.setdefault(s, k) != k:
+                raise StageOutDegreeMismatch(
+                    f"stage {s!r} mixes out-degrees {degree[s]} and {k} (at vertex {v!r})"
+                )
+        self.downward = self._resolve_downward(downward or {})
+        self.stage_ids = tuple(self.stage_degrees)
+        members = {s: [] for s in self.stage_degrees}
+        for v in self.inner:
+            members[self.stage_of[v]].append(v)
+        self.stage_members = {s: tuple(vs) for s, vs in members.items()}
+
+    @staticmethod
+    def _infer_root(declared, mentioned):
+        candidates = declared - mentioned
+        if len(candidates) != 1:
+            raise CycleDetected(
+                f"expected exactly one parentless vertex, found {sorted(candidates)}"
+            )
+        return candidates.pop()
+
+    def _validate_shape(self):
+        parent = {}
+        for v, cs in self.children.items():
+            if len(cs) == 1:
+                raise VertexWithOneChild(f"vertex {v!r} has exactly one child")
+            for c in cs:
+                if c in parent:
+                    raise CycleDetected(f"vertex {c!r} has two parents: {parent[c]!r}, {v!r}")
+                parent[c] = v
+        if self.root in parent:
+            raise CycleDetected(f"root {self.root!r} has a parent")
+
+    def _bfs_order(self):
+        order = [self.root]
+        for v in order:
+            order.extend(self.children.get(v, ()))
+        return tuple(order)
+
+    def _resolve_downward(self, spec):
+        per_stage = {}
+        for key, j in spec.items():
+            key = str(key)
+            stage = self.stage_of.get(key, key if key in self.stage_degrees else None)
+            if stage is None:
+                raise StagedTreeError(f"downward key {key!r} is neither a vertex nor a stage")
+            if not (isinstance(j, int) and not isinstance(j, bool)):
+                raise StagedTreeError(f"downward index {j!r} for {key!r} is not an integer")
+            if per_stage.setdefault(stage, j) != j:
+                raise DownwardEdgeInconsistentWithinStage(
+                    f"stage {stage!r}: conflicting downward indices {per_stage[stage]} and {j}"
+                )
+        for s, kappa in self.stage_degrees.items():
+            j = per_stage.setdefault(s, kappa)
+            if not 1 <= j <= kappa:
+                raise IndexOutOfRange(f"downward index {j} out of range for stage {s!r}")
+        return per_stage
+
+    @classmethod
+    def from_spec(cls, spec):
+        """``StagedTree.from_spec``'s field checks, then the dict build."""
+        if not isinstance(spec, dict):
+            raise StagedTreeError("tree description must be a JSON object")
+        unknown = set(spec) - {"vertices", "stages", "downward"}
+        if unknown:
+            raise StagedTreeError(f"unknown tree-description fields: {sorted(unknown)}")
+        if "vertices" not in spec:
+            raise StagedTreeError("tree description lacks 'vertices'")
+        vertices = spec["vertices"]
+        if not isinstance(vertices, list):
+            raise StagedTreeError(f"'vertices' must be a list of objects, got {vertices!r}")
+        children = {}
+        for entry in vertices:
+            if not isinstance(entry, dict):
+                raise StagedTreeError(f"vertex entry {entry!r} is not an object")
+            bad = entry.keys() - {"id", "children"}
+            if bad:
+                raise StagedTreeError(f"unknown vertex fields: {sorted(bad)}")
+            v, cs = entry.get("id"), entry.get("children", [])
+            if not isinstance(v, str):
+                raise StagedTreeError(f"vertex entry {entry!r} needs a string 'id'")
+            if not isinstance(cs, list):
+                raise StagedTreeError(f"children of {v!r} must be a list of vertex ids, got {cs!r}")
+            if v in children:
+                raise StagedTreeError(f"vertex {v!r} is listed twice")
+            children[v] = cs
+        for v, cs in children.items():
+            if not all(isinstance(c, str) for c in cs):
+                raise StagedTreeError(f"children of {v!r} must be a list of vertex ids, got {cs!r}")
+        stages, downward = spec.get("stages"), spec.get("downward")
+        if stages is not None and (
+            not isinstance(stages, dict) or not all(isinstance(s, str) for s in stages.values())
+        ):
+            raise StagedTreeError(f"'stages' must map vertex ids to stage ids, got {stages!r}")
+        if downward is not None and not isinstance(downward, dict):
+            raise StagedTreeError(f"'downward' must map stage ids to indices, got {downward!r}")
+        return cls(children, stages=stages, downward=downward)
+
+    def to_spec(self):
+        spec = {
+            "vertices": [{"id": v, "children": list(self.children[v])} for v in self.inner],
+            "stages": {v: self.stage_of[v] for v in self.inner},
+        }
+        nondefault = {s: j for s, j in self.downward.items() if j != self.stage_degrees[s]}
+        if nondefault:
+            spec["downward"] = nondefault
+        return spec
+
+    @property
+    def depth(self):
+        depth = {self.root: 0}
+        for v in self.inner:
+            for c in self.children[v]:
+                depth[c] = depth[v] + 1
+        return depth
+
+    @property
+    def leaf_position(self):
+        out, stack = {}, [self.root]
+        while stack:
+            v = stack.pop()
+            cs = self.children.get(v)
+            if cs is None:
+                out[v] = len(out)
+            else:
+                stack.extend(reversed(cs))
+        return out
+
+    def fold(self, leaf_value, combine):
+        out = {}
+        for v in reversed(self.vertices):
+            cs = self.children.get(v)
+            out[v] = leaf_value if cs is None else combine(v, [out[c] for c in cs])
+        return out
+
+    def edge_totals(self, leaf_values):
+        below = {leaf: leaf_values[i] for leaf, i in self.leaf_position.items()}
+        totals = dict.fromkeys(self.inner)
+        for v in reversed(self.inner):
+            edges = [below[c] for c in self.children[v]]
+            totals[v] = edges
+            below[v] = sum(edges)
+        return totals
+
+    def downward_fold(self, leaf_value, step):
+        """``step(v, j, below)`` down the all-downward path from every vertex."""
+        out = {}
+        for v in reversed(self.vertices):
+            cs = self.children.get(v)
+            if cs is None:
+                out[v] = leaf_value
+            else:
+                j = self.downward[self.stage_of[v]]
+                out[v] = step(v, j, out[cs[j - 1]])
+        return out
+
+
+VIEWS = ("vertices", "root", "inner", "leaves", "index", "children", "stage_of", "stage_ids",
+         "stage_degrees", "downward", "stage_members", "depth", "leaf_position")
+
+
+def assert_same_views(tree: StagedTree, oracle: OracleTree) -> None:
+    """Every name-keyed attribute equal, dicts in the same key order, except
+    ``children``: the dict build kept the order of the description, the view
+    lists the inner vertices in BFS order.
+    """
+    for name in VIEWS:
+        fast, slow = getattr(tree, name), getattr(oracle, name)
+        assert fast == slow, name
+        if isinstance(slow, dict) and name != "children":
+            assert list(fast.items()) == list(slow.items()), name
+    assert list(tree.children) == list(tree.inner)
+
+
+def assert_same_outcome(fast, slow) -> None:
+    """The same error, or trees with the same views."""
+    if isinstance(slow, tuple):
+        assert fast == slow
+    else:
+        assert_same_views(fast, slow)
+
+
+def layout_trees() -> list[StagedTree]:
+    trees = [t for family in (FAMILIES, ALGEBRA_FAMILIES) for ts in family.values() for t in ts]
+    return trees + [product_tree([2] * 10), product_tree([2, 3]), star(5)]
+
+
+def test_array_build_matches_the_dict_build():
+    for tree in layout_trees():
+        spec = tree.to_spec()
+        oracle = OracleTree.from_spec(spec)
+        assert_same_views(StagedTree.from_spec(spec), oracle)
+        assert_same_views(tree, OracleTree(tree.children, tree.stage_of, tree.downward, tree.root))
+        assert tree.to_spec() == oracle.to_spec()
+        assert json.dumps(tree.to_spec()) == json.dumps(oracle.to_spec())
+        assert_same_views(tree.saturated(), OracleTree(oracle.children, root=oracle.root))
+        # from the children mapping, with the stages and downward edges by vertex id
+        down = {v: oracle.downward[s] for v, s in oracle.stage_of.items()}
+        assert_same_views(StagedTree(oracle.children, oracle.stage_of, down),
+                          OracleTree(oracle.children, oracle.stage_of, down))
+
+
+def test_with_staging_shares_the_shape_arrays():
+    tree = product_tree([2, 3, 2])
+    restaged = tree.with_staging({v: f"d{d}" for v, d in tree.depth.items() if v in tree.children})
+    for name in ("vertices", "_degree", "_first", "_inner_pos"):
+        assert getattr(restaged, name) is getattr(tree, name)
+    assert restaged.stage_ids == ("d0", "d1", "d2")
+
+
+def test_first_child_offsets_are_prefix_sums_of_the_degrees():
+    for tree in layout_trees():
+        degree, first, names = tree._degree, tree._first, tree.vertices
+        assert len(degree) == len(names) and len(first) == len(names) + 1
+        assert list(first) == [1 + sum(degree[:p]) for p in range(len(names) + 1)]
+        assert [names[p] for p in tree._inner_pos] == list(tree.inner)
+        for p, v in enumerate(names):
+            assert names[first[p] : first[p] + degree[p]] == tree.children.get(v, ())
+        ids = tree.stage_ids
+        assert [ids[s] for s in tree._stage] == [tree.stage_of[v] for v in tree.inner]
+        assert [tree.downward[s] for s in ids] == tree._down
+        assert [tree.stage_degrees[s] for s in ids] == tree._kappa
+
+
+def test_array_folds_match_the_dict_folds():
+    rng = np.random.default_rng(17)
+    for tree in layout_trees():
+        oracle = OracleTree.from_spec(tree.to_spec())
+
+        def combine(v, below):
+            return (v, tuple(below))
+
+        fast, slow = tree.fold("leaf", combine), oracle.fold("leaf", combine)
+        assert fast == slow and list(fast) == list(tree.vertices)
+        counts = rng.integers(0, 9, size=tree.n).tolist()
+        assert list(tree.edge_totals(counts).items()) == list(oracle.edge_totals(counts).items())
+        names, inner = tree.vertices, tree._inner_pos
+        fast = _downward_fold(tree, (), lambda r, s, j, b: b + ((names[inner[r]], j),))
+        slow = oracle.downward_fold((), lambda v, j, b: b + ((v, j),))
+        assert dict(zip(names, fast)) == slow
+
+
+def malformed_specs():
+    """Tree descriptions that each check of the build refuses, some with two
+    faults, so that the order of the checks shows.
+    """
+    ok = [{"id": "r", "children": ["a", "b"]}, {"id": "a", "children": ["c", "d"]}]
+    yield {"vertices": ok + [{"id": "x", "children": ["y"]}]}
+    yield {"vertices": ok + [{"id": "b", "children": ["c", "e"]}]}
+    yield {"vertices": [{"id": "r", "children": ["a", "a"]}]}
+    yield {"vertices": ok + [{"id": "b", "children": ["r", "e"]}]}
+    yield {"vertices": ok + [{"id": "x", "children": ["y", "z"]}]}
+    yield {"vertices": ok + [{"id": "x", "children": ["y", "x"]}]}
+    yield {"vertices": ok + [{"id": "b", "children": ["c", "e"]}, {"id": "e", "children": ["f"]}]}
+    yield {"vertices": ok + [{"id": "e", "children": ["f"]}, {"id": "b", "children": ["c", "e"]}]}
+    yield {"vertices": ok + [{"id": "x", "children": ["b", "y"]}, {"id": "z", "children": ["w"]}]}
+    yield {"vertices": [{"id": "r", "children": []}]}
+    yield {"vertices": ok + [{"id": "x", "children": []}]}
+    yield {"vertices": ok, "stages": {"c": "s", "q": "s", "r": "s"}}
+    yield {"vertices": ok + [{"id": "b", "children": ["e", "f", "g"]}],
+           "stages": {"a": "s", "b": "s"}}
+    yield {"vertices": ok, "stages": {"a": "s", "r": "s"}, "downward": {"a": 1, "r": 2}}
+    yield {"vertices": ok, "stages": {"a": "s", "r": "s"}, "downward": {"s": 1, "a": 1, "r": 1}}
+    yield {"vertices": ok, "downward": {"q": 1}}
+    yield {"vertices": ok, "downward": {"a": True}}
+    yield {"vertices": ok, "downward": {"a": 1.0}}
+    yield {"vertices": ok, "downward": {"a": 3}}
+    yield {"vertices": ok, "downward": {"a": 0, "r": 3}}
+    yield {"vertices": ok, "stages": {"a": "r"}, "downward": {"r": 1}}
+
+
+def test_array_build_refuses_as_the_dict_build():
+    for spec in malformed_specs():
+        slow = outcome(OracleTree.from_spec, spec)
+        assert_same_outcome(outcome(StagedTree.from_spec, spec), slow)
+    cases = [
+        ({"r": ["a", "b"]}, {"root": "a"}),
+        ({"r": ["a", "b"], "a": ["r", "c"]}, {"root": "r"}),
+        ({"r": ["a", "b"], "x": ["y", "z"]}, {"root": "r"}),
+        ({}, {"root": "only"}),
+        ({1: [2, 3], 2: [4, 5]}, {"stages": {"1": "s", "2": "s"}, "downward": {"s": 1}}),
+        ({1: [2, 3], 2: [4, 5]}, {"stages": {1: "s"}}),
+        ({"r": ["a", "b"]}, {"stages": {"r": 7}, "downward": {7: 2}}),
+    ]
+    for children, kwargs in cases:
+        slow = outcome(OracleTree, children, **kwargs)
+        assert_same_outcome(outcome(StagedTree, children, **kwargs), slow)
+
+
+@given(spec=tree_specs())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_array_build_matches_the_dict_build_on_fuzzed_descriptions(spec):
+    slow = outcome(OracleTree.from_spec, spec)
+    assert_same_outcome(outcome(StagedTree.from_spec, spec), slow)

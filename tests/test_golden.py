@@ -9,14 +9,16 @@ single-index ones.
 
 The same cases, with and without ``--pretty`` and on stdout and ``--output``,
 are also compared with the emitter the streamed one replaced: one
-``json.dumps`` of the whole payload.
+``json.dumps`` of the whole payload, whose ``layout``, ``eta`` and
+``formulas`` come from ``natural_parameters`` and ``render_formulas``.
 """
 
 import json
 
 import pytest
 
-from stagedtree.cli import _load_tree, build_parser, run
+from stagedtree.cli import _load_theta, _load_tree, _round, build_parser, run
+from stagedtree.expfam import natural_parameters, render_formulas
 from stagedtree.errors import StagedTreeError
 from conftest import DATA, data_path
 
@@ -63,7 +65,8 @@ ERRORS = {
 
 def oracle_output(argv: list[str], pretty: bool) -> str:
     """The document of the emitter the streamed one replaced: the payload,
-    with inspect's streamed values built as they were, dumped whole.
+    with the streamed values of inspect and expfam built as they were (the
+    latter from ``natural_parameters`` and ``render_formulas``), dumped whole.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -78,6 +81,15 @@ def oracle_output(argv: list[str], pretty: bool) -> str:
             downward=dict(tree.downward),
             atoms=[x.steps for x in tree.atoms],
         )
+    if args.command == "expfam" and "error" not in payload:
+        tree = _load_tree(args.tree)
+        form = natural_parameters(tree, _load_theta(args.theta, tree))
+        payload.update(
+            layout=form.layout,
+            eta={f"{v},{j}": _round(x) for (v, j), x in form.eta.items()},
+        )
+        if args.symbolic:
+            payload["formulas"] = render_formulas(tree)
     assert not any(hasattr(value, "__next__") for value in payload.values())
     return json.dumps(payload, indent=2 if pretty else None, sort_keys=False) + "\n"
 

@@ -237,13 +237,13 @@ def test_search_builds_no_tree_per_candidate(monkeypatch):
     tree = product_tree([2] * 4)
     table = AtomTable(tree, staged_counts(tree, 1_000, np.random.default_rng(7)))
     calls = []
-    init = StagedTree.__init__
+    set_stages = StagedTree._set_stages  # every tree is staged once, however it is built
 
-    def counting_init(self, *args, **kwargs):
+    def counting(self, *args, **kwargs):
         calls.append(1)
-        init(self, *args, **kwargs)
+        set_stages(self, *args, **kwargs)
 
-    monkeypatch.setattr(StagedTree, "__init__", counting_init)
+    monkeypatch.setattr(StagedTree, "_set_stages", counting)
     result = select_staging(tree, table, SearchConfig(same_depth=False))
     assert len(result.trace) > 1
     assert len(calls) == 2  # the saturated tree and the result
