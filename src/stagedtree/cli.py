@@ -87,11 +87,8 @@ def _read_text(path: str) -> str:
 
 
 def _load_tree(path: str) -> StagedTree:
-    """The tree of a description file; the text is freed once it is parsed,
-    before the tree is built.
-    """
     from .tree import StagedTree
-    return StagedTree.from_spec(json.loads(_read_text(path)))
+    return StagedTree.from_json(_read_text(path))
 
 
 def _load_theta(spec: str, tree: StagedTree) -> ParameterVector:

@@ -519,7 +519,12 @@ class StagedTree:
 
     @classmethod
     def from_json(cls, text: str) -> "StagedTree":
-        return cls.from_spec(json.loads(text))
+        """Build from the JSON text of a tree description, releasing the text
+        once it is parsed, before the tree is built.
+        """
+        spec = json.loads(text)
+        del text
+        return cls.from_spec(spec)
 
     def __repr__(self) -> str:
         return f"StagedTree(k={self.k}, n={self.n}, stages={len(self.stage_ids)})"
