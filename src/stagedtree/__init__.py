@@ -18,8 +18,8 @@ _EXPORTS = {
     name: module
     for module, names in {
         "algebra": (
-            "ConstraintMatrix", "FormalPolynomial", "StageEquation", "check_np_identity",
-            "classify", "constraint_matrix", "downward_monomials", "interpolating_polynomials",
+            "ConstraintMatrix", "FormalPolynomial", "StageEquation", "classify",
+            "constraint_matrix", "downward_monomials", "interpolating_polynomials",
             "is_balanced", "is_regular", "is_simple", "stage_equations", "xi_polynomials",
         ),
         "bayesnet": (
@@ -28,9 +28,9 @@ _EXPORTS = {
         ),
         "errors": ("StagedTreeError",),
         "expfam": (
-            "ExpFamForm", "density_expform", "natural_parameters", "render_formulas",
-            "statistic_layout", "sufficient_statistic", "symbolic_natural_parameters",
-            "theta_from_eta",
+            "ExpFamForm", "check_np_identity", "density_expform", "natural_parameters",
+            "render_formulas", "statistic_layout", "sufficient_statistic",
+            "symbolic_natural_parameters", "theta_from_eta",
         ),
         "fit": (
             "AtomTable", "FitResult", "SearchConfig", "SearchResult", "bic", "ingest_csv",

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from typing import Optional
 
-from .tree import ParameterVector, StagedTree, _Record, _set, dimensions
+from .tree import StagedTree, _Record, _set, dimensions
 
 Label = tuple[str, int]
 Monomial = tuple[Label, ...]  # sorted tuple, repeats = exponents
@@ -72,24 +73,26 @@ class FormalPolynomial:
 
 
 def _path_polynomials(tree: StagedTree, label) -> dict[str, FormalPolynomial]:
-    """Formal sum over v-to-leaf paths of the products of ``label(u, j)``,
-    for every vertex v; an edge labelled None contributes no factor.
+    """Formal sum over v-to-leaf paths of the products of ``label(r, j)`` at
+    edge j out of v_{r+1}, for every vertex v, in BFS order; an edge
+    labelled None contributes no factor.
     """
 
-    def combine(u: str, below: list[FormalPolynomial]) -> FormalPolynomial:
+    def combine(r: int, below: list[FormalPolynomial]) -> FormalPolynomial:
         terms: Counter = Counter()
         for j, poly in enumerate(below, start=1):
-            lbl = label(u, j)
+            lbl = label(r, j)
             for m, c in poly.terms.items():
                 terms[m if lbl is None else monomial_mul(m, (lbl,))] += c
         return FormalPolynomial(terms)
 
-    return tree.fold(FormalPolynomial.one(), combine)
+    return dict(zip(tree.vertices, tree._fold(FormalPolynomial.one(), combine)))
 
 
 def interpolating_polynomials(tree: StagedTree) -> dict[str, FormalPolynomial]:
     """t_v for every vertex: paths from v to a leaf over (stage id, edge) labels."""
-    return _path_polynomials(tree, lambda u, j: (tree.stage_of[u], j))
+    ids, stage = tree.stage_ids, tree._stage
+    return _path_polynomials(tree, lambda r, j: (ids[stage[r]], j))
 
 
 def xi_polynomials(tree: StagedTree) -> dict[str, FormalPolynomial]:
@@ -99,8 +102,9 @@ def xi_polynomials(tree: StagedTree) -> dict[str, FormalPolynomial]:
     downward labels are omitted from the monomials.  Labels are vertex-level
     (vertex, edge) pairs since natural parameters live on the saturated tree.
     """
+    names, inner, stage, down = tree.vertices, tree._inner_pos, tree._stage, tree._down
     return _path_polynomials(
-        tree, lambda u, j: None if j == tree.downward_edge(u) else (u, j)
+        tree, lambda r, j: None if j == down[stage[r]] else (names[inner[r]], j)
     )
 
 
@@ -108,10 +112,8 @@ def downward_monomials(tree: StagedTree) -> dict[str, Monomial]:
     """N_v for every vertex: the (stage id, edge) labels along the
     all-downward path from v; empty for leaves.
     """
-    from .expfam import _downward_fold
-
     ids = tree.stage_ids
-    monomials = _downward_fold(tree, (), lambda r, s, j, below: monomial_mul(below, ((ids[s], j),)))
+    monomials = tree._downward_fold((), lambda r, s, j, below: monomial_mul(below, ((ids[s], j),)))
     return dict(zip(tree.vertices, monomials))
 
 
@@ -142,54 +144,44 @@ def _residue(i: int) -> int:
 
 
 class _Codes:
-    """The integer tables of one tree, from one pass in reversed BFS order.
+    """The integer tables of one tree, as lists by stage int or BFS position.
 
-    ``prime[s][j - 1]`` is the prime of label (s, j), one per label in
-    ``stage_degrees`` order from one sieve.  ``ncode[v]`` is N_v as the
-    product of its labels' primes, and ``fp[v]`` is t_v modulo _P with label
-    number i set to ``_residue(i)``.  :meth:`exact` gives t_v itself.
+    ``prime[s][j - 1]`` is the prime of label (s, j), one per label in stage
+    order from one sieve.  ``ncode[p]`` is N_v of the vertex v at position p
+    as the product of its labels' primes, from one downward fold, and
+    ``fp[p]`` is t_v modulo _P with label number i set to ``_residue(i)``,
+    from one bottom-up fold.  :meth:`exact` gives t_v itself.
     """
 
     __slots__ = ("tree", "prime", "ncode", "fp", "_exact")
 
     def __init__(self, tree: StagedTree):
-        self.tree, self._exact = tree, None
-        degrees = tree.stage_degrees
-        primes = _first_primes(sum(degrees.values()))
-        prime, point, i = {}, {}, 0
-        for s, kappa in degrees.items():
-            prime[s] = primes[i : i + kappa]
-            point[s] = [_residue(n) for n in range(i, i + kappa)]
-            i += kappa
-        stage_of, downward, children = tree.stage_of, tree.downward, tree.children
-        self.prime, ncode, fp = prime, {}, {}
-        self.ncode, self.fp = ncode, fp
-        for v in reversed(tree.vertices):
-            cs = children.get(v)
-            if cs is None:
-                ncode[v] = fp[v] = 1
-            else:
-                s = stage_of[v]
-                k = downward[s] - 1
-                ncode[v] = prime[s][k] * ncode[cs[k]]
-                fp[v] = sum(r * fp[c] for r, c in zip(point[s], cs)) % _P
+        self.tree, self._exact, stage = tree, None, tree._stage
+        ends = list(itertools.accumulate(tree._kappa, initial=0))
+        primes = _first_primes(ends[-1])
+        self.prime = prime = [primes[a:b] for a, b in zip(ends, ends[1:])]
+        point = [list(map(_residue, range(a, b))) for a, b in zip(ends, ends[1:])]
+        self.ncode = tree._downward_fold(1, lambda r, s, j, below: prime[s][j - 1] * below)
+        self.fp = tree._fold(
+            1, lambda r, below: sum(map(operator.mul, point[stage[r]], below)) % _P
+        )
 
-    def exact(self) -> dict[str, dict[int, int]]:
-        """t_v for every vertex as {code of a monomial: coefficient}, built on
+    def exact(self) -> list[dict[int, int]]:
+        """t_v at every position as {code of a monomial: coefficient}, built on
         first use by one fold.
         """
         if self._exact is None:
-            prime, stage_of = self.prime, self.tree.stage_of
+            prime, stage = self.prime, self.tree._stage
 
-            def combine(v: str, below: list[dict[int, int]]) -> dict[int, int]:
+            def combine(r: int, below: list[dict[int, int]]) -> dict[int, int]:
                 terms: dict[int, int] = {}
-                for p, poly in zip(prime[stage_of[v]], below):
+                for p, poly in zip(prime[stage[r]], below):
                     for m, c in poly.items():
                         m *= p
                         terms[m] = terms.get(m, 0) + c
                 return terms
 
-            self._exact = self.tree.fold({1: 1}, combine)
+            self._exact = self.tree._fold({1: 1}, combine)
         return self._exact
 
 
@@ -204,49 +196,48 @@ def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _member_ratios(tree: StagedTree, ncode: dict[str, int]):
-    """(kappa, members, keys) for every stage with at least two members.
+def _member_ratios(tree: StagedTree, ncode: list[int]):
+    """(kappa, member positions, keys) for every stage with at least two members.
 
     ``keys[m][j - 1]`` is the ratio N_cj / N_ck of member m's children at
     edge j and at the downward edge k = kappa, as a fraction of the codes in
     lowest terms, so equal keys are equal Laurent monomials.
     """
-    for s_id, members in tree.stage_members.items():
+    first = tree._first
+    for members, kappa in zip(tree._members, tree._down):
         if len(members) < 2:
             continue
-        kappa = tree.downward[s_id]
         keys = []
-        for v in members:
-            cs = tree.children[v]
-            den = ncode[cs[kappa - 1]]
+        for p in members:
+            den = ncode[first[p] + kappa - 1]
             key = []
-            for c in cs:
-                num = ncode[c]
+            for num in ncode[first[p] : first[p + 1]]:
                 g = math.gcd(num, den)
                 key.append((num // g, den // g))
             keys.append(key)
         yield kappa, members, keys
 
 
-def _member_pairs(tree: StagedTree):
-    """(k, children of a stage's first member, children of a later member)
-    for every later member of every stage; k is the 0-based downward edge.
+def _member_pairs(tree: StagedTree, table: list):
+    """(k, the values in ``table`` of a stage's first member's children, those
+    of a later member's children) for every later member of every stage; k is
+    the 0-based downward edge.
     """
-    children = tree.children
-    for s_id, members in tree.stage_members.items():
-        first, k = children[members[0]], tree.downward[s_id] - 1
-        for vs in members[1:]:
-            yield k, first, children[vs]
+    first = tree._first
+    for members, down in zip(tree._members, tree._down):
+        p = members[0]
+        for q in members[1:]:
+            yield down - 1, table[first[p] : first[p + 1]], table[first[q] : first[q + 1]]
 
 
 def _regular(tree: StagedTree, codes: _Codes) -> tuple[bool, list[tuple[str, str, int]]]:
-    witnesses = []
+    names, witnesses = tree.vertices, []
     for _, members, keys in _member_ratios(tree, codes.ncode):
         if all(key == keys[0] for key in keys):
             continue
-        for (vi, ki), (vs, ks) in itertools.combinations(zip(members, keys), 2):
+        for (pi, ki), (ps, ks) in itertools.combinations(zip(members, keys), 2):
             witnesses.extend(
-                (vi, vs, j) for j, (a, b) in enumerate(zip(ki, ks), start=1) if a != b
+                (names[pi], names[ps], j) for j, (a, b) in enumerate(zip(ki, ks), start=1) if a != b
             )
     return not witnesses, witnesses
 
@@ -283,14 +274,13 @@ def _balanced(tree: StagedTree, codes: _Codes) -> bool:
     without a product: if t_1k = t_sk the condition is t_1j = t_sj, and if
     not, t_1j = t_sj violates it.
     """
-    fp, pairs = codes.fp, list(_member_pairs(tree))
-    for k, first, other in pairs:
-        f1k, fsk = fp[first[k]], fp[other[k]]
-        if any((fp[a] * fsk - f1k * fp[b]) % _P for a, b in zip(first, other)):
+    for k, f1, fs in _member_pairs(tree, codes.fp):
+        f1k, fsk = f1[k], fs[k]
+        if any((a * fsk - f1k * b) % _P for a, b in zip(f1, fs)):
             return False
-    t = codes.exact() if pairs else None
-    for k, first, other in pairs:
-        t1, ts = [t[c] for c in first], [t[c] for c in other]
+    if tree.is_saturated():  # no pair, so no exact table
+        return True
+    for k, t1, ts in _member_pairs(tree, codes.exact()):
         if t1[k] == ts[k]:
             if ts != t1:
                 return False
@@ -305,11 +295,10 @@ def _simple(tree: StagedTree, codes: _Codes) -> bool:
     """t_sj = t_1j for the first member 1, every later member s and edge j,
     on the fingerprints first and then on the exact tables.
     """
-    fp, pairs = codes.fp, list(_member_pairs(tree))
-    if any(fp[a] != fp[b] for _, first, other in pairs for a, b in zip(first, other)):
+    if any(f1 != fs for _, f1, fs in _member_pairs(tree, codes.fp)):
         return False
-    t = codes.exact() if pairs else None
-    return all(t[a] == t[b] for _, first, other in pairs for a, b in zip(first, other))
+    pairs = () if tree.is_saturated() else _member_pairs(tree, codes.exact())
+    return all(t1 == ts for _, t1, ts in pairs)
 
 
 def is_balanced(tree: StagedTree) -> bool:
@@ -358,13 +347,14 @@ class ConstraintMatrix(_Record):
 
 
 def constraint_matrix(tree: StagedTree) -> ConstraintMatrix:
-    coords = tuple((v, j) for v in tree.inner for j in range(1, tree.out_degree(v)))
+    names, degree = tree.vertices, tree._degree
+    coords = tuple((names[p], j) for p in tree._inner_pos for j in range(1, degree[p]))
     col = {c: i for i, c in enumerate(coords)}
     rows = tuple(
-        (col[(va, j)], col[(vb, j)])
-        for members in tree.stage_members.values()
-        for va, vb in zip(members, members[1:])
-        for j in range(1, tree.out_degree(va))
+        (col[(names[a], j)], col[(names[b], j)])
+        for members in tree._members
+        for a, b in zip(members, members[1:])
+        for j in range(1, degree[a])
     )
     return ConstraintMatrix(coords, rows)
 
@@ -415,7 +405,8 @@ def _name(tree: StagedTree, symbol: str, v: str, j: int) -> str:
     from .expfam import _single_index
 
     i = tree.index[v]
-    single = _single_index(tree.out_degree(v), tree.downward_edge(v))
+    s = tree._stage[i - 1]
+    single = _single_index(tree._kappa[s], tree._down[s])
     return f"{symbol}{i}" if single else f"{symbol}[{i},{j}]"
 
 
@@ -433,12 +424,12 @@ def stage_equations(tree: StagedTree) -> list[StageEquation]:
     """One equation per same-stage pair per edge j = 1..kappa."""
     if tree.is_saturated():
         return []
-    xi = xi_polynomials(tree)
-    equations = []
+    xi = list(xi_polynomials(tree).values())  # by BFS position
+    names, first, equations = tree.vertices, tree._first, []
     for kappa, members, keys in _member_ratios(tree, _Codes(tree).ncode):
-        for (vi, ki), (vs, ks) in itertools.combinations(zip(members, keys), 2):
-            ci, cs = tree.children[vi], tree.children[vs]
-            for j in range(1, len(ci) + 1):
+        for (pi, ki), (ps, ks) in itertools.combinations(zip(members, keys), 2):
+            vi, vs, ci, cs = names[pi], names[ps], first[pi] - 1, first[ps] - 1
+            for j in range(1, len(ki) + 1):
                 equations.append(
                     StageEquation(
                         vi=vi,
@@ -447,25 +438,12 @@ def stage_equations(tree: StagedTree) -> list[StageEquation]:
                         kappa=kappa,
                         lhs_eta=None if j == kappa else (vi, j),
                         rhs_eta=None if j == kappa else (vs, j),
-                        lhs_logs=(xi[ci[j - 1]], xi[cs[kappa - 1]]),
-                        rhs_logs=(xi[cs[j - 1]], xi[ci[kappa - 1]]),
+                        lhs_logs=(xi[ci + j], xi[cs + kappa]),
+                        rhs_logs=(xi[cs + j], xi[ci + kappa]),
                         linear=ki[j - 1] == ks[j - 1],
                     )
                 )
     return equations
-
-
-def check_np_identity(tree: StagedTree, theta: ParameterVector) -> float:
-    """Max residual |N_v * P_v(xi) - 1| over all vertices, xi = exp(eta).
-
-    Each residual is |expm1(log N_v + log P_v)|, with log P_v from the
-    log-space fold of the xi-polynomials, so no exp(eta) is formed.
-    """
-    from .expfam import _log_xi_fold, natural_parameters
-
-    form = natural_parameters(tree, theta)
-    _, logP = _log_xi_fold(tree, form.eta)
-    return max(abs(math.expm1(form.logN[v] + logP[v])) for v in tree.vertices)
 
 
 def classify(tree: StagedTree) -> dict:

@@ -10,12 +10,11 @@ encoded in the staging.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import Counter
 from typing import Optional, Sequence
 
-from .errors import OrderInconsistentWithDAG, StagedTreeError
+from .errors import OrderInconsistentWithDAG, StagedTreeError, loads
 from .tree import SUM_TOL, ParameterVector, StagedTree, _is_integer, _is_real, _Record, _set
 
 
@@ -80,9 +79,7 @@ class DiscreteBN(_Record):
                 raise StagedTreeError(f"missing CPT for {var!r}")
             if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
                 raise StagedTreeError(f"CPT for {var!r} must be a list of rows, got {rows!r}")
-            n_configs = 1
-            for p in parents[var]:
-                n_configs *= self.cards[p]
+            n_configs = math.prod(self.cards[p] for p in parents[var])
             if len(rows) != n_configs:
                 raise StagedTreeError(
                     f"CPT for {var!r} has {len(rows)} rows, expected {n_configs}"
@@ -116,10 +113,8 @@ class DiscreteBN(_Record):
     def joint_probability(self, assignment: dict[str, int]) -> float:
         """Product of CPT entries for a full assignment."""
         parents = _parents_table(self)
-        prob = 1.0
-        for var in self.variables:
-            prob *= _cpt_row(self, parents[var], var, assignment)[assignment[var]]
-        return prob
+        probs = (_cpt_row(self, parents[v], v, assignment)[assignment[v]] for v in self.variables)
+        return math.prod(probs, start=1.0)
 
     @classmethod
     def from_spec(cls, spec: dict) -> "DiscreteBN":
@@ -144,7 +139,7 @@ class DiscreteBN(_Record):
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteBN":
-        return cls.from_spec(json.loads(text))
+        return cls.from_spec(loads(text))
 
 
 def _parents_table(bn: DiscreteBN) -> dict[str, tuple[str, ...]]:

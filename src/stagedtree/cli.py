@@ -18,7 +18,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .errors import StagedTreeError
+from .errors import StagedTreeError, loads
 
 
 def _round(x: float) -> float:
@@ -95,13 +95,12 @@ def _load_theta(spec: str, tree: StagedTree) -> ParameterVector:
     from .tree import ParameterVector, _is_real
     if spec == "uniform":
         return ParameterVector.uniform(tree)
-    raw = json.loads(_read_text(spec))
+    raw = loads(_read_text(spec))
     if not isinstance(raw, dict):
         raise StagedTreeError("theta file must be a JSON object of stage -> label list")
     unknown = set(raw) - set(tree.stage_degrees)
     if unknown:
         raise StagedTreeError(f"theta file names stages not in the tree: {sorted(unknown)}")
-    vals = {}
     for stage, probs in raw.items():
         kappa = tree.stage_degrees[stage]
         if (
@@ -112,9 +111,9 @@ def _load_theta(spec: str, tree: StagedTree) -> ParameterVector:
             raise StagedTreeError(
                 f"theta of stage {stage!r} must be a list of {kappa} numbers, got {probs!r}"
             )
-        for j, p in enumerate(probs, start=1):
-            vals[(stage, j)] = p
-    return ParameterVector(vals)
+    return ParameterVector(
+        {(stage, j): p for stage, probs in raw.items() for j, p in enumerate(probs, start=1)}
+    )
 
 
 # -- subcommands --------------------------------------------------------------
@@ -125,21 +124,25 @@ def cmd_inspect(args) -> dict:
     tree = _load_tree(args.tree)
     d0, d = dimensions(tree)
     enc, names, pretty = encode_basestring_ascii, tree.vertices, args.pretty
-    stage_texts = list(map(enc, tree.stage_ids))
-    inner = tree._inner_pos
     return {
         "k": tree.k,
         "n": tree.n,
         "d0": d0,
         "d": d,
         "root": tree.root,
-        "inner": _json_items((enc(names[p]) for p in inner), "[]", pretty),
-        "stages": _json_items(
-            (f"{enc(names[p])}: {stage_texts[s]}" for p, s in zip(inner, tree._stage)), "{}", pretty
-        ),
+        "inner": _json_items((enc(names[p]) for p in tree._inner_pos), "[]", pretty),
+        "stages": _stages_json(tree, pretty),
         "downward": _json_items((f"{enc(s)}: {j}" for s, j in tree.downward.items()), "{}", pretty),
         "atoms": _json_items(_atom_texts(tree, pretty), "[]", pretty),
     }
+
+
+def _stages_json(tree, pretty: bool):
+    """The JSON text of the stage id of each inner vertex, in BFS order."""
+    enc, names = encode_basestring_ascii, tree.vertices
+    texts = list(map(enc, tree.stage_ids))
+    items = (f"{enc(names[p])}: {texts[s]}" for p, s in zip(tree._inner_pos, tree._stage))
+    return _json_items(items, "{}", pretty)
 
 
 def _json_items(texts, brackets: str, pretty: bool):
@@ -217,15 +220,9 @@ def cmd_expfam(args) -> dict:
 def cmd_check(args) -> dict:
     from .algebra import classify, stage_equations
     tree = _load_tree(args.tree)
-    report = classify(tree)
-    out = {
-        "regular": report["regular"],
-        "balanced": report["balanced"],
-        "simple": report["simple"],
-        "d0": report["d0"],
-        "d": report["d"],
-        "witness": list(report["witnesses"][0]) if report["witnesses"] else None,
-    }
+    out = classify(tree)
+    witnesses = out.pop("witnesses")
+    out["witness"] = list(witnesses[0]) if witnesses else None
     if args.equations != "none":
         eqs = stage_equations(tree)
         if args.equations == "pretty":
@@ -260,7 +257,7 @@ def cmd_select(args) -> dict:
     table = ingest_csv(sys.stdin if args.data == "-" else args.data, tree)
     config = SearchConfig()
     if args.config:
-        raw = json.loads(_read_text(args.config))
+        raw = loads(_read_text(args.config))
         if not isinstance(raw, dict):
             raise StagedTreeError("search configuration must be a JSON object")
         unknown = set(raw) - set(SearchConfig.__slots__)
@@ -269,7 +266,7 @@ def cmd_select(args) -> dict:
         config = SearchConfig(**raw)
     result = select_staging(tree, table, config)
     out = _fit_dict(result.fit)
-    out["stages"] = {v: result.tree.stage_of[v] for v in result.tree.inner}
+    out["stages"] = _stages_json(result.tree, args.pretty)
     out["trace"] = [
         {
             "kept": step.kept,

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the JSON parse that raises it."""
+
+import json
 
 
 class StagedTreeError(ValueError):
@@ -51,3 +53,13 @@ class RowDoesNotReachLeaf(StagedTreeError):
 
 class ZeroStageTraffic(StagedTreeError):
     pass
+
+
+def loads(text: str):
+    """``json.loads``, typing its errors on over-long integers and over-deep nesting."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise StagedTreeError(f"JSON input: {exc}") from None

@@ -18,30 +18,12 @@ from .errors import NontrivialStaging, StagedTreeError
 from .tree import Atom, ParameterVector, StagedTree, _is_real, _Record, _require_atom_of, _set
 
 
-def _downward_fold(tree: StagedTree, leaf_value, step) -> list:
-    """Fold ``step(r, s, j, below)`` down the all-downward path from every vertex.
-
-    The pass runs over the inner vertices in reversed BFS order, as
-    :meth:`StagedTree.fold` does: r is the 0-based index of the vertex, s its
-    stage int and j its downward edge, and ``below`` is the value of the
-    child at edge j.  Returns the value of every BFS position.
-    """
-    first, down = tree._first, tree._down
-    out = [leaf_value] * len(tree.vertices)
-    inner, stage = tree._inner_pos, tree._stage
-    for r in range(len(inner) - 1, -1, -1):
-        p, s = inner[r], stage[r]
-        j = down[s]
-        out[p] = step(r, s, j, out[first[p] + j - 1])
-    return out
-
-
 def _log_downward(tree: StagedTree, theta: ParameterVector) -> list[float]:
     """log N_v by BFS position; leaves get log 1 = 0."""
     theta.validate_for(tree)
     # the log of each stage's downward label, taken once
     log_down = [math.log(theta[(s, j)]) for s, j in zip(tree.stage_ids, tree._down)]
-    return _downward_fold(tree, 0.0, lambda r, s, j, below: log_down[s] + below)
+    return tree._downward_fold(0.0, lambda r, s, j, below: log_down[s] + below)
 
 
 def log_downward_products(tree: StagedTree, theta: ParameterVector) -> dict[str, float]:
@@ -124,29 +106,29 @@ def density_expform(tree: StagedTree, theta: ParameterVector, atom: Atom) -> flo
     return math.exp(s - form.psi)
 
 
-def _log_xi_fold(tree: StagedTree, eta) -> tuple[dict[str, list[float]], dict[str, float]]:
+def _log_xi_fold(tree: StagedTree, eta) -> tuple[list[list[float]], list[float]]:
     """The edge labels and log P_v(xi) at xi = exp(eta), from one pass in log space.
 
     At each inner v, with eta = 0 on the downward edge, a_j = eta_vj + log P_c
     for the child c at edge j.  Then log P_v = m + log(fsum_j exp(a_j - m)),
     m = max_j a_j, and the label of edge j is exp(a_j - m) over that fsum.
     Leaves get log P = 0, so psi(eta) = log P_root, and the pass takes O(sum
-    kappa) steps.  Returns the labels of each inner vertex, in edge order, and
-    log P of every vertex.
+    kappa) steps.  Returns the labels of each inner vertex in edge order, by
+    inner index, and log P by BFS position.
     """
-    downward, stage_of = tree.downward, tree.stage_of
-    labels: dict[str, list[float]] = {}
+    names, inner, stage, down = tree.vertices, tree._inner_pos, tree._stage, tree._down
+    labels: list = [None] * tree.k
 
-    def combine(v: str, below: list[float]) -> float:
-        down = downward[stage_of[v]]
-        a = [lp if j == down else eta[(v, j)] + lp for j, lp in enumerate(below, start=1)]
+    def combine(r: int, below: list[float]) -> float:
+        v, k = names[inner[r]], down[stage[r]]
+        a = [lp if j == k else eta[(v, j)] + lp for j, lp in enumerate(below, start=1)]
         m = max(a)
         weights = [math.exp(x - m) for x in a]
         total = math.fsum(weights)
-        labels[v] = [w / total for w in weights]
+        labels[r] = [w / total for w in weights]
         return m + math.log(total)
 
-    return labels, tree.fold(0.0, combine)
+    return labels, tree._fold(0.0, combine)
 
 
 def theta_from_eta(tree: StagedTree, eta) -> ParameterVector:
@@ -177,17 +159,28 @@ def theta_from_eta(tree: StagedTree, eta) -> ParameterVector:
         if not (_is_real(x) and math.isfinite(x)):
             raise StagedTreeError(f"natural parameter eta[{v},{j}]={x!r} is not a finite number")
     labels, _ = _log_xi_fold(tree, eta)
-    for v in tree.inner:
-        if 0.0 in labels[v] or 1.0 in labels[v]:
+    for v, ps in zip(map(tree.vertices.__getitem__, tree._inner_pos), labels):
+        if 0.0 in ps or 1.0 in ps:
             given = ", ".join(f"eta[{u},{j}]={eta[(u, j)]!r}" for u, j in layout if u == v)
             raise StagedTreeError(
                 f"the labels at vertex {v!r} round to the boundary 0 or 1 in double"
                 f" precision (its eta: {given})"
             )
-    stage_of = tree.stage_of
+    ids = tree.stage_ids
     return ParameterVector(
-        {(stage_of[v], j): p for v in tree.inner for j, p in enumerate(labels[v], start=1)}
+        {(ids[s], j): p for s, ps in zip(tree._stage, labels) for j, p in enumerate(ps, start=1)}
     )
+
+
+def check_np_identity(tree: StagedTree, theta: ParameterVector) -> float:
+    """Max residual |N_v * P_v(xi) - 1| over all vertices, xi = exp(eta).
+
+    Each residual is |expm1(log N_v + log P_v)|, with log P_v from the
+    log-space fold of the xi-polynomials, so no exp(eta) is formed.
+    """
+    form = natural_parameters(tree, theta)
+    _, logP = _log_xi_fold(tree, form.eta)
+    return max(abs(math.expm1(a + b)) for a, b in zip(form.logN.values(), logP))
 
 
 # -- symbolic presentation ----------------------------------------------------
@@ -203,7 +196,7 @@ def symbolic_natural_parameters(
     labels below v itself.
     """
     names, inner, first = tree.vertices, tree._inner_pos, tree._first
-    down = _downward_fold(tree, (), lambda r, s, j, below: ((names[inner[r]], j),) + below)
+    down = tree._downward_fold((), lambda r, s, j, below: ((names[inner[r]], j),) + below)
     return {
         (names[p], j): (((names[p], j),) + down[first[p] + j - 1], down[p])
         for _, p, _, j in _edges(tree)
@@ -234,7 +227,7 @@ def _formulas(tree: StagedTree):
         return f"{label}*{below}" if below else label
 
     # the downward labels below each vertex
-    below = _downward_fold(tree, "", lambda r, s, j, b: times(label(r + 1, s, j), b))
+    below = tree._downward_fold("", lambda r, s, j, b: times(label(r + 1, s, j), b))
     first = tree._first
     for i, p, s, j in _edges(tree):
         numerator = times(label(i, s, j), below[first[p] + j - 1])

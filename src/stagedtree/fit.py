@@ -18,6 +18,7 @@ from collections import Counter
 from typing import Optional, Sequence
 
 from .errors import (
+    IndexOutOfRange,
     RowDoesNotReachLeaf,
     StagedTreeError,
     UnknownCategory,
@@ -177,7 +178,8 @@ def _count_rows(tree: StagedTree, rows, column_levels) -> AtomTable:
             if j is None or j > d:
                 j = _resolve_step(cell, d, levels)
                 if j > d:  # a levels list longer than the out-degree
-                    tree.child(tree.vertices[p], j)
+                    v = tree.vertices[p]
+                    raise IndexOutOfRange(f"edge index {j} out of range at vertex {v!r}")
             p = first[p] + j - 1
         if degree[p]:
             raise RowDoesNotReachLeaf(f"row {list(row)} stops before reaching a leaf")

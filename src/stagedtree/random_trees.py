@@ -35,8 +35,7 @@ def random_tree_shape(
 
     grow("w0", 0)
     if "w0" not in children:  # root must be inner
-        kids = [fresh(), fresh()]
-        children["w0"] = kids
+        children["w0"] = [fresh(), fresh()]
     return children
 
 

@@ -17,7 +17,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import numbers
 from array import array
@@ -34,6 +33,7 @@ from .errors import (
     StageOutDegreeMismatch,
     VertexWithOneChild,
     ZeroMass,
+    loads,
 )
 
 SUM_TOL = 1e-12
@@ -148,9 +148,9 @@ class StagedTree:
     is at position ``_inner_pos[r]``, and ``_stage[r]`` is its stage as a
     small int, which indexes ``stage_ids``, ``_kappa`` (out-degrees) and
     ``_down`` (downward edges).  ``downward`` lists the stages that the
-    description names first.  The vertex-keyed attributes (``children``,
-    ``stage_of``, ``index``, ``inner``, ``leaves``, ``depth``,
-    ``stage_members``, ``leaf_position``) are views built on first use.
+    description names first.  The command paths read only these arrays; the
+    vertex-keyed ``children``, ``stage_of``, ``index``, ``inner``, ``leaves``,
+    ``depth``, ``stage_members`` and ``leaf_position`` are views built on first use.
 
     Parameters
     ----------
@@ -279,7 +279,7 @@ class StagedTree:
 
     @cached_property
     def index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.inner, start=1)}
+        return {self.vertices[p]: i for i, p in enumerate(self._inner_pos, start=1)}
 
     @cached_property
     def stage_of(self) -> dict[str, str]:
@@ -291,10 +291,9 @@ class StagedTree:
 
     @cached_property
     def stage_members(self) -> dict[str, tuple[str, ...]]:
-        members: list[list[str]] = [[] for _ in self.stage_ids]
-        for v, s in zip(self.inner, self._stage):
-            members[s].append(v)
-        return dict(zip(self.stage_ids, map(tuple, members)))
+        names = self.vertices
+        members = (tuple(map(names.__getitem__, ps)) for ps in self._members)
+        return dict(zip(self.stage_ids, members))
 
     @cached_property
     def depth(self) -> dict[str, int]:
@@ -365,16 +364,42 @@ class StagedTree:
                 out.append(p)
         return out
 
-    def fold(self, leaf_value, combine) -> dict:
+    @cached_property
+    def _members(self) -> list[list[int]]:
+        """The positions of each stage's members, in BFS order, by stage int."""
+        members: list[list[int]] = [[] for _ in self.stage_ids]
+        for p, s in zip(self._inner_pos, self._stage):
+            members[s].append(p)
+        return members
+
+    def _fold(self, leaf_value, combine) -> list:
         """Bottom-up pass in reversed BFS order: each leaf gets ``leaf_value``,
-        each inner v ``combine(v, [children's values in edge order])``; returns
-        the value of every vertex, in BFS order.
+        inner vertex v_{r+1} ``combine(r, [its children's values in edge
+        order])``; returns the value of every BFS position.
         """
-        names, first = self.vertices, self._first
-        out = [leaf_value] * len(names)
-        for p in reversed(self._inner_pos):
-            out[p] = combine(names[p], out[first[p] : first[p + 1]])
-        return dict(zip(names, out))
+        first, inner = self._first, self._inner_pos
+        out = [leaf_value] * len(self.vertices)
+        for r in range(len(inner) - 1, -1, -1):
+            p = inner[r]
+            out[p] = combine(r, out[first[p] : first[p + 1]])
+        return out
+
+    def _downward_fold(self, leaf_value, step) -> list:
+        """Fold ``step(r, s, j, below)`` down the all-downward path from every vertex.
+
+        The pass runs over the inner vertices in reversed BFS order, as
+        :meth:`_fold` does: r is the 0-based index of the vertex, s its stage
+        int and j its downward edge, and ``below`` is the value of the child at
+        edge j.  Returns the value of every BFS position.
+        """
+        first, down = self._first, self._down
+        out = [leaf_value] * len(self.vertices)
+        inner, stage = self._inner_pos, self._stage
+        for r in range(len(inner) - 1, -1, -1):
+            p, s = inner[r], stage[r]
+            j = down[s]
+            out[p] = step(r, s, j, out[first[p] + j - 1])
+        return out
 
     def _edge_totals(self, leaf_values) -> list[list]:
         """Per inner vertex, by inner index, the total of ``leaf_values``
@@ -522,7 +547,7 @@ class StagedTree:
         """Build from the JSON text of a tree description, releasing the text
         once it is parsed, before the tree is built.
         """
-        spec = json.loads(text)
+        spec = loads(text)
         del text
         return cls.from_spec(spec)
 
@@ -616,11 +641,8 @@ class ParameterVector(Mapping):
 
     @classmethod
     def uniform(cls, tree: StagedTree) -> "ParameterVector":
-        vals = {}
-        for s, kappa in tree.stage_degrees.items():
-            for j in range(1, kappa + 1):
-                vals[(s, j)] = 1.0 / kappa
-        return cls(vals)
+        degrees = tree.stage_degrees.items()
+        return cls({(s, j): 1.0 / kappa for s, kappa in degrees for j in range(1, kappa + 1)})
 
     @classmethod
     def random(cls, tree: StagedTree, rng) -> "ParameterVector":

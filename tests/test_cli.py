@@ -317,15 +317,29 @@ class TestStreamedOutput:
 
         monkeypatch.setattr(cli, "_load_tree", load)
         tree, theta = str(data_path("fig1b.json")), str(data_path("fig1a_theta.json"))
+        # fig1a shares a stage and is not regular; fig1b is confirmed balanced on
+        # the exact tables; the search on example1 merges three stages
+        fig1a, example1 = str(data_path("fig1a.json")), str(data_path("example1.json"))
         commands = [["inspect", tree], ["expfam", tree, "--symbolic"],
-                    ["expfam", str(data_path("fig1a.json")), "--theta", theta, "--symbolic"],
-                    ["fit", "--tree", tree, "--data", str(data_path("xyz_rows.csv"))]]
+                    ["expfam", fig1a, "--theta", theta, "--symbolic"],
+                    ["fit", "--tree", tree, "--data", str(data_path("xyz_rows.csv"))],
+                    ["check", fig1a], ["check", fig1a, "--equations", "json"],
+                    ["check", tree], ["check", tree, "--equations", "json"],
+                    ["select", "--tree-graph", example1,
+                     "--data", str(data_path("atom_counts.csv"))]]
         for argv in commands:
             assert run(argv) == 0, argv
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        assert '"kept": "v4", "absorbed": "v5"' in out
         assert len(loaded) == len(commands)
         for tree in loaded:
             assert not self.VERTEX_VIEWS & tree.__dict__.keys()
+        # the pretty equations name each parameter by its vertex's index, so
+        # they build the index view, and no other
+        loaded.clear()
+        assert run(["check", fig1a, "--equations", "pretty"]) == 0
+        capsys.readouterr()
+        assert self.VERTEX_VIEWS & loaded[0].__dict__.keys() == {"index"}
 
     @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
     def test_expfam_streams_what_natural_parameters_and_render_formulas_give(self, tmp_path,
@@ -782,6 +796,40 @@ class TestMalformedInput:
             "type": "StagedTreeError",
             "message": "line 3: field larger than field limit (131072)",
         }
+
+    # an integer literal of 5001 digits, past the 4300 that int() reads from text
+    HUGE = "1" + "0" * 5000
+
+    @pytest.mark.parametrize("kind", ["tree", "bn", "theta", "config"])
+    def test_integer_literal_past_the_digit_limit_exits_2(self, capsys, tmp_path, kind):
+        # json.loads refuses it with a plain ValueError, not a JSONDecodeError
+        fig1a, path = str(data_path("fig1a.json")), tmp_path / "input.json"
+        document, argv = {
+            "tree": (edited_fig1a(lambda spec: spec.update(downward={"cyan": 424242})),
+                     ["inspect", str(path)]),
+            "bn": ({**load_json("chain_bn.json"), "cpts": {"X": [[424242, 0]]}},
+                   ["from-bn", str(path)]),
+            "theta": ({"cyan": [424242, 0.5]}, ["expfam", fig1a, "--theta", str(path)]),
+            "config": ({"alpha": 424242}, ["select", "--tree-graph", str(data_path("example1.json")),
+                                      "--data", str(data_path("atom_counts.csv")),
+                                      "--config", str(path)]),
+        }[kind]
+        text = json.dumps(document)
+        assert text.count("424242") == 1
+        path.write_text(text.replace("424242", self.HUGE))
+        code, out = invoke(capsys, *argv)
+        assert code == 2
+        assert out["error"]["type"] == "StagedTreeError"
+        assert out["error"]["message"].startswith("JSON input: Exceeds the limit (4300 digits)")
+
+    @pytest.mark.parametrize("kind", ["tree", "bn"])
+    def test_nesting_past_the_recursion_limit_exits_2(self, capsys, tmp_path, kind):
+        path = tmp_path / "input.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out = invoke(capsys, {"tree": "inspect", "bn": "from-bn"}[kind], str(path))
+        assert code == 2
+        assert out["error"]["type"] == "StagedTreeError"
+        assert out["error"]["message"].startswith("JSON input: maximum recursion depth exceeded")
 
 
 class TestDeepTree:

@@ -118,7 +118,6 @@ from stagedtree.errors import (
 )
 from stagedtree.expfam import (
     ExpFamForm,
-    _downward_fold,
     log_downward_products,
     render_formulas,
     statistic_layout,
@@ -286,13 +285,16 @@ def oracle_is_single_index(tree: StagedTree, v: str) -> bool:
 
 
 def oracle_downward_fold(tree: StagedTree, leaf_value, step) -> dict:
-    """Fold ``step(v, j, below)`` down the all-downward path from every vertex."""
+    """Fold ``step(v, j, below)`` down the all-downward path from every vertex,
+    by the dict fold of the dict build of the same tree.
+    """
+    oracle = OracleTree.from_spec(tree.to_spec())
 
     def combine(v: str, below: list):
-        j = tree.downward_edge(v)
+        j = oracle.downward[oracle.stage_of[v]]
         return step(v, j, below[j - 1])
 
-    return tree.fold(leaf_value, combine)
+    return oracle.fold(leaf_value, combine)
 
 
 def oracle_render_label(tree: StagedTree, v: str, j: int) -> str:
@@ -949,17 +951,20 @@ def test_first_primes_are_the_primes_by_trial_division():
 @pytest.mark.parametrize("family", ALGEBRA_FAMILIES)
 def test_integer_tables_decode_to_the_label_tables(family):
     for tree in ALGEBRA_FAMILIES[family]:
-        codes = _Codes(tree)
-        labels = {p: (s, j) for s, ps in codes.prime.items() for j, p in enumerate(ps, start=1)}
+        codes, ids = _Codes(tree), tree.stage_ids
+        labels = {p: (ids[s], j) for s, ps in enumerate(codes.prime)
+                  for j, p in enumerate(ps, start=1)}
         assert len(labels) == sum(tree.stage_degrees.values())
         point = {label: _residue(i) for i, label in enumerate(labels.values())}
         down, interp, exact = downward_monomials(tree), interpolating_polynomials(tree), codes.exact()
-        for v in tree.vertices:
-            assert decode(codes.ncode[v], labels) == down[v]
-            terms = {decode(m, labels): c for m, c in exact[v].items()}
-            assert len(terms) == len(exact[v]) and terms == interp[v].terms
+        # the tables are lists by BFS position
+        assert len(codes.ncode) == len(codes.fp) == len(exact) == len(tree.vertices)
+        for p, v in enumerate(tree.vertices):
+            assert decode(codes.ncode[p], labels) == down[v]
+            terms = {decode(m, labels): c for m, c in exact[p].items()}
+            assert len(terms) == len(exact[p]) and terms == interp[v].terms
             value = sum(c * math.prod(point[label] for label in m) for m, c in terms.items())
-            assert codes.fp[v] == value % _P
+            assert codes.fp[p] == value % _P
 
 
 def six_ternary(edges) -> StagedTree:
@@ -1372,15 +1377,13 @@ def test_array_folds_match_the_dict_folds():
     for tree in layout_trees():
         oracle = OracleTree.from_spec(tree.to_spec())
 
-        def combine(v, below):
-            return (v, tuple(below))
-
-        fast, slow = tree.fold("leaf", combine), oracle.fold("leaf", combine)
-        assert fast == slow and list(fast) == list(tree.vertices)
+        names, inner = tree.vertices, tree._inner_pos
+        fast = tree._fold("leaf", lambda r, below: (names[inner[r]], tuple(below)))
+        slow = oracle.fold("leaf", lambda v, below: (v, tuple(below)))
+        assert len(fast) == len(names) and dict(zip(names, fast)) == slow
         counts = rng.integers(0, 9, size=tree.n).tolist()
         assert list(tree.edge_totals(counts).items()) == list(oracle.edge_totals(counts).items())
-        names, inner = tree.vertices, tree._inner_pos
-        fast = _downward_fold(tree, (), lambda r, s, j, b: b + ((names[inner[r]], j),))
+        fast = tree._downward_fold((), lambda r, s, j, b: b + ((names[inner[r]], j),))
         slow = oracle.downward_fold((), lambda v, j, b: b + ((v, j),))
         assert dict(zip(names, fast)) == slow
 

@@ -10,14 +10,20 @@ inner vertices, and the edge counts are sufficient statistics.  So
   ``select``'s staging, trace and labels by the renaming, and changes no
   number (ties break on the BFS index, not on names);
 * permuting the rows of a CSV leaves ``fit`` and ``select`` byte-identical;
+* moving one stage's downward edge changes eta but not the density: for the
+  same labels, ``density_expform`` agrees atom by atom;
+* ``from-bn`` under a fixed ``--order`` gives the same bytes whatever order
+  the BN lists its ``variables`` and ``edges`` in;
 * the golden cases give the same bytes under several ``PYTHONHASHSEED``
   values.
 
-The first three run in process through ``cli.run`` on derandomized
-Hypothesis draws, as ``tests/test_cli.py::TestFuzz`` does.
+They run in process on derandomized Hypothesis draws, as
+``tests/test_cli.py::TestFuzz`` does, through ``cli.run`` where a command
+exists; the density, which no command prints, through ``density_expform``.
 """
 
 import json
+import math
 import random
 import subprocess
 import sys
@@ -26,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stagedtree import ParameterVector, StagedTree, density_expform, natural_parameters
 from stagedtree.cli import run
 from conftest import DATA, src_env
 from test_golden import CASES, argv_for
@@ -198,6 +205,51 @@ def test_row_order_changes_no_byte(runner, case, order):
         ]
 
     assert outputs(order.sample(rows, len(rows))) == outputs(rows)
+
+
+def random_labels(tree: StagedTree, rng: random.Random) -> ParameterVector:
+    """Labels of every stage, each edge's weight drawn from [0.05, 1)."""
+    vals = {}
+    for s, kappa in tree.stage_degrees.items():
+        weights = [rng.uniform(0.05, 1.0) for _ in range(kappa)]
+        total = math.fsum(weights)
+        vals.update({(s, j): w / total for j, w in enumerate(weights, start=1)})
+    return ParameterVector(vals)
+
+
+@given(case=staged_trees(), pick=st.randoms(use_true_random=False))
+@SETTINGS
+def test_moving_a_downward_edge_changes_eta_not_the_density(case, pick):
+    spec, seed = case
+    tree = StagedTree.from_spec(spec)
+    theta = random_labels(tree, random.Random(seed))
+    stage = pick.choice(tree.stage_ids)
+    others = [j for j in range(1, tree.stage_degrees[stage] + 1) if j != tree.downward[stage]]
+    moved = tree.with_staging(tree.stage_of, {**tree.downward, stage: pick.choice(others)})
+    assert natural_parameters(moved, theta).eta != natural_parameters(tree, theta).eta
+    for atom in tree.atoms:
+        assert math.isclose(density_expform(moved, theta, atom),
+                            density_expform(tree, theta, atom), rel_tol=1e-12)
+
+
+@st.composite
+def bayes_nets(draw):
+    """A DAG over at most four variables of two or three states, with edges
+    only from earlier to later names, so that the name order is topological.
+    """
+    names = [f"X{i}" for i in range(draw(st.integers(1, 4)))]
+    edges = [[a, b] for i, a in enumerate(names) for b in names[i + 1 :] if draw(st.booleans())]
+    variables = [{"name": v, "card": draw(st.integers(2, 3))} for v in names]
+    return {"variables": variables, "edges": edges}, ",".join(names)
+
+
+@given(case=bayes_nets(), order=st.randoms(use_true_random=False))
+@SETTINGS
+def test_from_bn_bytes_do_not_depend_on_the_listing_order(runner, case, order):
+    bn, names = case
+    expected = runner("from-bn", runner.write("bn.json", bn), "--order", names)
+    shuffled = {key: order.sample(items, len(items)) for key, items in bn.items()}
+    assert runner("from-bn", runner.write("bn.json", shuffled), "--order", names) == expected
 
 
 def test_golden_bytes_do_not_depend_on_the_hash_seed():
