@@ -17,8 +17,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import numbers
+import re
 from array import array
 from collections.abc import Mapping
 from functools import cached_property
@@ -507,6 +509,12 @@ class StagedTree:
             if v in children:
                 raise StagedTreeError(f"vertex {v!r} is listed twice")
             children[v] = cs
+        return cls._build(children, spec.get("stages"), spec.get("downward"))
+
+    @classmethod
+    def _build(cls, children: dict, stages, downward) -> "StagedTree":
+        """The checks and the build after the vertex entries, which ``children``
+        maps, as listed, to their lists; shared by from_spec and from_json."""
         # one pass over the types of all children; the loop below only names the culprit
         if not set(map(type, itertools.chain.from_iterable(children.values()))) <= {str}:
             for v, cs in children.items():
@@ -514,7 +522,6 @@ class StagedTree:
                     raise StagedTreeError(
                         f"children of {v!r} must be a list of vertex ids, got {cs!r}"
                     )
-        stages, downward = spec.get("stages"), spec.get("downward")
         if stages is not None and (
             not isinstance(stages, Mapping) or not set(map(type, stages.values())) <= {str}
         ):
@@ -544,12 +551,13 @@ class StagedTree:
 
     @classmethod
     def from_json(cls, text: str) -> "StagedTree":
-        """Build from the JSON text of a tree description, releasing the text
-        once it is parsed, before the tree is built.
-        """
-        spec = loads(text)
+        """Build from the JSON text of a tree description, released once it is
+        read; a text that :func:`_read_description` refuses goes to from_spec."""
+        parts = _read_description(text)
+        if parts is None:
+            return cls.from_spec(loads(text))
         del text
-        return cls.from_spec(spec)
+        return cls._build(*parts)
 
     def __repr__(self) -> str:
         return f"StagedTree(k={self.k}, n={self.n}, stages={len(self.stage_ids)})"
@@ -565,6 +573,8 @@ def _root_of(kids: Mapping[str, Sequence[str]], root: Optional[str]) -> str:
     children = dict.fromkeys(itertools.chain.from_iterable(kids.values()))
     fault = _first_fault(kids) if 1 in sizes or len(children) != sum(sizes) else None
     if root is None:
+        if not kids:
+            raise StagedTreeError("expected a vertex with children, found none")
         candidates = list(itertools.filterfalse(children.__contains__, kids))
         if len(candidates) != 1:
             raise CycleDetected(
@@ -590,6 +600,52 @@ def _first_fault(kids: Mapping[str, Sequence[str]]) -> StagedTreeError:
             if c in parent:
                 return CycleDetected(f"vertex {c!r} has two parents: {parent[c]!r}, {v!r}")
             parent[c] = v
+
+
+_scan = json.JSONDecoder().scan_once  # (the JSON value at an index, the index past it)
+_token = re.compile(r"[ \t\n\r]*(.?)[ \t\n\r]*", re.S).match  # one character amid spaces
+_TAKEN = object()  # what a vertex entry reads as, once it is in the children map
+
+
+def _read_description(text) -> Optional[tuple]:
+    """``(children, stages, downward)`` of a tree description's JSON text, each
+    vertex entry put into ``children`` as the list is scanned; None unless the
+    text is one object of distinct known fields, in any order, whose entries
+    hold a new string ``id`` and, if any, a list of ``children``.
+    """
+    children: dict[str, list] = {}
+
+    def take(pairs):  # a vertex entry: "id" and "children" in either order, or "id" alone
+        if len(pairs) == 2 and pairs[0][0] == "children":
+            pairs.reverse()
+        elif len(pairs) == 1:
+            pairs.append(("children", []))
+        (a, v), (b, cs) = pairs  # any other number of keys raises ValueError
+        if (a, b, type(v), type(cs)) != ("id", "children", str, list) or v in children:
+            raise ValueError
+        children[v] = cs
+        return _TAKEN
+
+    scanners = dict.fromkeys(StagedTree._SPEC_FIELDS, _scan)
+    scanners["vertices"] = json.JSONDecoder(object_pairs_hook=take).scan_once
+    parts: dict = {}
+    try:  # any ValueError (JSONDecodeError, too many digits, a refused entry) refuses
+        m, sep = _token(text), "{"
+        while m[1] == sep and text.startswith('"', m.end()):
+            key, i = _scan(text, m.end())
+            m = _token(text, i)
+            if m[1] != ":" or key in parts or key not in scanners:
+                return None
+            parts[key], i = scanners[key](text, m.end())
+            m, sep = _token(text, i), ","
+    except (ValueError, TypeError, RecursionError, StopIteration):  # TypeError: not a str
+        return None
+    vertices = parts.get("vertices")
+    # each entry is one at the top of the list: no object was nested in another
+    if (m[1], m.end()) != ("}", len(text)) or type(vertices) is not list \
+            or not len(vertices) == vertices.count(_TAKEN) == len(children):
+        return None
+    return children, parts.get("stages"), parts.get("downward")
 
 
 class ParameterVector(Mapping):

@@ -740,6 +740,13 @@ class TestMalformedInput:
                 edited_fig1a(lambda spec: spec["stages"].update(l1="cyan", zzz="q")),
                 "'stages' names ids that are not inner vertices: ['l1', 'zzz']",
             ),
+            # no vertex with children: no root, though no cycle either
+            ({"vertices": []}, "expected a vertex with children, found none"),
+            ({"vertices": [{"id": "r"}]}, "expected a vertex with children, found none"),
+            (
+                {"vertices": [{"id": "r"}, {"id": "s"}]},
+                "expected a vertex with children, found none",
+            ),
         ],
         ids=[
             "not-an-object",
@@ -752,6 +759,9 @@ class TestMalformedInput:
             "list-valued-stage-id",
             "repeated-id",
             "stray-stage-keys",
+            "no-vertices",
+            "one-leaf",
+            "two-leaves",
         ],
     )
     def test_tree_description_exits_2(self, capsys, tmp_path, spec, message):

@@ -52,6 +52,9 @@ the downward fold, ``depth``, ``leaf_position``).  The array tree must raise
 the same error with the same message for every description the dict build
 refused, and otherwise give the same name-keyed views, in the same order,
 and the same fold values.
+``StagedTree.from_json`` reads the vertex list straight into the children
+map; on every text, laid out in any way or broken in any way, it must give
+the tree, or the error type and message, of ``from_spec(loads(text))``.
 """
 
 import csv
@@ -129,6 +132,7 @@ from stagedtree.fit import (
     select_staging,
 )
 from stagedtree.random_trees import random_staged_tree
+from stagedtree.errors import loads
 from stagedtree.tree import labels_from_distribution, log_atom_probability
 from conftest import BINARY_GRAPH, data_path, load_json
 from test_bayesnet import all_dags
@@ -1162,6 +1166,8 @@ class OracleTree:
 
     @staticmethod
     def _infer_root(declared, mentioned):
+        if not declared:
+            raise StagedTreeError("expected a vertex with children, found none")
         candidates = declared - mentioned
         if len(candidates) != 1:
             raise CycleDetected(
@@ -1440,3 +1446,96 @@ def test_array_build_refuses_as_the_dict_build():
 def test_array_build_matches_the_dict_build_on_fuzzed_descriptions(spec):
     slow = outcome(OracleTree.from_spec, spec)
     assert_same_outcome(outcome(StagedTree.from_spec, spec), slow)
+
+
+# -- from_json against from_spec(loads(text)) ---------------------------------
+
+
+def read_outcome(read, text):
+    """The tree's arrays, or the type and message of the error ``read`` raised."""
+    try:
+        tree = read(text)
+    except ValueError as exc:  # StagedTreeError and JSONDecodeError
+        return type(exc), str(exc)
+    return tree.vertices, list(tree._degree), list(tree._stage), tree.stage_ids, tree.downward
+
+
+def assert_reads_as_loads(text) -> None:
+    slow = read_outcome(lambda t: StagedTree.from_spec(loads(t)), text)
+    assert read_outcome(StagedTree.from_json, text) == slow, text[:200]
+
+
+def json_layouts(spec) -> list[str]:
+    """One description as compact and indented text, with its fields in
+    reverse order (``stages`` and ``downward`` first), with each entry's keys
+    reversed, and with every unlisted child listed as a leaf, by turns as an
+    id alone and with empty ``children``.
+    """
+    texts = [json.dumps(spec, separators=(",", ":")), json.dumps(spec, indent=2)]
+    if not isinstance(spec, dict):
+        return texts
+    texts.append(json.dumps(dict(reversed(spec.items()))))
+    vertices = spec.get("vertices")
+    if isinstance(vertices, list):
+        flipped = [dict(reversed(e.items())) if isinstance(e, dict) else e for e in vertices]
+        texts.append(json.dumps({**spec, "vertices": flipped}, indent=2))
+        entries = [e for e in vertices if isinstance(e, dict)]
+        listed = {e.get("id") for e in entries if isinstance(e.get("id"), str)}
+        mentioned = [c for e in entries if isinstance(e.get("children"), list)
+                     for c in e["children"] if isinstance(c, str) and c not in listed]
+        leaves = [{"id": c} if i % 2 else {"id": c, "children": []}
+                  for i, c in enumerate(dict.fromkeys(mentioned))]
+        texts.append(json.dumps({**spec, "vertices": vertices + leaves}))
+    return texts
+
+
+def test_reader_matches_loads_on_every_layout_of_the_descriptions():
+    specs = [tree.to_spec() for tree in layout_trees()] + list(malformed_specs())
+    for spec in specs:
+        for text in json_layouts(spec):
+            assert_reads_as_loads(text)
+
+
+@given(spec=tree_specs())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_reader_matches_loads_on_fuzzed_descriptions(spec):
+    for text in json_layouts(spec):
+        assert_reads_as_loads(text)
+
+
+OK_TEXT = '{"vertices": [{"id": "r", "children": ["a", "b"]}, {"id": "a", "children": ["c", "d"]}]}'
+HAND_TEXTS = [
+    "", " ", "[]", "null", "{}", "{ }", '{"vertices": []}', '{"vertices": {}}',
+    OK_TEXT[:-3], OK_TEXT[:40], OK_TEXT[:-2] + ",]}", OK_TEXT[:-1] + ",}", OK_TEXT[:-1] + ", }",
+    "\ufeff" + OK_TEXT, OK_TEXT + " x", OK_TEXT + "{}", " \n" + OK_TEXT + "\t\n",
+    OK_TEXT[:-1] + ', "vertices": [{"id": "r", "children": ["x", "y"]}]}',
+    '{"vertices": [], "vertices": [{"id": "r", "children": ["a", "b"]}]}',
+    '{"vert\\u0069ces": [{"id": "r", "children": ["a", "b"]}]}',
+    OK_TEXT[:-1] + ', "colour": 1}', OK_TEXT[:-1] + ' "stages": {}}',
+    OK_TEXT[:-1] + ', "stages": null, "downward": null}',
+    OK_TEXT[:-1] + ', "downward": {"r": NaN}}', OK_TEXT[:-1] + ', "stages": {"r": {"id": "s"}}}',
+    '{"vertices": [null]}', '{"vertices": [0, {"id": "r", "children": ["a", "b"]}]}',
+    '{"vertices": [[{"id": "r", "children": ["a", "b"]}]]}',
+    '{"vertices": {"id": "r", "children": ["a", "b"]}}',
+    '{"vertices": [{}]}', '{"vertices": [{"children": ["a", "b"]}]}',
+    '{"vertices": [{"id": "r", "children": ["a", {"id": "b"}]}]}',
+    '{"vertices": [{"id": "r", "children": ["a", {"id": "b", "children": ["c", "d"]}]}]}',
+    '{"vertices": [{"id": {"id": "x"}, "children": ["a", "b"]}]}',
+    '{"vertices": [{"id": "r", "children": ["a", "b"], "colour": 1}]}',
+    '{"vertices": [{"id": "r", "id": "s", "children": ["a", "b"]}]}',
+    '{"vertices": [{"id": "r", "children": ["a", "b"], "children": ["c", "d"]}]}',
+    '{"vertices": [{"id": "r", "children": "ab"}, {"id": "r", "children": ["a", "b"]}]}',
+    '{"vertices": [{"id": "r", "children": ["a", "b"]}, {"id": "r"}]}',
+    '{"vertices": [{"id": "r", "children": [["a"], "b"]}]}',
+    '{"vertices": [{"id": "r", "children": ["a", "b"]}, {"id": 7, "children": ["c", "d"]}]}',
+    '{"vertices": [{"id": ' + "1" + "0" * 5000 + ', "children": ["a", "b"]}]}',
+    '{"vertices": [{"id": "r", "children": ' + "[" * 1000 + "]" * 1000 + "}]}",
+    '{"vertices": [{"id": "r", "children": ' + "[" * 100_000 + "]" * 100_000 + "}]}",
+    '{"vertices": [{"id": "r", "children": ["a", "b"]}]}',
+    '{"vertices": [{"children": ["a", "b"], "id": "r"}, {"id": "a"}, {"id": "b", "children": []}]}',
+]
+
+
+@pytest.mark.parametrize("text", HAND_TEXTS + [t.encode() for t in HAND_TEXTS[-2:]])
+def test_reader_matches_loads_on_hand_written_texts(text):
+    assert_reads_as_loads(text)

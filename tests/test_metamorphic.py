@@ -6,6 +6,9 @@ inner vertices, and the edge counts are sufficient statistics.  So
 
 * listing a tree description's ``vertices`` in another order leaves
   ``inspect``, ``expfam``, ``check`` and ``fit`` byte-identical;
+* so does another JSON layout of the description: its fields and each
+  entry's keys in another order, other whitespace, and its leaves listed,
+  with empty ``children`` or none;
 * renaming vertex and stage ids injectively maps ``check``'s witness and
   ``select``'s staging, trace and labels by the renaming, and changes no
   number (ties break on the BFS index, not on names);
@@ -34,6 +37,7 @@ from hypothesis import strategies as st
 
 from stagedtree import ParameterVector, StagedTree, density_expform, natural_parameters
 from stagedtree.cli import run
+from stagedtree.tree import _read_description
 from conftest import DATA, src_env
 from test_golden import CASES, argv_for
 
@@ -110,7 +114,9 @@ def runner(tmp_path_factory):
 
 
 def commands(runner, spec, rows):
-    """The outputs of the tree commands and of fit, with and without smoothing."""
+    """The outputs of the tree commands and of fit, with and without smoothing,
+    on a description or its text.
+    """
     tree, data = runner.write("tree.json", spec), runner.write("rows.csv", csv_text(rows))
     return [
         runner("inspect", tree),
@@ -129,6 +135,35 @@ def test_vertex_listing_order_changes_no_byte(runner, case, order):
     expected = commands(runner, spec, rows)
     shuffled = dict(spec, vertices=order.sample(spec["vertices"], len(spec["vertices"])))
     assert commands(runner, shuffled, rows) == expected
+
+
+def relaid(spec, rng) -> str:
+    """The text of ``spec`` with its fields and each entry's keys in a random
+    order, random whitespace, and its leaves listed at random places, each
+    with ``[]`` or without ``children``.
+    """
+    listed = {e["id"] for e in spec["vertices"]}
+    entries = list(spec["vertices"])
+    for e in spec["vertices"]:
+        for c in e["children"]:
+            if c not in listed:
+                leaf = rng.choice([{"id": c}, {"id": c, "children": []}])
+                entries.insert(rng.randrange(len(entries) + 1), leaf)
+    entries = [dict(rng.sample(list(e.items()), len(e))) for e in entries]
+    fields = list({**spec, "vertices": entries}.items())
+    text = json.dumps(dict(rng.sample(fields, len(fields))), indent=rng.choice([None, 0, 2, "\t"]),
+                      separators=rng.choice([None, (",", ":"), (" ,", " : ")]))
+    return rng.choice(["", " \n"]) + text + rng.choice(["", "\n", "\r\n"])
+
+
+@given(case=staged_trees(), order=st.randoms(use_true_random=False))
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_json_layout_changes_no_byte(runner, case, order):
+    spec, seed = case
+    rows = rows_of(spec, seed)
+    text = relaid(spec, order)
+    assert _read_description(text) is not None  # read straight into the children map
+    assert commands(runner, text, rows) == commands(runner, spec, rows)
 
 
 def renamed_spec(spec, rename):

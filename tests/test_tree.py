@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,9 +32,11 @@ from stagedtree.errors import (
     VertexWithOneChild,
     ZeroMass,
 )
+from stagedtree import tree as tree_module
+from stagedtree.cli import run
 from stagedtree.random_trees import random_staged_tree
 from stagedtree.tree import log_atom_probability
-from conftest import caterpillar
+from conftest import DATA, caterpillar
 
 
 class TestConstruction:
@@ -93,6 +97,53 @@ class TestConstruction:
             tree.with_staging({"a": "s", "zzz": "q"})
         assert str(err.value) == "'stages' names ids that are not inner vertices: ['a', 'zzz']"
         assert tree.with_staging({"r": "s"}).stage_of == {"r": "s"}
+
+
+class TestFromJson:
+    """``from_json`` reads the vertex list straight into the children map and
+    hands only the texts it refuses to ``from_spec(loads(text))``.
+    """
+
+    @staticmethod
+    def no_fallback(monkeypatch):
+        def refuse(text):
+            raise AssertionError(f"the reader refused {text[:80]!r}")
+
+        monkeypatch.setattr(tree_module, "loads", refuse)
+
+    def test_every_layout_the_package_writes_is_read_directly(self, monkeypatch, tmp_path):
+        trees = [product_tree([2, 3, 2]), caterpillar(6), random_staged_tree(np.random.default_rng(3))]
+        texts = []
+        for tree in trees:
+            spec = tree.to_spec()
+            texts += [json.dumps(spec), json.dumps(spec, indent=2),
+                      json.dumps(spec, separators=(",", ":"))]
+        for bn in ("chain_bn.json", "collider_bn.json"):
+            for pretty in ([], ["--pretty"]):
+                out = tmp_path / "tree.json"
+                assert run(["from-bn", str(DATA / bn), "--output", str(out), *pretty]) == 0
+                texts.append(out.read_text())
+        fixtures = ["example1.json", "fig1a.json", "fig1b.json", "ternary_downward.json"]
+        texts += [(DATA / name).read_text() for name in fixtures]
+        expected = [StagedTree.from_spec(json.loads(text)) for text in texts]
+        self.no_fallback(monkeypatch)
+        for text, tree in zip(texts, expected):
+            read = StagedTree.from_json(text)
+            assert (read.vertices, read.stage_ids, read.downward) == \
+                (tree.vertices, tree.stage_ids, tree.downward)
+            assert read._stage == tree._stage and read._degree == tree._degree
+
+    def test_peak_stays_below_that_of_the_parse(self):
+        text = json.dumps(product_tree([2] * 12).to_spec())
+        peaks = []
+        for read in (json.loads, StagedTree.from_json):
+            tracemalloc.start()
+            try:
+                read(text)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0], peaks
 
 
 class TestAtoms:
