@@ -1508,6 +1508,8 @@ HAND_TEXTS = [
     "", " ", "[]", "null", "{}", "{ }", '{"vertices": []}', '{"vertices": {}}',
     OK_TEXT[:-3], OK_TEXT[:40], OK_TEXT[:-2] + ",]}", OK_TEXT[:-1] + ",}", OK_TEXT[:-1] + ", }",
     "\ufeff" + OK_TEXT, OK_TEXT + " x", OK_TEXT + "{}", " \n" + OK_TEXT + "\t\n",
+    "," + OK_TEXT[1:], OK_TEXT[:-1] + '{"stages": {}}', OK_TEXT[:-1] + ': {}}',
+    '{"stages" = {}, ' + OK_TEXT[1:],
     OK_TEXT[:-1] + ', "vertices": [{"id": "r", "children": ["x", "y"]}]}',
     '{"vertices": [], "vertices": [{"id": "r", "children": ["a", "b"]}]}',
     '{"vert\\u0069ces": [{"id": "r", "children": ["a", "b"]}]}',
@@ -1521,6 +1523,11 @@ HAND_TEXTS = [
     '{"vertices": [{"id": "r", "children": ["a", {"id": "b"}]}]}',
     '{"vertices": [{"id": "r", "children": ["a", {"id": "b", "children": ["c", "d"]}]}]}',
     '{"vertices": [{"id": {"id": "x"}, "children": ["a", "b"]}]}',
+    # a nested entry with the id of the entry around it
+    '{"vertices": [{"id": "r", "children": ["a", {"id": "r"}]}]}',
+    # the last 'vertices' lists r before t, the first lists t: the faults name r
+    '{"vertices": [{"id": "t", "children": ["u"]}],'
+    ' "vertices": [{"id": "r", "children": ["t"]}, {"id": "t", "children": ["u"]}]}',
     '{"vertices": [{"id": "r", "children": ["a", "b"], "colour": 1}]}',
     '{"vertices": [{"id": "r", "id": "s", "children": ["a", "b"]}]}',
     '{"vertices": [{"id": "r", "children": ["a", "b"], "children": ["c", "d"]}]}',

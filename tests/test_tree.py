@@ -104,15 +104,9 @@ class TestFromJson:
     hands only the texts it refuses to ``from_spec(loads(text))``.
     """
 
-    @staticmethod
-    def no_fallback(monkeypatch):
-        def refuse(text):
-            raise AssertionError(f"the reader refused {text[:80]!r}")
-
-        monkeypatch.setattr(tree_module, "loads", refuse)
-
     def test_every_layout_the_package_writes_is_read_directly(self, monkeypatch, tmp_path):
-        trees = [product_tree([2, 3, 2]), caterpillar(6), random_staged_tree(np.random.default_rng(3))]
+        trees = [product_tree([2, 3, 2]), caterpillar(6),
+                 random_staged_tree(np.random.default_rng(3))]
         texts = []
         for tree in trees:
             spec = tree.to_spec()
@@ -126,7 +120,11 @@ class TestFromJson:
         fixtures = ["example1.json", "fig1a.json", "fig1b.json", "ternary_downward.json"]
         texts += [(DATA / name).read_text() for name in fixtures]
         expected = [StagedTree.from_spec(json.loads(text)) for text in texts]
-        self.no_fallback(monkeypatch)
+
+        def refuse(text):
+            raise AssertionError(f"the reader refused {text[:80]!r}")
+
+        monkeypatch.setattr(tree_module, "loads", refuse)
         for text, tree in zip(texts, expected):
             read = StagedTree.from_json(text)
             assert (read.vertices, read.stage_ids, read.downward) == \
