@@ -104,9 +104,9 @@ def ingest_csv(
       ``levels`` mapping (column name -> ordered category list) is given.
       Trailing cells beyond the leaf must be empty.
 
-    Counts are aligned with ``tree.atoms``, whose order is unchanged.  Input
-    that is not UTF-8 text or that the csv module cannot parse raises
-    StagedTreeError.
+    Counts are aligned with ``tree.atoms``, whose order is unchanged.  A BOM
+    before the header is dropped.  Input that is not UTF-8 text or that the
+    csv module cannot parse raises StagedTreeError.
     """
     if isinstance(source, (str, bytes)):
         with open(source, newline="", encoding="utf-8") as fh:
@@ -126,6 +126,7 @@ def _read_csv(reader, tree: StagedTree, levels) -> AtomTable:
         header = next(reader)
     except StopIteration:
         raise StagedTreeError("empty CSV input") from None
+    header[:1] = [h.removeprefix("\ufeff") for h in header[:1]]  # a "CSV UTF-8" file's BOM
     header = [h.strip() for h in header]
     if header == ["atom_id", "count"]:
         counts = [0] * tree.n

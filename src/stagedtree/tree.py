@@ -514,25 +514,13 @@ class StagedTree:
     @classmethod
     def _build(cls, children: dict, stages, downward) -> "StagedTree":
         """The checks and the build after the vertex entries, which ``children``
-        maps, as listed, to their lists; shared by from_spec and from_json."""
-        # one pass over the types of all children; the loop below only names the culprit
-        if not set(map(type, itertools.chain.from_iterable(children.values()))) <= {str}:
-            for v, cs in children.items():
-                if not all(isinstance(c, str) for c in cs):
-                    raise StagedTreeError(
-                        f"children of {v!r} must be a list of vertex ids, got {cs!r}"
-                    )
-        if stages is not None and (
-            not isinstance(stages, Mapping) or not set(map(type, stages.values())) <= {str}
-        ):
-            raise StagedTreeError(f"'stages' must map vertex ids to stage ids, got {stages!r}")
-        if downward is not None and not isinstance(downward, Mapping):
-            raise StagedTreeError(f"'downward' must map stage ids to indices, got {downward!r}")
-        if not all(children.values()):  # a vertex listed without children is a leaf
-            children = {v: cs for v, cs in children.items() if cs}
+        maps, as listed, to their lists: the child types, the types of ``stages``
+        and ``downward``, the shape, the staging.  from_json lays out the shape first."""
+        kids = _inner_children(children)
+        staging = _staging(stages, downward)
         tree = cls.__new__(cls)
-        tree._set_shape(children, None)
-        tree._set_stages(stages or {}, downward or {})
+        tree._set_shape(kids, None)
+        tree._set_stages(*staging)
         return tree
 
     def to_spec(self) -> dict:
@@ -553,11 +541,13 @@ class StagedTree:
     def from_json(cls, text: str) -> "StagedTree":
         """Build from the JSON text of a tree description, released once it is
         read; a text that :func:`_read_description` refuses goes to from_spec."""
-        parts = _read_description(text)
+        parts = _read_description(text, cls)
         if parts is None:
             return cls.from_spec(loads(text))
         del text
-        return cls._build(*parts)
+        tree, stages, downward = parts
+        tree._set_stages(*_staging(stages, downward))
+        return tree
 
     def __repr__(self) -> str:
         return f"StagedTree(k={self.k}, n={self.n}, stages={len(self.stage_ids)})"
@@ -602,18 +592,44 @@ def _first_fault(kids: Mapping[str, Sequence[str]]) -> StagedTreeError:
             parent[c] = v
 
 
+def _inner_children(children: dict) -> dict:
+    """``children`` without its listed leaves, after checking that every child is a str."""
+    # one pass over the types of all children; the loop below only names the culprit
+    if not set(map(type, itertools.chain.from_iterable(children.values()))) <= {str}:
+        for v, cs in children.items():
+            if not all(isinstance(c, str) for c in cs):
+                raise StagedTreeError(f"children of {v!r} must be a list of vertex ids, got {cs!r}")
+    if not all(children.values()):
+        children = {v: cs for v, cs in children.items() if cs}
+    return children
+
+
+def _staging(stages, downward) -> tuple[Mapping, Mapping]:
+    """``stages`` and ``downward``, each ``{}`` if absent, after checking their types."""
+    if stages is not None and (
+        not isinstance(stages, Mapping) or not set(map(type, stages.values())) <= {str}
+    ):
+        raise StagedTreeError(f"'stages' must map vertex ids to stage ids, got {stages!r}")
+    if downward is not None and not isinstance(downward, Mapping):
+        raise StagedTreeError(f"'downward' must map stage ids to indices, got {downward!r}")
+    return stages or {}, downward or {}
+
+
 _scan = json.JSONDecoder().scan_once  # (the JSON value at an index, the index past it)
 _token = re.compile(r"[ \t\n\r]*(.?)[ \t\n\r]*", re.S).match  # one character amid spaces
 _TAKEN = object()  # what a vertex entry reads as, once it is in the children map
 
 
-def _read_description(text) -> Optional[tuple]:
-    """``(children, stages, downward)`` of a tree description's JSON text, each
-    vertex entry put into ``children`` as the list is scanned; None unless the
-    text is one object of distinct known fields, in any order, whose entries
-    hold a new string ``id`` and, if any, a list of ``children``.
+def _read_description(text, cls: type = StagedTree) -> Optional[tuple]:
+    """``(tree, stages, downward)`` of a tree description's JSON text, where the
+    ``cls`` instance ``tree`` has the shape of the vertex list but no stages yet:
+    each entry goes into a children map as the list is scanned, and the map is
+    laid out and freed as the list closes, before the next field is scanned.
+    None unless the text is one object of distinct known fields, in any order,
+    whose entries hold a new string ``id`` and, if any, a list of ``children``,
+    and whose shape passes its checks.
     """
-    children: dict[str, list] = {}
+    tree, children = cls.__new__(cls), {}
 
     def take(pairs):  # a vertex entry: "id" and "children" in either order, or "id" alone
         if len(pairs) == 2 and pairs[0][0] == "children":
@@ -626,10 +642,20 @@ def _read_description(text) -> Optional[tuple]:
         children[v] = cs
         return _TAKEN
 
+    def lay_out(text, i):  # the vertex list, as the shape of ``tree``
+        entries, i = scan_entries(text, i)
+        # each entry is one at the top of the list: no object was nested in another
+        if type(entries) is not list or not len(entries) == entries.count(_TAKEN) == len(children):
+            raise ValueError
+        tree._set_shape(_inner_children(children), None)
+        children.clear()
+        return _TAKEN, i
+
+    scan_entries = json.JSONDecoder(object_pairs_hook=take).scan_once
     scanners = dict.fromkeys(StagedTree._SPEC_FIELDS, _scan)
-    scanners["vertices"] = json.JSONDecoder(object_pairs_hook=take).scan_once
+    scanners["vertices"] = lay_out
     parts: dict = {}
-    try:  # any ValueError (JSONDecodeError, too many digits, a refused entry) refuses
+    try:  # any ValueError (JSONDecodeError, too many digits, a refused entry or shape) refuses
         m, sep = _token(text), "{"
         while m[1] == sep and text.startswith('"', m.end()):
             key, i = _scan(text, m.end())
@@ -640,12 +666,9 @@ def _read_description(text) -> Optional[tuple]:
             m, sep = _token(text, i), ","
     except (ValueError, TypeError, RecursionError, StopIteration):  # TypeError: not a str
         return None
-    vertices = parts.get("vertices")
-    # each entry is one at the top of the list: no object was nested in another
-    if (m[1], m.end()) != ("}", len(text)) or type(vertices) is not list \
-            or not len(vertices) == vertices.count(_TAKEN) == len(children):
+    if (m[1], m.end()) != ("}", len(text)) or "vertices" not in parts:
         return None
-    return children, parts.get("stages"), parts.get("downward")
+    return tree, parts.get("stages"), parts.get("downward")
 
 
 class ParameterVector(Mapping):

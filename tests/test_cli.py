@@ -170,6 +170,28 @@ class TestFitSelect:
             assert stdout("-", fh) == stdout(str(rows))
 
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_counts_csv_with_a_bom_is_read_as_counts(self, tmp_path, source):
+        # a "CSV UTF-8" export begins with U+FEFF; the counts header is still recognised
+        tree = tmp_path / "tree.json"
+        inner = [{"id": v, "children": [v + i for i in "012"]} for v in "abc"]
+        tree.write_text(json.dumps({"vertices": [{"id": "r", "children": ["a", "b", "c"]}] + inner}))
+
+        def fit(text):
+            data = tmp_path / "counts.csv"
+            data.write_bytes(text.encode("utf-8"))
+            argv = [sys.executable, "-m", "stagedtree.cli", "fit", "--tree", str(tree),
+                    "--alpha", "0.5", "--data", "-" if source == "stdin" else str(data)]
+            with data.open("rb") as fh:
+                proc = subprocess.run(argv, stdin=fh, env=src_env(), capture_output=True)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            return proc.stdout
+
+        plain = "atom_id,count\n1,2\n2,1\n"
+        out = fit("\ufeff" + plain)
+        assert out == fit(plain) and json.loads(out)["n_obs"] == 3
+
+
 class TestContract:
     def test_byte_stable_output(self, capsys):
         run(["check", str(data_path("fig1b.json"))])
@@ -786,6 +808,26 @@ class TestMalformedInput:
         assert code == 2
         assert out["error"]["type"] == "StagedTreeError"
         assert "not UTF-8 text" in out["error"]["message"]
+
+    @pytest.mark.parametrize("kind", ["tree", "bn", "theta", "config"])
+    def test_json_input_with_a_bom_exits_2(self, capsys, tmp_path, kind):
+        # unlike a CSV header, a JSON text may not begin with U+FEFF
+        source = {"tree": "fig1a.json", "bn": "chain_bn.json"}.get(kind)
+        text = (data_path(source).read_text() if source else
+                json.dumps({"theta": {"cyan": [0.5, 0.5]}, "config": {"alpha": 0.5}}[kind]))
+        bom = tmp_path / "bom.json"
+        bom.write_text("\ufeff" + text, encoding="utf-8")
+        tree, data = str(data_path("fig1a.json")), str(data_path("xyz_rows.csv"))
+        argv = {
+            "tree": ["inspect", str(bom)],
+            "bn": ["from-bn", str(bom)],
+            "theta": ["expfam", tree, "--theta", str(bom)],
+            "config": ["select", "--tree-graph", tree, "--data", data, "--config", str(bom)],
+        }[kind]
+        code, out = invoke(capsys, *argv)
+        assert code == 2
+        assert out["error"]["type"] == "JSONDecodeError"
+        assert out["error"]["message"].startswith("Unexpected UTF-8 BOM")
 
     def test_theta_label_too_large_for_a_double_exits_2(self, capsys, tmp_path):
         path = tmp_path / "theta.json"

@@ -32,6 +32,13 @@ def csv_table(text, tree, levels=None):
     return ingest_csv(io.StringIO(text), tree, levels)
 
 
+# r -> a, b, c, each with three leaves; both texts put 2 on atom 1 and 1 on atom 2
+BOM_LAYOUTS = {
+    "counts": ("atom_id,count\n1,2\n2,1\n", None),
+    "levels": ("L1,L2\nx,q\nx,p\nx,p\n", {"L1": ["x", "y", "z"], "L2": ["p", "q", "s"]}),
+}
+
+
 class TestIngest:
     def test_path_rows_on_fig1a(self, fig1a):
         table = ingest_csv(str(data_path("xyz_rows.csv")), fig1a)
@@ -65,6 +72,21 @@ class TestIngest:
     def test_short_row_rejected(self, fig1a):
         with pytest.raises(RowDoesNotReachLeaf):
             csv_table("X,Y,Z\n0,0,\n", fig1a)
+
+    @pytest.mark.parametrize("layout", BOM_LAYOUTS)
+    @pytest.mark.parametrize("source", ["file", "stream"])
+    def test_a_leading_bom_is_dropped(self, tmp_path, layout, source):
+        # as a spreadsheet's "CSV UTF-8" export writes it, read from a path or from stdin
+        text, levels = BOM_LAYOUTS[layout]
+        tree = StagedTree({"r": ["a", "b", "c"], **{v: [v + i for i in "012"] for v in "abc"}})
+        data = ("\ufeff" + text).encode("utf-8")
+        if source == "file":
+            path = tmp_path / "data.csv"
+            path.write_bytes(data)
+            table = ingest_csv(str(path), tree, levels)
+        else:
+            table = ingest_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), tree, levels)
+        assert table.counts == csv_table(text, tree, levels).counts == (2, 1) + (0,) * 7
 
     def test_ragged_tree_rows(self):
         # left branch is a leaf at depth one, right branch goes deeper

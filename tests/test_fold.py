@@ -1421,6 +1421,14 @@ def malformed_specs():
     yield {"vertices": ok, "downward": {"a": 3}}
     yield {"vertices": ok, "downward": {"a": 0, "r": 3}}
     yield {"vertices": ok, "stages": {"a": "r"}, "downward": {"r": 1}}
+    # shape faults that only the full check names, where from_json lays out the
+    # shape before it reads the fields after 'vertices'
+    two_parents = ok + [{"id": "b", "children": ["a", "e"]}]  # every vertex reachable
+    yield {"vertices": two_parents}
+    cycle = [{"id": "y", "children": ["x", "w"]}]  # x, y detached from r
+    yield {"vertices": ok + [{"id": "x", "children": ["y", "z"]}] + cycle}
+    yield {"vertices": ok + [{"id": "x", "children": ["c", "y"]}] + cycle}  # c reachable
+    yield {"vertices": two_parents, "stages": {"r": 5}}  # the 'stages' fault comes first
 
 
 def test_array_build_refuses_as_the_dict_build():

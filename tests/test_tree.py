@@ -143,6 +143,23 @@ class TestFromJson:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0], peaks
 
+    def test_stages_after_the_vertices_add_nothing_to_the_peak(self):
+        # the children map is laid out and freed before 'stages' is scanned
+        tree = product_tree([2] * 12)
+        vertices = tree.to_spec()["vertices"]
+        by_level = {v: f"d{d}" for v, d in tree.depth.items() if v in tree.children}
+        assert len(set(by_level.values())) == 12
+        peaks = []
+        for spec in ({"vertices": vertices, "stages": by_level}, {"vertices": vertices}):
+            text = json.dumps(spec)
+            tracemalloc.start()
+            try:
+                StagedTree.from_json(text)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.02 * peaks[1], peaks
+
 
 class TestAtoms:
     def test_fig1b_has_eight_atoms(self, fig1b):
