@@ -509,15 +509,10 @@ class StagedTree:
             if v in children:
                 raise StagedTreeError(f"vertex {v!r} is listed twice")
             children[v] = cs
-        return cls._build(children, spec.get("stages"), spec.get("downward"))
-
-    @classmethod
-    def _build(cls, children: dict, stages, downward) -> "StagedTree":
-        """The checks and the build after the vertex entries, which ``children``
-        maps, as listed, to their lists: the child types, the types of ``stages``
-        and ``downward``, the shape, the staging.  from_json lays out the shape first."""
+        # the checks in their order: the child types, the types of 'stages' and
+        # 'downward', the shape, the staging; from_json lays out the shape first
         kids = _inner_children(children)
-        staging = _staging(stages, downward)
+        staging = _staging(spec.get("stages"), spec.get("downward"))
         tree = cls.__new__(cls)
         tree._set_shape(kids, None)
         tree._set_stages(*staging)

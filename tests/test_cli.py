@@ -169,7 +169,6 @@ class TestFitSelect:
         with rows.open() as fh:
             assert stdout("-", fh) == stdout(str(rows))
 
-
     @pytest.mark.parametrize("source", ["file", "stdin"])
     def test_counts_csv_with_a_bom_is_read_as_counts(self, tmp_path, source):
         # a "CSV UTF-8" export begins with U+FEFF; the counts header is still recognised

@@ -76,7 +76,8 @@ class TestIngest:
     @pytest.mark.parametrize("layout", BOM_LAYOUTS)
     @pytest.mark.parametrize("source", ["file", "stream"])
     def test_a_leading_bom_is_dropped(self, tmp_path, layout, source):
-        # as a spreadsheet's "CSV UTF-8" export writes it, read from a path or from stdin
+        # as a spreadsheet's "CSV UTF-8" export writes it, from a path and from a text
+        # stream such as stdin
         text, levels = BOM_LAYOUTS[layout]
         tree = StagedTree({"r": ["a", "b", "c"], **{v: [v + i for i in "012"] for v in "abc"}})
         data = ("\ufeff" + text).encode("utf-8")
