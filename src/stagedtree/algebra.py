@@ -27,7 +27,7 @@ import operator
 from collections import Counter
 from typing import Optional
 
-from .tree import StagedTree, _Record, _set, dimensions
+from .tree import StagedTree, _Record, _set, _single_index, dimensions
 
 Label = tuple[str, int]
 Monomial = tuple[Label, ...]  # sorted tuple, repeats = exponents
@@ -402,8 +402,6 @@ class StageEquation(_Record):
 
 def _name(tree: StagedTree, symbol: str, v: str, j: int) -> str:
     """``xi3`` for a single-index vertex v_3, else ``xi[3,j]``."""
-    from .expfam import _single_index
-
     i = tree.index[v]
     s = tree._stage[i - 1]
     single = _single_index(tree._kappa[s], tree._down[s])

@@ -15,7 +15,9 @@ from collections import Counter
 from typing import Optional, Sequence
 
 from .errors import OrderInconsistentWithDAG, StagedTreeError, loads
-from .tree import SUM_TOL, ParameterVector, StagedTree, _is_integer, _is_real, _Record, _set
+from .tree import (
+    SUM_TOL, ParameterVector, StagedTree, _is_integer, _is_real, _Record, _set, _state_name,
+)
 
 
 class DiscreteBN(_Record):
@@ -206,10 +208,6 @@ def validate_order(bn: DiscreteBN, order: Sequence[str]) -> tuple[str, ...]:
     return order
 
 
-def _vertex_name(states: tuple[int, ...]) -> str:
-    return "v_" + ".".join(map(str, states)) if states else "v_root"
-
-
 # ``from-bn`` peaks at about 1.4 KB per inner vertex (36 MB at k = 16383,
 # 193 MB at k = 131071 on binary chains), so the largest unfolding built
 # stays near 0.4 GB.
@@ -248,10 +246,10 @@ def bn_to_staged_tree(bn: DiscreteBN, order: Optional[Sequence[str]] = None) -> 
     stages: dict[str, str] = {}
     for var, history, stage in _unfolding(bn, order):
         states = tuple(history.values())
-        name = _vertex_name(states)
-        children[name] = [_vertex_name(states + (s,)) for s in range(bn.cards[var])]
+        name = _state_name(states)
+        children[name] = [_state_name(states + (s,)) for s in range(bn.cards[var])]
         stages[name] = stage
-    return StagedTree(children, stages=stages, root="v_root")
+    return StagedTree(children, stages=stages)
 
 
 def bn_edge_labels(bn: DiscreteBN, order: Optional[Sequence[str]] = None) -> ParameterVector:

@@ -15,7 +15,9 @@ import math
 from collections.abc import Mapping
 
 from .errors import NontrivialStaging, StagedTreeError
-from .tree import Atom, ParameterVector, StagedTree, _is_real, _Record, _require_atom_of, _set
+from .tree import (
+    Atom, ParameterVector, StagedTree, _is_real, _Record, _require_atom_of, _set, _single_index,
+)
 
 
 def _log_downward(tree: StagedTree, theta: ParameterVector) -> list[float]:
@@ -57,15 +59,13 @@ def statistic_layout(tree: StagedTree) -> tuple[tuple[str, int], ...]:
 class ExpFamForm(_Record):
     """Natural parameters, cumulant value, and statistic layout at a given theta."""
 
-    __slots__ = ("layout", "eta", "psi", "logN")
-    _hidden = ("logN",)
+    __slots__ = ("layout", "eta", "psi")
 
     def __init__(self, layout: tuple[tuple[str, int], ...], eta: dict[tuple[str, int], float],
-                 psi: float, logN: dict[str, float]):
+                 psi: float):
         _set(self, "layout", layout)
         _set(self, "eta", eta)
         _set(self, "psi", psi)
-        _set(self, "logN", logN)
 
 
 def _eta(tree: StagedTree, theta: ParameterVector, log_n: list[float]):
@@ -89,7 +89,7 @@ def natural_parameters(tree: StagedTree, theta: ParameterVector) -> ExpFamForm:
     log_n = _log_downward(tree, theta)
     names = tree.vertices
     eta = {(names[p], j): x for p, j, x in _eta(tree, theta, log_n)}
-    return ExpFamForm(tuple(eta), eta, -log_n[0], dict(zip(names, log_n)))
+    return ExpFamForm(tuple(eta), eta, -log_n[0])
 
 
 def sufficient_statistic(tree: StagedTree, atom: Atom) -> tuple[int, ...]:
@@ -178,9 +178,11 @@ def check_np_identity(tree: StagedTree, theta: ParameterVector) -> float:
     Each residual is |expm1(log N_v + log P_v)|, with log P_v from the
     log-space fold of the xi-polynomials, so no exp(eta) is formed.
     """
-    form = natural_parameters(tree, theta)
-    _, logP = _log_xi_fold(tree, form.eta)
-    return max(abs(math.expm1(a + b)) for a, b in zip(form.logN.values(), logP))
+    log_n = _log_downward(tree, theta)
+    names = tree.vertices
+    eta = {(names[p], j): x for p, j, x in _eta(tree, theta, log_n)}
+    _, logP = _log_xi_fold(tree, eta)
+    return max(abs(math.expm1(a + b)) for a, b in zip(log_n, logP))
 
 
 # -- symbolic presentation ----------------------------------------------------
@@ -201,13 +203,6 @@ def symbolic_natural_parameters(
         (names[p], j): (((names[p], j),) + down[first[p] + j - 1], down[p])
         for _, p, _, j in _edges(tree)
     }
-
-
-def _single_index(kappa: int, down: int) -> bool:
-    """A binary vertex with the default downward edge, whose labels and
-    parameters are named by the vertex index alone.
-    """
-    return kappa == 2 and down == 2
 
 
 def _formulas(tree: StagedTree):

@@ -158,7 +158,8 @@ class StagedTree:
     ----------
     children:
         mapping from vertex id to its ordered list of children; leaves may be
-        omitted or mapped to an empty list.
+        omitted or mapped to an empty list.  The root is the one vertex that
+        no list names, and at least one vertex must have children.
     stages:
         optional mapping from inner vertex id to stage id; vertices not
         listed form their own singleton stage (stage id = vertex id).  A key
@@ -166,8 +167,6 @@ class StagedTree:
     downward:
         optional mapping from stage id (or inner vertex id) to the 1-based
         index of the downward edge; defaults to the last edge.
-    root:
-        optional explicit root; inferred as the unique parentless vertex.
     """
 
     def __init__(
@@ -175,21 +174,20 @@ class StagedTree:
         children: Mapping[str, Iterable[str]],
         stages: Optional[Mapping[str, str]] = None,
         downward: Optional[Mapping[str, int]] = None,
-        root: Optional[str] = None,
     ):
         kids = {str(v): tuple(str(c) for c in cs) for v, cs in children.items() if cs}
-        self._set_shape(kids, None if root is None else str(root))
+        self._set_shape(kids)
         self._set_stages(stages or {}, downward or {})
 
     # -- construction ---------------------------------------------------------
 
-    def _set_shape(self, kids: Mapping[str, Sequence[str]], root: Optional[str]) -> None:
+    def _set_shape(self, kids: Mapping[str, Sequence[str]]) -> None:
         """Lay out ``kids`` (each inner vertex's children, none empty) in BFS
-        order from ``root``, or from the one parentless vertex, after the
-        checks of :func:`_root_of`; then check that the root reaches every
-        vertex.  The children of one level, in order, are the next level.
+        order from the one parentless vertex, after the checks of
+        :func:`_root_of`; then check that the root reaches every vertex.  The
+        children of one level, in order, are the next level.
         """
-        order, degree, level = [], array("i"), [_root_of(kids, root)]
+        order, degree, level = [], array("i"), [_root_of(kids)]
         while level:
             order.extend(level)
             below = list(map(kids.get, level, itertools.repeat(())))
@@ -514,7 +512,7 @@ class StagedTree:
         kids = _inner_children(children)
         staging = _staging(spec.get("stages"), spec.get("downward"))
         tree = cls.__new__(cls)
-        tree._set_shape(kids, None)
+        tree._set_shape(kids)
         tree._set_stages(*staging)
         return tree
 
@@ -548,43 +546,30 @@ class StagedTree:
         return f"StagedTree(k={self.k}, n={self.n}, stages={len(self.stage_ids)})"
 
 
-def _root_of(kids: Mapping[str, Sequence[str]], root: Optional[str]) -> str:
-    """``root``, or the one parentless vertex of ``kids``, after checking that
-    no vertex has one child or two parents and that the root has none.  One
-    parent per vertex and none at the root leave no cycle that the root
-    reaches, so a BFS from it ends.
+def _root_of(kids: Mapping[str, Sequence[str]]) -> str:
+    """The one parentless vertex of ``kids``, after checking that no vertex
+    has one child or two parents.  One parent per vertex and none at the
+    root leave no cycle that the root reaches, so a BFS from it ends.
     """
+    if not kids:
+        raise StagedTreeError("expected a vertex with children, found none")
     sizes = list(map(len, kids.values()))
     children = dict.fromkeys(itertools.chain.from_iterable(kids.values()))
-    fault = _first_fault(kids) if 1 in sizes or len(children) != sum(sizes) else None
-    if root is None:
-        if not kids:
-            raise StagedTreeError("expected a vertex with children, found none")
-        candidates = list(itertools.filterfalse(children.__contains__, kids))
-        if len(candidates) != 1:
-            raise CycleDetected(
-                f"expected exactly one parentless vertex, found {sorted(candidates)}"
-            )
-        root = candidates[0]
-    if fault is not None:
-        raise fault
-    if root in children:
-        raise CycleDetected(f"root {root!r} has a parent")
-    return root
-
-
-def _first_fault(kids: Mapping[str, Sequence[str]]) -> StagedTreeError:
-    """The first vertex, in declaration order, with one child, or the first
-    child that a second parent lists.
-    """
-    parent: dict[str, str] = {}
-    for v, cs in kids.items():
-        if len(cs) == 1:
-            return VertexWithOneChild(f"vertex {v!r} has exactly one child")
-        for c in cs:
-            if c in parent:
-                return CycleDetected(f"vertex {c!r} has two parents: {parent[c]!r}, {v!r}")
-            parent[c] = v
+    candidates = list(itertools.filterfalse(children.__contains__, kids))
+    if len(candidates) != 1:
+        raise CycleDetected(f"expected exactly one parentless vertex, found {sorted(candidates)}")
+    if 1 in sizes or len(children) != sum(sizes):
+        # name the first vertex, in declaration order, with one child, or the
+        # first child that a second parent lists
+        parent: dict[str, str] = {}
+        for v, cs in kids.items():
+            if len(cs) == 1:
+                raise VertexWithOneChild(f"vertex {v!r} has exactly one child")
+            for c in cs:
+                if c in parent:
+                    raise CycleDetected(f"vertex {c!r} has two parents: {parent[c]!r}, {v!r}")
+                parent[c] = v
+    return candidates[0]
 
 
 def _inner_children(children: dict) -> dict:
@@ -642,7 +627,7 @@ def _read_description(text, cls: type = StagedTree) -> Optional[tuple]:
         # each entry is one at the top of the list: no object was nested in another
         if type(entries) is not list or not len(entries) == entries.count(_TAKEN) == len(children):
             raise ValueError
-        tree._set_shape(_inner_children(children), None)
+        tree._set_shape(_inner_children(children))
         children.clear()
         return _TAKEN, i
 
@@ -840,23 +825,31 @@ def dimensions(tree: StagedTree) -> tuple[int, int]:
     return tree.n - 1, sum(tree._kappa) - len(tree._kappa)
 
 
+def _single_index(kappa: int, down: int) -> bool:
+    """A binary vertex with the default downward edge, whose labels and
+    parameters are named by the vertex index alone.
+    """
+    return kappa == 2 and down == 2
+
+
 def star(n: int) -> StagedTree:
     """The star tree with n leaves."""
     return StagedTree({"r": [f"e{i}" for i in range(1, n + 1)]})
 
 
-def product_tree(cards: Iterable[int]) -> StagedTree:
-    """Saturated tree over the product state space with the given cardinalities.
+def _state_name(states: tuple[int, ...]) -> str:
+    """The product-tree vertex that ``states`` reach: ``v_root``, ``v_0.1``."""
+    return "v_" + ".".join(map(str, states)) if states else "v_root"
 
-    Vertices are named by the partial assignment, e.g. ``"v_0.1"`` for the
-    vertex reached by states (0, 1).
+
+def product_tree(cards: Iterable[int]) -> StagedTree:
+    """Saturated tree over the product state space with the given
+    cardinalities, its vertices named by :func:`_state_name`.
     """
     cards = list(cards)
     children: dict[str, list[str]] = {}
     for level in range(len(cards)):
         for config in itertools.product(*(range(c) for c in cards[:level])):
-            name = "v_" + ".".join(map(str, config)) if config else "v_root"
-            children[name] = [
-                "v_" + ".".join(map(str, config + (s,))) for s in range(cards[level])
-            ]
-    return StagedTree(children, root="v_root")
+            name = _state_name(config)
+            children[name] = [_state_name(config + (s,)) for s in range(cards[level])]
+    return StagedTree(children)

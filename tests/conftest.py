@@ -78,4 +78,4 @@ def caterpillar(depth: int) -> StagedTree:
     """
     children = {f"v{i}": [f"l{i}", f"v{i + 1}"] for i in range(1, depth)}
     children[f"v{depth}"] = [f"l{depth}", f"l{depth + 1}"]
-    return StagedTree(children, root="v1")
+    return StagedTree(children)

@@ -104,6 +104,17 @@ class TestFromBN:
             "message": "unfolding has 1099511627775 inner vertices, over 262144",
         }
 
+    def test_bn_without_variables_exits_2(self, capsys, tmp_path):
+        # its unfolding would be a single vertex, which is no staged tree
+        bn = tmp_path / "empty.json"
+        bn.write_text(json.dumps({"variables": []}))
+        code, out = invoke(capsys, "from-bn", str(bn))
+        assert code == 2
+        assert out["error"] == {
+            "type": "StagedTreeError",
+            "message": "expected a vertex with children, found none",
+        }
+
     def test_empty_order_is_refused(self, capsys):
         # "" is the order of one variable named "", not a request for the default
         code, out = invoke(capsys, "from-bn", str(data_path("chain_bn.json")), "--order", "")
@@ -223,7 +234,8 @@ class TestContract:
             ("inspect", fig1a): ["tree"],
             ("expfam", fig1a, "--symbolic"): ["expfam", "tree"],
             ("check", fig1a): ["algebra", "tree"],
-            ("check", fig1a, "--equations", "pretty"): ["algebra", "expfam", "tree"],
+            ("check", fig1a, "--equations", "pretty"): ["algebra", "tree"],
+            ("check", fig1a, "--equations", "json"): ["algebra", "tree"],
             ("from-bn", str(data_path("chain_bn.json"))): ["bayesnet", "tree"],
             ("fit", "--tree", fig1a, "--data", str(data_path("xyz_rows.csv"))): ["fit", "tree"],
             ("select", "--tree-graph", example1, "--data", str(data_path("atom_counts.csv"))): [

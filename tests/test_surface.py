@@ -2,6 +2,7 @@
 traced benchmark run finds every name it calls there.
 """
 
+import inspect
 import json
 import math
 import re
@@ -29,8 +30,11 @@ def test_public_names_resolve_and_the_traced_run_finds_its_own():
     for cls, gone in ((stagedtree.StagedTree, "indicator"),
                       (stagedtree.StagedTree, "indicator_vertex"), (stagedtree.Atom, "visits"),
                       (stagedtree.ExpFamForm, "eta_vector"),
-                      (stagedtree.ConstraintMatrix, "matrix")):
+                      (stagedtree.ConstraintMatrix, "matrix"), (stagedtree.ExpFamForm, "logN")):
         assert not hasattr(cls, gone), gone
+    assert stagedtree.ExpFamForm.__slots__ == ("layout", "eta", "psi")
+    # the root is the one parentless vertex, never an argument
+    assert "root" not in inspect.signature(stagedtree.StagedTree).parameters
     # read as text, so the test does not import the benchmark
     called = set(re.findall(r"\bst\.([A-Za-z_]\w*)", TRACED.read_text()))
     assert {"StagedTree", "ingest_csv", "select_staging", "is_regular"} <= called

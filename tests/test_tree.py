@@ -86,6 +86,14 @@ class TestConstruction:
         assert rebuilt.stage_of == fig1b.stage_of
         assert rebuilt.children == fig1b.children
 
+    def test_a_tree_needs_an_inner_vertex(self):
+        # the root is inferred, so no tree of one vertex can be built
+        builds = (lambda: product_tree([]), lambda: StagedTree({}),
+                  lambda: StagedTree({"only": []}))
+        for build in builds:
+            with pytest.raises(StagedTreeError, match="expected a vertex with children, found"):
+                build()
+
     def test_unknown_spec_field_rejected(self):
         with pytest.raises(StagedTreeError):
             StagedTree.from_spec({"vertices": [], "colour": "blue"})
