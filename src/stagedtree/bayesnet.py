@@ -40,6 +40,10 @@ class DiscreteBN(_Record):
         for name in self.variables:
             if not isinstance(name, str):
                 raise StagedTreeError(f"variable name {name!r} is not a string")
+            if not set(name).isdisjoint("|=,"):
+                raise StagedTreeError(
+                    f"variable name {name!r} holds '|', '=' or ',', the separators of a stage id"
+                )
         repeated = _repeated(self.variables)
         if repeated:
             raise StagedTreeError(f"repeated variable names: {repeated}")
@@ -210,16 +214,19 @@ def validate_order(bn: DiscreteBN, order: Sequence[str]) -> tuple[str, ...]:
 
 # ``from-bn`` peaks at about 1.4 KB per inner vertex (36 MB at k = 16383,
 # 193 MB at k = 131071 on binary chains), so the largest unfolding built
-# stays near 0.4 GB.
+# stays near 0.4 GB.  A leaf costs about 0.14 KB, and every binary BN within
+# the vertex bound stays within the leaf bound.
 MAX_UNFOLDED_VERTICES = 2**18
+MAX_UNFOLDED_LEAVES = 2**20
 
 
 def _unfolding(bn: DiscreteBN, order: Optional[Sequence[str]]):
     """(variable, history, stage) per inner vertex of the unfolded tree, level by
     level; ``history`` maps the earlier variables to the states reaching it.
 
-    An unfolding of more than MAX_UNFOLDED_VERTICES inner vertices is refused
-    before any vertex is made.
+    An unfolding of more than MAX_UNFOLDED_VERTICES inner vertices, or else
+    of more than MAX_UNFOLDED_LEAVES leaves, is refused before any vertex is
+    made.
     """
     order = validate_order(bn, order if order is not None else bn.default_order())
     k, width = 0, 1  # a level is as wide as the product of the earlier cardinalities
@@ -227,6 +234,8 @@ def _unfolding(bn: DiscreteBN, order: Optional[Sequence[str]]):
         k, width = k + width, width * bn.cards[var]
     if k > MAX_UNFOLDED_VERTICES:
         raise StagedTreeError(f"unfolding has {k} inner vertices, over {MAX_UNFOLDED_VERTICES}")
+    if width > MAX_UNFOLDED_LEAVES:
+        raise StagedTreeError(f"unfolding has {width} leaves, over {MAX_UNFOLDED_LEAVES}")
     table = _parents_table(bn)
     for level, var in enumerate(order):
         history = order[:level]

@@ -43,6 +43,11 @@ class AtomTable:
             raise StagedTreeError(f"expected {tree.n} counts, got {len(counts)}")
         if any(c < 0 for c in counts):
             raise StagedTreeError("atom counts must be non-negative")
+        total = sum(counts)
+        if total > 2**53:  # beyond it, a count or a sum of counts may be inexact in a double
+            # a total past 4300 digits has no decimal text, so its size stands in
+            text = str(total) if total < 10**4300 else f"a {total.bit_length()}-bit integer"
+            raise StagedTreeError(f"atom counts total {text}, over 2**53")
         self.tree = tree
         self.counts = counts
 

@@ -156,6 +156,51 @@ class TestUnfoldingLimit:
             assert bn_to_staged_tree(bn).k <= bayesnet.MAX_UNFOLDED_VERTICES
 
 
+class TestUnfoldedLeafLimit:
+    """An unfolding over MAX_UNFOLDED_LEAVES leaves is refused before any
+    vertex is made, though its inner vertices are within their bound.
+    """
+
+    @staticmethod
+    def wide(card):
+        return DiscreteBN(("A",), {"A": card}, (), {"A": [[1 / card] * card]})
+
+    def test_wide_variable_refused_by_its_leaves(self, monkeypatch):
+        monkeypatch.setattr(bayesnet, "MAX_UNFOLDED_LEAVES", 8)
+        assert bn_to_staged_tree(self.wide(8)).n == 8
+        assert len(bn_edge_labels(self.wide(8))) == 8
+        for unfold in (bn_to_staged_tree, bn_edge_labels):
+            with pytest.raises(StagedTreeError, match="^unfolding has 9 leaves, over 8$"):
+                unfold(self.wide(9))
+
+    def test_every_binary_bn_within_the_vertex_bound_passes(self):
+        m = bayesnet.MAX_UNFOLDED_VERTICES.bit_length() - 1  # 2**m - 1 inner vertices
+        assert 2**m <= bayesnet.MAX_UNFOLDED_LEAVES
+
+
+class TestVariableNames:
+    # the BN whose stage ids collided: 'A' given B=0 and C|D=0, and 'A|B=0,C' given D=0
+    COLLIDING = {
+        "variables": [{"name": v, "card": 2} for v in ("B", "C|D", "A", "D", "A|B=0,C")],
+        "edges": [["B", "A"], ["C|D", "A"], ["D", "A|B=0,C"]],
+    }
+
+    @pytest.mark.parametrize("name", ["C|D", "A=1", "A,B", "|", "x=y|z,"])
+    def test_stage_id_separators_refused(self, name):
+        with pytest.raises(StagedTreeError, match=re.escape(f"variable name {name!r} holds")):
+            DiscreteBN(("X", name), {"X": 2, name: 2}, ())
+
+    def test_colliding_stage_ids_refused(self):
+        with pytest.raises(StagedTreeError, match=re.escape("variable name 'C|D' holds")):
+            DiscreteBN.from_spec(self.COLLIDING)
+
+    def test_other_names_keep_their_stage_ids(self):
+        bn = binary_bn(["X 1", "Y.2", "Z:3"], [("X 1", "Z:3"), ("Y.2", "Z:3")])
+        stages = ("X 1|", "Y.2|", "Z:3|X 1=0,Y.2=0", "Z:3|X 1=0,Y.2=1", "Z:3|X 1=1,Y.2=0",
+                  "Z:3|X 1=1,Y.2=1")
+        assert bn_to_staged_tree(bn).stage_ids == stages
+
+
 class TestDecomposable:
     def test_collider_not_decomposable(self):
         assert not is_decomposable(COLLIDER)

@@ -115,6 +115,21 @@ class TestFromBN:
             "message": "expected a vertex with children, found none",
         }
 
+    def test_names_with_stage_id_separators_exit_2(self, capsys, tmp_path):
+        # 'A' given B=0, C|D=0 and 'A|B=0,C' given D=0 both had stage 'A|B=0,C|D=0'
+        bn = tmp_path / "colliding.json"
+        names = ("B", "C|D", "A", "D", "A|B=0,C")
+        bn.write_text(json.dumps({
+            "variables": [{"name": v, "card": 2} for v in names],
+            "edges": [["B", "A"], ["C|D", "A"], ["D", "A|B=0,C"]],
+        }))
+        code, out = invoke(capsys, "from-bn", str(bn))
+        assert code == 2
+        assert out["error"] == {
+            "type": "StagedTreeError",
+            "message": "variable name 'C|D' holds '|', '=' or ',', the separators of a stage id",
+        }
+
     def test_empty_order_is_refused(self, capsys):
         # "" is the order of one variable named "", not a request for the default
         code, out = invoke(capsys, "from-bn", str(data_path("chain_bn.json")), "--order", "")
@@ -200,6 +215,23 @@ class TestFitSelect:
         plain = "atom_id,count\n1,2\n2,1\n"
         out = fit("\ufeff" + plain)
         assert out == fit(plain) and json.loads(out)["n_obs"] == 3
+
+
+    @pytest.mark.parametrize("command, tree_flag", [("fit", "--tree"), ("select", "--tree-graph")])
+    @pytest.mark.parametrize("power", [307, 308])
+    def test_counts_beyond_a_double_exit_2(self, capsys, tmp_path, command, tree_flag, power):
+        # these overflowed a sum of floats (307) or their conversion to float (308)
+        counts = [(i % 3 + 1) * 10**power for i in range(1, 9)]
+        data = tmp_path / "counts.csv"
+        rows = "".join(f"{i},{c}\n" for i, c in enumerate(counts, start=1))
+        data.write_text("atom_id,count\n" + rows)
+        tree = str(data_path("example1.json"))
+        code, out = invoke(capsys, command, tree_flag, tree, "--data", str(data))
+        assert code == 2
+        assert out["error"] == {
+            "type": "StagedTreeError",
+            "message": f"atom counts total {sum(counts)}, over 2**53",
+        }
 
 
 class TestContract:
@@ -945,7 +977,8 @@ class TestDeepTree:
 
 # -- fuzz: random inputs exit 0 or 2, never 1 ----------------------------------
 
-NAMES = st.sampled_from(["A", "B", "C", "D"])
+# "D|E" holds a separator of stage ids, which a BN refuses
+NAMES = st.sampled_from(["A", "B", "C", "D", "D|E"])
 # JSON reads NaN, Infinity and integers beyond the range of a double
 NUMBERS = st.one_of(
     st.floats(0.0, 1.0), st.floats(), st.integers(-2, 3), st.sampled_from([10**400, -(10**400)])
@@ -1043,6 +1076,8 @@ def csv_bytes(draw):
     else:
         header, cells = ["atom_id", "count"], [st.integers(1, 8), st.integers(0, 5)]
     rows = [header] + [[str(draw(c)) for c in cells] for _ in range(draw(st.integers(0, 16)))]
+    if header[1] == "count" and len(rows) > 1:  # a count beyond the range of a double
+        rows[1][1] = mostly(draw, st.just(rows[1][1]), st.just("9" * 400))
     i = draw(st.integers(0, len(rows) - 1))
     j = draw(st.integers(0, len(rows[i]) - 1))
     rows[i][j] = mostly(draw, st.just(rows[i][j]), CELLS)

@@ -125,6 +125,16 @@ class TestAtomTable:
         ):
             fn(star(n_tree), table)
 
+    def test_counts_must_total_at_most_two_to_the_53(self):
+        # every count and every partial total stays exact in a double
+        assert AtomTable(star(2), [2**52, 2**52]).n_obs == 2**53
+        message = rf"^atom counts total {2**53 + 1}, over 2\*\*53$"
+        with pytest.raises(StagedTreeError, match=message):
+            AtomTable(star(2), [2**52, 2**52 + 1])
+        # a total past 4300 digits, which has no decimal text, is named by its size
+        with pytest.raises(StagedTreeError, match="^atom counts total a 14286-bit integer"):
+            AtomTable(star(2), [10**4300, 10**4300])
+
     def test_numpy_integer_counts_become_ints(self):
         table = AtomTable(star(2), np.array([3, 4], dtype=np.int64))
         assert table.counts == (3, 4)
