@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from typing import Optional, Sequence
 
-from .errors import OrderInconsistentWithDAG, StagedTreeError, loads
+from .errors import OrderInconsistentWithDAG, StagedTreeError, int_text, loads
 from .tree import (
     SUM_TOL, ParameterVector, StagedTree, _is_integer, _is_real, _Record, _set, _state_name,
 )
@@ -41,9 +41,7 @@ class DiscreteBN(_Record):
             if not isinstance(name, str):
                 raise StagedTreeError(f"variable name {name!r} is not a string")
             if not set(name).isdisjoint("|=,"):
-                raise StagedTreeError(
-                    f"variable name {name!r} holds '|', '=' or ',', the separators of a stage id"
-                )
+                raise StagedTreeError(f"variable name {name!r} holds a stage-id separator (| = ,)")
         repeated = _repeated(self.variables)
         if repeated:
             raise StagedTreeError(f"repeated variable names: {repeated}")
@@ -225,17 +223,18 @@ def _unfolding(bn: DiscreteBN, order: Optional[Sequence[str]]):
     level; ``history`` maps the earlier variables to the states reaching it.
 
     An unfolding of more than MAX_UNFOLDED_VERTICES inner vertices, or else
-    of more than MAX_UNFOLDED_LEAVES leaves, is refused before any vertex is
-    made.
+    MAX_UNFOLDED_LEAVES leaves, is refused before any vertex is made.
     """
     order = validate_order(bn, order if order is not None else bn.default_order())
     k, width = 0, 1  # a level is as wide as the product of the earlier cardinalities
     for var in order:
         k, width = k + width, width * bn.cards[var]
     if k > MAX_UNFOLDED_VERTICES:
-        raise StagedTreeError(f"unfolding has {k} inner vertices, over {MAX_UNFOLDED_VERTICES}")
+        raise StagedTreeError(
+            f"unfolding has {int_text(k)} inner vertices, over {MAX_UNFOLDED_VERTICES}"
+        )
     if width > MAX_UNFOLDED_LEAVES:
-        raise StagedTreeError(f"unfolding has {width} leaves, over {MAX_UNFOLDED_LEAVES}")
+        raise StagedTreeError(f"unfolding has {int_text(width)} leaves, over {MAX_UNFOLDED_LEAVES}")
     table = _parents_table(bn)
     for level, var in enumerate(order):
         history = order[:level]

@@ -55,6 +55,11 @@ class ZeroStageTraffic(StagedTreeError):
     pass
 
 
+def int_text(n: int) -> str:
+    """A non-negative ``n`` in decimal, up to the 4300 digits that ``str`` writes."""
+    return str(n) if n < 10**4300 else "10**4300 or more"
+
+
 def loads(text: str):
     """``json.loads``, typing its errors on over-long integers and over-deep nesting."""
     try:

@@ -23,6 +23,7 @@ from .errors import (
     StagedTreeError,
     UnknownCategory,
     ZeroStageTraffic,
+    int_text,
 )
 from .tree import (
     Atom, ParameterVector, StagedTree, _is_integer, _is_real, _Record, _require_atom_of, _set,
@@ -45,15 +46,10 @@ class AtomTable:
             raise StagedTreeError("atom counts must be non-negative")
         total = sum(counts)
         if total > 2**53:  # beyond it, a count or a sum of counts may be inexact in a double
-            # a total past 4300 digits has no decimal text, so its size stands in
-            text = str(total) if total < 10**4300 else f"a {total.bit_length()}-bit integer"
-            raise StagedTreeError(f"atom counts total {text}, over 2**53")
+            raise StagedTreeError(f"atom counts total {int_text(total)}, over 2**53")
         self.tree = tree
         self.counts = counts
-
-    @property
-    def n_obs(self) -> int:
-        return sum(self.counts)
+        self.n_obs = total
 
     def count(self, atom: Atom) -> int:
         _require_atom_of(self.tree, atom)

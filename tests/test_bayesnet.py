@@ -178,6 +178,16 @@ class TestUnfoldedLeafLimit:
         assert 2**m <= bayesnet.MAX_UNFOLDED_LEAVES
 
 
+def test_unfolding_bounds_name_sizes_past_4300_digits():
+    # str() writes no more than 4300 digits, and a JSON card may have 4300
+    cases = {"inner vertices": (10**4000, 10**4000, 2), "leaves": (10, 10**4299)}
+    for what, cards in cases.items():
+        names = [f"X{i}" for i in range(len(cards))]
+        bn = DiscreteBN(tuple(names), dict(zip(names, cards)), ())
+        with pytest.raises(StagedTreeError, match=rf"^unfolding has 10\*\*4300 or more {what},"):
+            bn_to_staged_tree(bn)
+
+
 class TestVariableNames:
     # the BN whose stage ids collided: 'A' given B=0 and C|D=0, and 'A|B=0,C' given D=0
     COLLIDING = {

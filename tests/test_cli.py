@@ -127,7 +127,7 @@ class TestFromBN:
         assert code == 2
         assert out["error"] == {
             "type": "StagedTreeError",
-            "message": "variable name 'C|D' holds '|', '=' or ',', the separators of a stage id",
+            "message": "variable name 'C|D' holds a stage-id separator (| = ,)",
         }
 
     def test_empty_order_is_refused(self, capsys):
