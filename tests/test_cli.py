@@ -216,7 +216,6 @@ class TestFitSelect:
         out = fit("\ufeff" + plain)
         assert out == fit(plain) and json.loads(out)["n_obs"] == 3
 
-
     @pytest.mark.parametrize("command, tree_flag", [("fit", "--tree"), ("select", "--tree-graph")])
     @pytest.mark.parametrize("power", [307, 308])
     def test_counts_beyond_a_double_exit_2(self, capsys, tmp_path, command, tree_flag, power):
