@@ -25,7 +25,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from typing import Optional
 
 from .tree import StagedTree, _Record, _set, _single_index, dimensions
 
@@ -196,60 +195,44 @@ def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _member_ratios(tree: StagedTree, ncode: list[int]):
-    """(kappa, member positions, keys) for every stage with at least two members.
-
-    ``keys[m][j - 1]`` is the ratio N_cj / N_ck of member m's children at
-    edge j and at the downward edge k = kappa, as a fraction of the codes in
-    lowest terms, so equal keys are equal Laurent monomials.
-    """
-    first = tree._first
-    for members, kappa in zip(tree._members, tree._down):
-        if len(members) < 2:
-            continue
-        keys = []
-        for p in members:
-            den = ncode[first[p] + kappa - 1]
-            key = []
-            for num in ncode[first[p] : first[p + 1]]:
-                g = math.gcd(num, den)
-                key.append((num // g, den // g))
-            keys.append(key)
-        yield kappa, members, keys
-
-
 def _member_pairs(tree: StagedTree, table: list):
-    """(k, the values in ``table`` of a stage's first member's children, those
-    of a later member's children) for every later member of every stage; k is
-    the 0-based downward edge.
+    """(k, p, q, the values in ``table`` of p's children, those of q's
+    children) for the first member p and every later member q of every
+    stage, in stage and BFS order; k is the 0-based downward edge.
     """
     first = tree._first
     for members, down in zip(tree._members, tree._down):
         p = members[0]
         for q in members[1:]:
-            yield down - 1, table[first[p] : first[p + 1]], table[first[q] : first[q + 1]]
+            yield down - 1, p, q, table[first[p] : first[p + 1]], table[first[q] : first[q + 1]]
+
+
+def _linear(k: int, n1: list[int], ns: list[int]) -> list[bool]:
+    """Whether N_1j N_sk = N_sj N_1k at each edge j, on the N-codes: equal
+    products of primes are equal monomials.
+    """
+    n1k, nsk = n1[k], ns[k]
+    return [a * nsk == n1k * b for a, b in zip(n1, ns)]
 
 
 def _regular(tree: StagedTree, codes: _Codes) -> tuple[bool, list[tuple[str, str, int]]]:
     names, witnesses = tree.vertices, []
-    for _, members, keys in _member_ratios(tree, codes.ncode):
-        if all(key == keys[0] for key in keys):
-            continue
-        for (pi, ki), (ps, ks) in itertools.combinations(zip(members, keys), 2):
-            witnesses.extend(
-                (names[pi], names[ps], j) for j, (a, b) in enumerate(zip(ki, ks), start=1) if a != b
-            )
+    for k, p, q, n1, ns in _member_pairs(tree, codes.ncode):
+        witnesses.extend(
+            (names[p], names[q], j) for j, ok in enumerate(_linear(k, n1, ns), start=1) if not ok
+        )
     return not witnesses, witnesses
 
 
 def is_regular(tree: StagedTree) -> tuple[bool, list[tuple[str, str, int]]]:
-    """Check N_ij N_sk = N_sj N_ik for all same-stage pairs and edges.
+    """Check N_1j N_sk = N_sj N_1k for each stage's first member 1 in BFS
+    order, every later member s and every edge j.
 
-    Returns (flag, witnesses); each witness is a violating (v_i, v_s, j)
-    triple, in lexicographic order of the vertex enumeration.  Monomials
-    form a cancellative monoid, so a pair violates at edge j exactly when
-    the ratios N_ij / N_ik and N_sj / N_sk differ, and a stage whose members
-    all share the first member's ratios has no witness.
+    Returns (flag, witnesses); each witness is a violating (v_1, v_s, j)
+    triple, in stage, member and edge order.  Monomials form a cancellative
+    monoid, so the condition says N_sj / N_sk = N_1j / N_1k, and equality of
+    ratios is transitive: a pair (i, s) that violates N_ij N_sk = N_sj N_ik
+    at edge j has (v_1, v_i, j) or (v_1, v_s, j) among the witnesses.
 
     Neither this verdict nor balance (see :func:`is_balanced`) depends on the
     downward edges.  With Q_v(j) = N_c / N_v for v's child c at edge j, a
@@ -274,13 +257,13 @@ def _balanced(tree: StagedTree, codes: _Codes) -> bool:
     without a product: if t_1k = t_sk the condition is t_1j = t_sj, and if
     not, t_1j = t_sj violates it.
     """
-    for k, f1, fs in _member_pairs(tree, codes.fp):
+    for k, _, _, f1, fs in _member_pairs(tree, codes.fp):
         f1k, fsk = f1[k], fs[k]
         if any((a * fsk - f1k * b) % _P for a, b in zip(f1, fs)):
             return False
     if tree.is_saturated():  # no pair, so no exact table
         return True
-    for k, t1, ts in _member_pairs(tree, codes.exact()):
+    for k, _, _, t1, ts in _member_pairs(tree, codes.exact()):
         if t1[k] == ts[k]:
             if ts != t1:
                 return False
@@ -295,10 +278,10 @@ def _simple(tree: StagedTree, codes: _Codes) -> bool:
     """t_sj = t_1j for the first member 1, every later member s and edge j,
     on the fingerprints first and then on the exact tables.
     """
-    if any(f1 != fs for _, f1, fs in _member_pairs(tree, codes.fp)):
+    if any(f1 != fs for *_, f1, fs in _member_pairs(tree, codes.fp)):
         return False
     pairs = () if tree.is_saturated() else _member_pairs(tree, codes.exact())
-    return all(t1 == ts for _, t1, ts in pairs)
+    return all(t1 == ts for *_, t1, ts in pairs)
 
 
 def is_balanced(tree: StagedTree) -> bool:
@@ -363,18 +346,21 @@ def constraint_matrix(tree: StagedTree) -> ConstraintMatrix:
 
 
 class StageEquation(_Record):
-    """eta_ij + log P_ij + log P_sk = eta_sj + log P_sj + log P_ik.
+    """eta_1j + log P_1j + log P_sk = eta_sj + log P_sj + log P_1k.
 
-    ``lhs_eta``/``rhs_eta`` are (vertex, edge) pairs or None when the edge is
-    downward (its natural parameter is identically zero).  The equation is
-    linear in the natural parameters iff the log terms cancel, which happens
-    iff the downward monomials satisfy N_ij N_sk = N_sj N_ik.
+    The equation of a stage's first member v_1 (``vi``) and a later member
+    v_s (``vs``) at an edge j other than the downward edge k, where P_vj is
+    the xi-polynomial of v's child at edge j.  ``kappa`` holds k, the index
+    of the downward edge, not the stage's out-degree.  ``lhs_eta`` and
+    ``rhs_eta`` are the (vertex, edge) pairs (v_1, j) and (v_s, j).  The
+    equation is linear in the natural parameters iff the log terms cancel,
+    which happens iff the downward monomials satisfy N_1j N_sk = N_sj N_1k.
     """
 
     __slots__ = ("vi", "vs", "j", "kappa", "lhs_eta", "rhs_eta", "lhs_logs", "rhs_logs", "linear")
 
-    def __init__(self, vi: str, vs: str, j: int, kappa: int, lhs_eta: Optional[tuple[str, int]],
-                 rhs_eta: Optional[tuple[str, int]],
+    def __init__(self, vi: str, vs: str, j: int, kappa: int, lhs_eta: tuple[str, int],
+                 rhs_eta: tuple[str, int],
                  lhs_logs: tuple[FormalPolynomial, FormalPolynomial],
                  rhs_logs: tuple[FormalPolynomial, FormalPolynomial], linear: bool):
         _set(self, "vi", vi)
@@ -389,7 +375,7 @@ class StageEquation(_Record):
 
     def pretty(self, tree: StagedTree) -> str:
         def side(eta_term, logs):
-            parts = ["0" if eta_term is None else _name(tree, "eta", *eta_term)]
+            parts = [_name(tree, "eta", *eta_term)]
             parts += [f"log({_poly_str(tree, p)})" for p in logs]
             return " + ".join(parts)
 
@@ -419,28 +405,27 @@ def _poly_str(tree: StagedTree, poly: FormalPolynomial) -> str:
 
 
 def stage_equations(tree: StagedTree) -> list[StageEquation]:
-    """One equation per same-stage pair per edge j = 1..kappa."""
+    """One equation per later member s of each stage and per edge j other
+    than the downward edge k, against the stage's first member 1: d0 - d
+    equations, one per row of :func:`constraint_matrix`.
+
+    The equation of members i and s at edge j says g_j(i) = g_j(s), with
+    g_j(v) = eta_vj + log P_vj - log P_vk, so every pairwise equation is the
+    difference of two of these, and the one at j = k reads 0 = 0.
+    """
     if tree.is_saturated():
         return []
     xi = list(xi_polynomials(tree).values())  # by BFS position
-    names, first, equations = tree.vertices, tree._first, []
-    for kappa, members, keys in _member_ratios(tree, _Codes(tree).ncode):
-        for (pi, ki), (ps, ks) in itertools.combinations(zip(members, keys), 2):
-            vi, vs, ci, cs = names[pi], names[ps], first[pi] - 1, first[ps] - 1
-            for j in range(1, len(ki) + 1):
-                equations.append(
-                    StageEquation(
-                        vi=vi,
-                        vs=vs,
-                        j=j,
-                        kappa=kappa,
-                        lhs_eta=None if j == kappa else (vi, j),
-                        rhs_eta=None if j == kappa else (vs, j),
-                        lhs_logs=(xi[ci + j], xi[cs + kappa]),
-                        rhs_logs=(xi[cs + j], xi[ci + kappa]),
-                        linear=ki[j - 1] == ks[j - 1],
-                    )
-                )
+    names, equations = tree.vertices, []
+    pairs = zip(_member_pairs(tree, xi), _member_pairs(tree, _Codes(tree).ncode))
+    for (k, p, q, x1, xs), (*_, n1, ns) in pairs:
+        v1, vs = names[p], names[q]
+        equations.extend(
+            StageEquation(v1, vs, j, k + 1, (v1, j), (vs, j), (x1[j - 1], xs[k]),
+                          (xs[j - 1], x1[k]), linear)
+            for j, linear in enumerate(_linear(k, n1, ns), start=1)
+            if j != k + 1
+        )
     return equations
 
 

@@ -224,6 +224,8 @@ def _mle(tree: StagedTree, visits: dict, edges: dict, alpha: float) -> Parameter
         denom = visits[s] + alpha * kappa
         if denom == 0:
             raise ZeroStageTraffic(f"stage {s!r} receives no observations")
+        if denom == math.inf:
+            raise StagedTreeError(f"alpha {alpha!r} is too large: {kappa} * alpha overflows")
         for j in range(1, kappa + 1):
             vals[(s, j)] = (edges[(s, j)] + alpha) / denom
     return ParameterVector(vals, allow_boundary=True)

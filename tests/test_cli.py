@@ -597,6 +597,29 @@ class TestMalformedInput:
         assert out["error"]["type"] == "StagedTreeError"
         assert out["error"]["message"].startswith("alpha must be")
 
+    @pytest.mark.parametrize("alpha", [1e308, 1e300])
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    def test_alpha_that_overflows_with_the_out_degree_exits_2(self, capsys, tmp_path, command,
+                                                              alpha):
+        # on these binary stages 2 * alpha overflows at 1e308, not at 1e300
+        if command == "fit":
+            data = tmp_path / "counts.csv"
+            data.write_text("atom_id,count\n1,1\n")
+            argv = ["fit", "--tree", str(data_path("fig1a.json")), "--data", str(data),
+                    "--alpha", repr(alpha)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"alpha": alpha}))
+            argv = ["select", "--tree-graph", str(data_path("example1.json")),
+                    "--data", str(data_path("atom_counts.csv")), "--config", str(config)]
+        code, out = invoke(capsys, *argv)
+        if alpha == 1e308:
+            assert code == 2
+            assert out["error"] == {"type": "StagedTreeError",
+                                    "message": "alpha 1e+308 is too large: 2 * alpha overflows"}
+        else:
+            assert code == 0 and set(out["theta"].values()) == {0.5}
+
     def test_fit_empty_table_exits_2(self, capsys, tmp_path):
         data = tmp_path / "counts.csv"
         data.write_text("atom_id,count\n1,0\n")
@@ -1094,8 +1117,8 @@ def search_configs(draw):
         "max_merges": st.one_of(st.none(), st.integers(0, 8), st.sampled_from([10**400])),
         "same_depth": st.booleans(),
         # JSON reads an integer beyond the range of a double exactly
-        "alpha": st.one_of(st.floats(0.0, 5.0), st.integers(0, 3),
-                           st.sampled_from([1e308, 10**400])),
+        "alpha": st.one_of(st.floats(0.0, 5.0), st.floats(0.0, sys.float_info.max),
+                           st.integers(0, 3), st.sampled_from([1e308, 10**400])),
     }
     config = {key: mostly(draw, valid) for key, valid in values.items() if draw(st.booleans())}
     if draw(st.integers(0, 9)) == 0:
@@ -1158,6 +1181,8 @@ class TestFuzz:
         def each(config):
             codes.append(self.run_on(workdir, config, *argv))
             assert codes[-1] in (0, 2), config
+            # a refusal names the user's input, never labels the search made
+            assert "labels sum" not in (workdir / "out.json").read_text(), config
 
         each()
         # enough valid configurations that the fuzz reaches the search

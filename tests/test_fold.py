@@ -12,7 +12,10 @@ new code must agree with them exactly.  The exception is the per-atom
 pooled one and must agree within 1e-12 relative.  The oracle checks compare
 every same-stage pair; ``is_regular``, ``is_balanced``, ``is_simple`` and
 ``classify`` compare each stage member with the stage's first member only,
-and must give the same verdicts and the same full witness lists.
+and must give the same verdicts, and the oracle's witnesses whose first
+vertex is its stage's first member (``first_member_witnesses``).  Every
+pairwise witness (v_i, v_s, j) has (v_1, v_i, j) or (v_1, v_s, j) among
+those.
 
 The per-atom and per-edge versions of the fit and parametrize passes are
 oracles too: ``oracle_vertex_traffic`` walks every atom, ``oracle_count_rows``
@@ -21,8 +24,13 @@ walks every row and indexes leaves through the atoms, and
 ``oracle_render_formulas`` resolve each edge through the tree's accessors.
 ``StagedTree.edge_totals``, the walk of each distinct row once and the
 per-vertex passes must agree with them exactly.  ``stage_equations`` takes
-its ``linear`` flags from the per-member ratios of ``is_regular`` and must
-agree with the pairwise ``oracle_stage_equations`` exactly.
+its ``linear`` flags from the same first-member comparison as
+``is_regular`` and must equal the pairwise ``oracle_stage_equations``
+filtered to the first member's equations at the edges j other than the
+downward edge (``first_member_equations``).  Every oracle equation
+E(i, s, j) must be E(1, s, j) - E(1, i, j) as a formal sum of eta and log
+terms, where the equations left out, at j = k or of a member with itself,
+are 0 = 0.
 ``oracle_labels_from_distribution`` walks every atom's steps and
 renormalises; ``labels_from_distribution`` divides the edge totals of the
 atom masses by their sum at each vertex, so the labels run their sums in
@@ -575,6 +583,28 @@ def oracle_classify(tree):
     }
 
 
+def first_members(tree) -> set:
+    return {members[0] for members in tree.stage_members.values()}
+
+
+def first_member_witnesses(tree, witnesses):
+    """The pairwise witnesses (v_i, v_s, j) with v_i its stage's first member."""
+    first = first_members(tree)
+    return [w for w in witnesses if w[0] in first]
+
+
+def first_member_classify(tree):
+    """``oracle_classify`` with its witnesses filtered to the first members."""
+    report = oracle_classify(tree)
+    return {**report, "witnesses": first_member_witnesses(tree, report["witnesses"])}
+
+
+def first_member_equations(tree, equations):
+    """The pairwise equations of a stage's first member at j != kappa."""
+    first = first_members(tree)
+    return [e for e in equations if e.vi in first and e.j != e.kappa]
+
+
 def oracle_downward_invariance_probe(tree):
     """Recompute the classification under alternative downward-edge choices."""
     base_regular, _ = oracle_is_regular(tree)
@@ -990,7 +1020,7 @@ def test_classify_multiplies_no_label_tuples(monkeypatch, edges, balanced):
     # a structural guard: the checks read the integer tables, never the
     # tuple-monomial products of FormalPolynomial
     tree = six_ternary(edges)
-    expected = oracle_classify(tree)
+    expected = first_member_classify(tree)
     assert expected["balanced"] is balanced
 
     def refuse(*args):
@@ -1007,12 +1037,13 @@ def test_checks_match_those_on_the_recursive_tables(family):
     for tree in ALGEBRA_FAMILIES[family]:
         # oracle_classify runs oracle_is_regular, oracle_is_balanced and
         # oracle_is_simple; each oracle runs once per tree
-        expected = oracle_classify(tree)
+        expected = first_member_classify(tree)
         assert is_regular(tree) == (expected["regular"], expected["witnesses"])
         assert is_balanced(tree) == expected["balanced"]
         assert is_simple(tree) == expected["simple"]
         assert classify(tree) == expected
-        equations, oracle_equations = stage_equations(tree), oracle_stage_equations(tree)
+        equations = stage_equations(tree)
+        oracle_equations = first_member_equations(tree, oracle_stage_equations(tree))
         assert equations == oracle_equations
         assert [e.pretty(tree) for e in equations] == [e.pretty(tree) for e in oracle_equations]
 
@@ -1031,7 +1062,64 @@ def fuzz_family():
 
 def test_classify_matches_oracle_on_the_fuzz_family():
     for tree in fuzz_family():
-        assert classify(tree) == oracle_classify(tree)
+        expected = first_member_classify(tree)
+        assert classify(tree) == expected
+        assert is_regular(tree) == (expected["regular"], expected["witnesses"])
+        oracle_equations = first_member_equations(tree, oracle_stage_equations(tree))
+        assert stage_equations(tree) == oracle_equations
+
+
+def equation_terms(eq) -> Counter:
+    """lhs - rhs of a stage equation as a formal sum of eta and log terms,
+    with the terms that cancel dropped; an eta of None is 0.
+    """
+    terms = Counter()
+    for sign, eta, logs in ((1, eq.lhs_eta, eq.lhs_logs), (-1, eq.rhs_eta, eq.rhs_logs)):
+        if eta is not None:
+            terms[("eta", eta)] += sign
+        for poly in logs:
+            terms[("log", poly)] += sign
+    return Counter({key: c for key, c in terms.items() if c})
+
+
+def difference(a: Counter, b: Counter) -> Counter:
+    out = Counter(a)
+    out.subtract(b)
+    return Counter({key: c for key, c in out.items() if c})
+
+
+@pytest.mark.parametrize("family", ALGEBRA_FAMILIES)
+def test_every_pairwise_equation_is_a_difference_of_two_first_member_ones(family):
+    for tree in ALGEBRA_FAMILIES[family]:
+        new = {(e.vs, e.j): equation_terms(e) for e in stage_equations(tree)}
+        for eq in oracle_stage_equations(tree):
+            # E(i, s, j) = E(1, s, j) - E(1, i, j); E(1, 1, j) and E(., ., k) are 0 = 0
+            expected = difference(new.get((eq.vs, eq.j), Counter()),
+                                  new.get((eq.vi, eq.j), Counter()))
+            assert equation_terms(eq) == expected
+
+
+@pytest.mark.parametrize("family", ALGEBRA_FAMILIES)
+def test_every_pairwise_witness_is_covered_by_a_first_member_one(family):
+    for tree in ALGEBRA_FAMILIES[family]:
+        first = {v: members[0] for members in tree.stage_members.values() for v in members}
+        witnesses = set(is_regular(tree)[1])
+        for vi, vs, j in oracle_is_regular(tree)[1]:
+            v1 = first[vi]
+            assert (v1, vi, j) in witnesses or (v1, vs, j) in witnesses
+
+
+def test_witnesses_are_linear_in_the_stage_size():
+    # one level of product_tree([2] * 10) made one stage at a time; the
+    # pairwise list held 32,640 witnesses for the 256-member level alone
+    base = product_tree([2] * 10)
+    for level in range(1, 10):
+        tree = base.with_staging({v: "s" for v in base.inner if base.depth[v] == level})
+        bound = sum((len(members) - 1) * (tree.stage_degrees[s] - 1)
+                    for s, members in tree.stage_members.items())
+        witnesses = is_regular(tree)[1]
+        assert bound == 2**level - 1 and len(witnesses) <= bound
+        assert classify(tree)["witnesses"] == witnesses
 
 
 def oracle_dense_rank(rows, n_columns: int) -> int:
@@ -1063,6 +1151,21 @@ def test_constraint_rank_is_the_dense_rank(family):
         cm = constraint_matrix(tree)
         d0, _ = dimensions(tree)
         assert cm.rank == oracle_dense_rank(cm.rows, d0)
+
+
+@pytest.mark.parametrize("family", ["algebra", "chains"])
+def test_one_equation_per_constraint_row(family):
+    trees = {
+        "algebra": lambda: [t for trees in ALGEBRA_FAMILIES.values() for t in trees],
+        "chains": lambda: [ternary_chain(6), ternary_chain(7)],
+    }[family]()
+    counts = []
+    for tree in trees:
+        d0, d = dimensions(tree)
+        counts.append(len(stage_equations(tree)))
+        assert counts[-1] == d0 - d == constraint_matrix(tree).rank
+    if family == "chains":
+        assert counts == [696, 2148]
 
 
 def one_stage_tree(members: str, inner_edges: dict) -> StagedTree:
@@ -1108,13 +1211,17 @@ def one_stage_tree(members: str, inner_edges: dict) -> StagedTree:
     ids=["first-odd", "middle-odd", "two-odd", "ratio-cancels", "balanced-not-simple"],
 )
 def test_hand_built_stages_match_oracle(members, inner_edges, witnesses, flags):
+    # ``witnesses`` is the pairwise list; the checks give those of the first
+    # member a
     tree = one_stage_tree(members, inner_edges)
-    assert is_regular(tree) == (not witnesses, witnesses) == oracle_is_regular(tree)
+    assert oracle_is_regular(tree) == (not witnesses, witnesses)
+    firsts = [w for w in witnesses if w[0] == "a"]
+    assert is_regular(tree) == (not firsts, firsts)
     report = classify(tree)
     assert (report["regular"], report["balanced"], report["simple"]) == flags
-    assert report == oracle_classify(tree)
+    assert report == first_member_classify(tree)
     assert (is_balanced(tree), is_simple(tree)) == flags[1:]
-    assert stage_equations(tree) == oracle_stage_equations(tree)
+    assert stage_equations(tree) == first_member_equations(tree, oracle_stage_equations(tree))
 
 
 # -- the array layout against the dict build it replaced -----------------------
@@ -1421,6 +1528,7 @@ def malformed_specs():
     yield {"vertices": ok, "downward": {"a": 1.0}}
     yield {"vertices": ok, "downward": {"a": 3}}
     yield {"vertices": ok, "downward": {"a": 0, "r": 3}}
+    yield {"vertices": [{"id": "r", "children": ["a", "b"]}], "downward": {"r": 0}}
     yield {"vertices": ok, "stages": {"a": "r"}, "downward": {"r": 1}}
     # shape faults that only the full check names, where from_json lays out the
     # shape before it reads the fields after 'vertices'

@@ -7,6 +7,13 @@ a binary stage with a non-default downward edge, so its cases pin the
 bracket-style names ``th[i,j]``, ``eta[i,j]`` and ``xi[i,j]`` next to the
 single-index ones.
 
+The six ``check_{fig1a,fig1b,ternary_downward}_{json,pretty}`` cases were
+regenerated when ``stage_equations`` stopped emitting one equation per
+same-stage pair and edge: it now emits one per later member of a stage,
+against the stage's first member, and none at the downward edge, where the
+equation reads 0 = 0.  Only their ``equations`` changed; the verdicts,
+dimensions and first witness are the bytes the pairwise checks printed.
+
 The same cases, with and without ``--pretty`` and on stdout and ``--output``,
 are also compared with the emitter the streamed one replaced: one
 ``json.dumps`` of the whole payload, whose ``layout``, ``eta`` and

@@ -38,11 +38,10 @@ def merge_step(kept="v2"):
     return MergeStep(kept, "v3", bic_before=12.5, bic_after=11.0)
 
 
-def stage_equation(j=1):
-    tree = StagedTree(
-        {"r": ["a", "b"], "a": ["x", "y"], "b": ["z", "w"]}, stages={"a": "s", "b": "s"}
-    )
-    return stage_equations(tree)[j - 1]
+def stage_equation(j=1, degree=2):
+    """Equation j of the stage of a and b, each with ``degree`` leaves."""
+    children = {"r": ["a", "b"], "a": ["x", "y", "u"][:degree], "b": ["z", "w", "t"][:degree]}
+    return stage_equations(StagedTree(children, stages={"a": "s", "b": "s"}))[j - 1]
 
 
 def expfam_form(first=0.5):
@@ -82,7 +81,7 @@ CASES = {
     ),
     "StageEquation": (
         stage_equation,
-        stage_equation(j=2),
+        stage_equation(j=2, degree=3),
         "StageEquation(vi='a', vs='b', j=1, kappa=2, lhs_eta=('a', 1), rhs_eta=('b', 1),"
         " lhs_logs=(FormalPolynomial({(): 1}), FormalPolynomial({(): 1})),"
         " rhs_logs=(FormalPolynomial({(): 1}), FormalPolynomial({(): 1})), linear=True)",
