@@ -1069,23 +1069,22 @@ def test_classify_matches_oracle_on_the_fuzz_family():
         assert stage_equations(tree) == oracle_equations
 
 
-def equation_terms(eq) -> Counter:
-    """lhs - rhs of a stage equation as a formal sum of eta and log terms,
-    with the terms that cancel dropped; an eta of None is 0.
-    """
-    terms = Counter()
-    for sign, eta, logs in ((1, eq.lhs_eta, eq.lhs_logs), (-1, eq.rhs_eta, eq.rhs_logs)):
-        if eta is not None:
-            terms[("eta", eta)] += sign
-        for poly in logs:
-            terms[("log", poly)] += sign
-    return Counter({key: c for key, c in terms.items() if c})
-
-
 def difference(a: Counter, b: Counter) -> Counter:
+    """a - b as a formal sum, with the terms that cancel dropped."""
     out = Counter(a)
     out.subtract(b)
     return Counter({key: c for key, c in out.items() if c})
+
+
+def equation_terms(eq) -> Counter:
+    """lhs - rhs of a stage equation as a formal sum of eta and log terms; an
+    eta of None is 0.
+    """
+    def side(eta, logs):
+        return Counter([("eta", eta)] if eta is not None else []) + Counter(
+            ("log", poly) for poly in logs)
+
+    return difference(side(eq.lhs_eta, eq.lhs_logs), side(eq.rhs_eta, eq.rhs_logs))
 
 
 @pytest.mark.parametrize("family", ALGEBRA_FAMILIES)
