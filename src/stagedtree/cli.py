@@ -40,13 +40,13 @@ def _emit(payload: dict, output, pretty: bool) -> None:
     """Write ``payload`` as one JSON object, the text of ``json.dumps(payload)``
     (``indent=2`` under ``pretty``) and a newline, to ``output`` or stdout.
 
-    The object is written one key at a time and each value is encoded on its
-    own, so no string of the whole document is built.  A value that is an
-    iterator yields its JSON text in pieces instead, in the form ``pretty``
-    asks for; it runs as it is written, so it must not fail.  Under
-    ``pretty`` each value's ``indent=2`` text is indented one more level by
-    two spaces after each newline: with ``ensure_ascii`` its only raw
-    newlines are indentation.
+    Each value is encoded on its own, so no string of the whole document is
+    built; the texts are joined into writes of ``WRITE_SIZE`` characters plus
+    at most one piece.  A value that is an iterator yields its JSON text in
+    pieces, in the form ``pretty`` asks for; it runs as it is written, so it
+    must not fail.  Under ``pretty`` each value's ``indent=2`` text is
+    indented one more level by two spaces after each newline: with
+    ``ensure_ascii`` its only raw newlines are indentation.
     """
     if output and output != "-":
         with open(output, "w", encoding="utf-8") as fh:
@@ -56,20 +56,25 @@ def _emit(payload: dict, output, pretty: bool) -> None:
         sys.stdout.flush()
 
 
+WRITE_SIZE = 2**16  # about one write per 64 KiB, also on an unbuffered stdout
+
+
 def _write_object(payload: dict, write, pretty: bool) -> None:
     lead, sep, close = ("\n  ", ",\n  ", "\n}") if pretty else ("", ", ", "}")
-    write("{")
+    batch, size, indent = ["{"], 1, 2 if pretty else None
     for key, value in payload.items():
-        write(lead + encode_basestring_ascii(key) + ": ")
-        if hasattr(value, "__next__"):
-            pieces = value
-        else:
-            pieces = (json.dumps(value, indent=2 if pretty else None),)
-        for piece in pieces:
-            write(piece.replace("\n", "\n  ") if pretty else piece)
+        pieces = value if hasattr(value, "__next__") else (json.dumps(value, indent=indent),)
+        batch.append(lead + encode_basestring_ascii(key) + ": ")
+        size += len(batch[-1])
+        for piece in (p.replace("\n", "\n  ") for p in pieces) if pretty else pieces:
+            batch.append(piece)
+            size += len(piece)
+            if size >= WRITE_SIZE:
+                write("".join(batch))
+                batch, size = [], 0
         lead = sep
-    write(close if payload else "}")
-    write("\n")
+    batch.append((close if payload else "}") + "\n")
+    write("".join(batch))
 
 
 def _error(exc: BaseException) -> dict:
@@ -130,7 +135,7 @@ def cmd_inspect(args) -> dict:
         "d0": d0,
         "d": d,
         "root": tree.root,
-        "inner": _json_items((enc(names[p]) for p in tree._inner_pos), "[]", pretty),
+        "inner": _json_items(map(enc, map(names.__getitem__, tree._inner_pos)), "[]", pretty),
         "stages": _stages_json(tree, pretty),
         "downward": _json_items((f"{enc(s)}: {j}" for s, j in tree.downward.items()), "{}", pretty),
         "atoms": _json_items(_atom_texts(tree, pretty), "[]", pretty),
@@ -141,7 +146,8 @@ def _stages_json(tree, pretty: bool):
     """The JSON text of the stage id of each inner vertex, in BFS order."""
     enc, names = encode_basestring_ascii, tree.vertices
     texts = list(map(enc, tree.stage_ids))
-    items = (f"{enc(names[p])}: {texts[s]}" for p, s in zip(tree._inner_pos, tree._stage))
+    items = map("{}: {}".format, map(enc, map(names.__getitem__, tree._inner_pos)),
+                map(texts.__getitem__, tree._stage))
     return _json_items(items, "{}", pretty)
 
 
@@ -191,29 +197,27 @@ def _atom_texts(tree, pretty: bool):
 
 
 def cmd_expfam(args) -> dict:
-    """The layout, eta and formulas are streamed; every check runs before the
-    first byte is written.
+    """The layout, eta and formulas are streamed from one edge table; every
+    check runs before the first byte is written.
     """
-    from .expfam import _edges, _eta, _formulas, _log_downward
-    tree = _load_tree(args.tree)
+    tree = _load_tree(args.tree)  # expfam's code is then not alive at the reader's peak
+    from .expfam import _edge_table, _eta, _formulas, _log_downward
     theta = _load_theta(args.theta, tree)
-    log_n = _log_downward(tree, theta)
-    enc, names, pretty = encode_basestring_ascii, tree.vertices, args.pretty
+    log_n, edges = _log_downward(tree, theta), _edge_table(tree)
+    enc, pretty = encode_basestring_ascii, args.pretty
+    vertices = list(map(tree.vertices.__getitem__, edges[1]))
     pair = "[\n    {},\n    {}\n  ]" if pretty else "[{}, {}]"
+    keys = map(enc, map("{},{}".format, vertices, edges[3]))
+    eta = map("{}: {!r}".format, keys, map(_round, _eta(tree, theta, log_n, edges)))
     out = {
-        "layout": _json_items(
-            (pair.format(enc(names[p]), j) for _, p, _, j in _edges(tree)), "[]", pretty
-        ),
-        "eta": _json_items(
-            (f"{enc(f'{names[p]},{j}')}: {_round(x)!r}" for p, j, x in _eta(tree, theta, log_n)),
-            "{}", pretty,
-        ),
+        "layout": _json_items(map(pair.format, map(enc, vertices), edges[3]), "[]", pretty),
+        "eta": _json_items(eta, "{}", pretty),
         "psi": _round(-log_n[0]),
     }
     if args.symbolic:
-        out["formulas"] = _json_items(
-            (f"{enc(name)}: {enc(text)}" for name, text in _formulas(tree)), "{}", pretty
-        )
+        names, formulas = _formulas(tree, edges)
+        texts = map("{}: {}".format, map(enc, names), map(enc, formulas))
+        out["formulas"] = _json_items(texts, "{}", pretty)
     return out
 
 
@@ -245,8 +249,8 @@ def cmd_from_bn(args) -> dict:
 
 
 def cmd_fit(args) -> dict:
+    tree = _load_tree(args.tree)  # fit's code is then not alive at the reader's peak
     from .fit import bic, ingest_csv
-    tree = _load_tree(args.tree)
     table = ingest_csv(sys.stdin if args.data == "-" else args.data, tree)
     return _fit_dict(bic(tree, table, alpha=args.alpha))
 

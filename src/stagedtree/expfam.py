@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
+from array import array
+from collections.abc import Iterator, Mapping
 
 from .errors import NontrivialStaging, StagedTreeError
 from .tree import (
@@ -33,17 +34,17 @@ def log_downward_products(tree: StagedTree, theta: ParameterVector) -> dict[str,
     return dict(zip(tree.vertices, _log_downward(tree, theta)))
 
 
-def _edges(tree: StagedTree):
-    """(index i of v_i, BFS position, stage int, edge j) of each edge of the
-    statistic: vertex enumeration order, then edge index, without the
-    downward edges.
+def _edge_table(tree: StagedTree) -> tuple[array, ...]:
+    """The edges of the statistic as columns (i, p, s, j, c): the index i of
+    v_i, its BFS position p and stage int s, the edge j, and the position c of
+    the child at edge j.  Rows run in vertex enumeration order, then edge
+    index, without the downward edges.
     """
-    down, kappa = tree._down, tree._kappa
-    for i, p, s in zip(itertools.count(1), tree._inner_pos, tree._stage):
-        k = down[s]
-        for j in range(1, kappa[s] + 1):
-            if j != k:
-                yield i, p, s, j
+    first = tree._first
+    free = [[j for j in range(1, kappa + 1) if j != k] for kappa, k in zip(tree._kappa, tree._down)]
+    rows = [(i, p, s, j, first[p] + j - 1)
+            for i, p, s in zip(itertools.count(1), tree._inner_pos, tree._stage) for j in free[s]]
+    return tuple(map(array, "iiiii", zip(*rows)))
 
 
 def statistic_layout(tree: StagedTree) -> tuple[tuple[str, int], ...]:
@@ -52,8 +53,8 @@ def statistic_layout(tree: StagedTree) -> tuple[tuple[str, int], ...]:
     Vertex enumeration order, then edge index; the downward edge of each
     vertex is excluded, so the layout has length d0.
     """
-    names = tree.vertices
-    return tuple((names[p], j) for _, p, _, j in _edges(tree))
+    _, p, _, j, _ = _edge_table(tree)
+    return tuple(zip(map(tree.vertices.__getitem__, p), j))
 
 
 class ExpFamForm(_Record):
@@ -68,28 +69,25 @@ class ExpFamForm(_Record):
         _set(self, "psi", psi)
 
 
-def _eta(tree: StagedTree, theta: ParameterVector, log_n: list[float]):
-    """(BFS position, edge j, eta_vj) of each edge of the statistic, in layout
-    order, from the values ``log_n`` of :func:`_log_downward`.  The log of
-    each stage label is taken once, before the first value.
+def _eta(tree: StagedTree, theta: ParameterVector, log_n: list[float], edges) -> list[float]:
+    """eta_vj of each row of the edge table ``edges``, from the values
+    ``log_n`` of :func:`_log_downward`.  The log of each stage label is taken
+    once.
     """
     log_theta = [
         [math.log(theta[(s, j)]) for j in range(1, kappa + 1)]
         for s, kappa in zip(tree.stage_ids, tree._kappa)
     ]
-    first = tree._first
-    for _, p, s, j in _edges(tree):
-        yield p, j, log_theta[s][j - 1] + log_n[first[p] + j - 1] - log_n[p]
+    return [log_theta[s][j - 1] + log_n[c] - log_n[p] for _, p, s, j, c in zip(*edges)]
 
 
 def natural_parameters(tree: StagedTree, theta: ParameterVector) -> ExpFamForm:
     """eta_vj = log(theta_vj * N_vj / N_v) for every non-downward edge, with
     the layout of :func:`statistic_layout`.
     """
-    log_n = _log_downward(tree, theta)
-    names = tree.vertices
-    eta = {(names[p], j): x for p, j, x in _eta(tree, theta, log_n)}
-    return ExpFamForm(tuple(eta), eta, -log_n[0])
+    log_n, edges = _log_downward(tree, theta), _edge_table(tree)
+    layout = tuple(zip(map(tree.vertices.__getitem__, edges[1]), edges[3]))
+    return ExpFamForm(layout, dict(zip(layout, _eta(tree, theta, log_n, edges))), -log_n[0])
 
 
 def sufficient_statistic(tree: StagedTree, atom: Atom) -> tuple[int, ...]:
@@ -179,9 +177,7 @@ def check_np_identity(tree: StagedTree, theta: ParameterVector) -> float:
     log-space fold of the xi-polynomials, so no exp(eta) is formed.
     """
     log_n = _log_downward(tree, theta)
-    names = tree.vertices
-    eta = {(names[p], j): x for p, j, x in _eta(tree, theta, log_n)}
-    _, logP = _log_xi_fold(tree, eta)
+    _, logP = _log_xi_fold(tree, natural_parameters(tree, theta).eta)
     return max(abs(math.expm1(a + b)) for a, b in zip(log_n, logP))
 
 
@@ -197,16 +193,17 @@ def symbolic_natural_parameters(
     labels below the child at edge j; the denominator collects the downward
     labels below v itself.
     """
-    names, inner, first = tree.vertices, tree._inner_pos, tree._first
+    names, inner = tree.vertices, tree._inner_pos
     down = tree._downward_fold((), lambda r, s, j, below: ((names[inner[r]], j),) + below)
     return {
-        (names[p], j): (((names[p], j),) + down[first[p] + j - 1], down[p])
-        for _, p, _, j in _edges(tree)
+        (names[p], j): (((names[p], j),) + down[c], down[p])
+        for _, p, _, j, c in zip(*_edge_table(tree))
     }
 
 
-def _formulas(tree: StagedTree):
-    """(name, formula) of each eta, in layout order, then of psi.
+def _formulas(tree: StagedTree, edges) -> tuple[Iterator[str], Iterator[str]]:
+    """The names and the formulas of each eta, in the order of the edge table
+    ``edges``, then of psi.
 
     Binary vertices with the default downward edge are printed in single-index
     style, ``t3`` and ``(1-t3)``; other edges as ``th[i,j]``.
@@ -223,13 +220,15 @@ def _formulas(tree: StagedTree):
 
     # the downward labels below each vertex
     below = tree._downward_fold("", lambda r, s, j, b: times(label(r + 1, s, j), b))
-    first = tree._first
-    for i, p, s, j in _edges(tree):
-        numerator = times(label(i, s, j), below[first[p] + j - 1])
-        yield f"eta[{i},{j}]", f"log({numerator}/({below[p]}))"
-    yield "psi", f"-log({below[0]})"
+    i, p, s, j, c = edges
+    numerators = map(times, map(label, i, s, j), map(below.__getitem__, c))
+    formulas = map("log({}/({}))".format, numerators, map(below.__getitem__, p))
+    return (
+        itertools.chain(map("eta[{},{}]".format, i, j), ["psi"]),
+        itertools.chain(formulas, [f"-log({below[0]})"]),
+    )
 
 
 def render_formulas(tree: StagedTree) -> dict[str, str]:
     """Human-readable formulas for each eta and for psi (see :func:`_formulas`)."""
-    return dict(_formulas(tree))
+    return dict(zip(*_formulas(tree, _edge_table(tree))))

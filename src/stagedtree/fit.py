@@ -342,6 +342,9 @@ def _stage_loglik(counts: Sequence[int], alpha: float) -> float:
     return sum(n * math.log((n + alpha) / denom) for n in counts if n)
 
 
+MAX_SEARCH_PAIRS = 2**21  # about 0.6 GB of cached scores, at about 300 B a pair
+
+
 def select_staging(
     tree: StagedTree, table: AtomTable, config: SearchConfig = SearchConfig()
 ) -> SearchResult:
@@ -365,7 +368,8 @@ def select_staging(
     builds one tree, for the result, whose fit comes from :func:`bic`.
     Where two candidates tie in exact arithmetic, they are ordered by
     floating-point rounding of their scores, as in the refitting search
-    that the tests keep as the reference.
+    that the tests keep as the reference.  A search whose groups hold more
+    than MAX_SEARCH_PAIRS candidate pairs is refused before any is scored.
     """
     saturated = tree.saturated()
     start = bic(saturated, table, alpha=config.alpha)
@@ -388,6 +392,11 @@ def select_staging(
     groups: dict[tuple[int, int], list[int]] = {}
     for s in members:
         groups.setdefault(group_key(s), []).append(s)
+    pairs = sum(len(group) * (len(group) - 1) // 2 for group in groups.values())
+    if pairs > MAX_SEARCH_PAIRS:
+        raise StagedTreeError(
+            f"search would cache {int_text(pairs)} candidate pairs, over {MAX_SEARCH_PAIRS}"
+        )
 
     def score(a: int, b: int):
         merged = tuple(x + y for x, y in zip(counts[a], counts[b]))

@@ -452,6 +452,60 @@ class TestStreamedOutput:
         assert code == 0 and len(peaks) == 1 and size > 500_000
         assert peaks[0] < size / 2, (peaks[0], size)
 
+    @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+    @pytest.mark.parametrize("argv", [["inspect"], ["expfam", "--symbolic"]],
+                             ids=["inspect", "expfam"])
+    def test_entries_are_joined_into_writes_of_about_64_kib(self, tmp_path, monkeypatch,
+                                                           argv, pretty):
+        # one write per entry made 16,402 (inspect) and 12,297 (expfam) writes
+        # of at most 259 characters on this tree
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(product_tree([2] * 12).to_spec()))
+        argv = [argv[0], str(path), *argv[1:]] + ["--pretty"] * pretty
+        args = cli.build_parser().parse_args(argv)
+        pieces = [piece for value in args.func(args).values() if hasattr(value, "__next__")
+                  for piece in value]
+        longest = max(len(p) + 2 * p.count("\n") * pretty for p in pieces)
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return super().write(text)
+
+        writes, out = [], Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert run(argv) == 0
+        size = len(out.getvalue())
+        assert size > 400_000 and sum(writes) == size
+        assert len(writes) <= size // 2**15 + 20, len(writes)
+        assert max(writes) <= cli.WRITE_SIZE + longest
+
+    @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+    @pytest.mark.parametrize("delta", [-1, 0, 1], ids=["below", "at", "past"])
+    def test_a_batch_is_written_once_it_holds_write_size_characters(self, pretty, delta):
+        indent = 2 if pretty else None
+        prefix = json.dumps({"a": ["", "y"], "b": 1}, indent=indent).index('""')
+        # the first entry's text ends delta characters past the bound
+        values = {"a": ["x" * (cli.WRITE_SIZE + delta - prefix - 2), "y"], "b": 1}
+        document = json.dumps(values, indent=indent) + "\n"
+        payload = {"a": cli._json_items(map(json.dumps, values["a"]), "[]", pretty), "b": 1}
+        writes = []
+        cli._write_object(payload, writes.append, pretty)
+        # below the bound, the second entry completes the first batch
+        end = cli.WRITE_SIZE + delta if delta >= 0 else document.index('"y"') + 3
+        assert writes == [document[:end], document[end:]]
+
+    @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+    @pytest.mark.parametrize("texts", [[], ["1"], ["1", '"z"']], ids=["0", "1", "2"])
+    def test_json_items_is_the_dump_of_its_entries(self, pretty, texts):
+        values = list(map(json.loads, texts))
+        indent = 2 if pretty else None
+        assert "".join(cli._json_items(iter(texts), "[]", pretty)) == json.dumps(values,
+                                                                                   indent=indent)
+        keyed = (f"{json.dumps(str(i))}: {t}" for i, t in enumerate(texts))
+        assert "".join(cli._json_items(keyed, "{}", pretty)) == json.dumps(
+            {str(i): v for i, v in enumerate(values)}, indent=indent)
+
     def test_closed_stdout_ends_without_a_traceback(self, tmp_path):
         tree = tmp_path / "tree.json"
         tree.write_text(json.dumps(product_tree([2] * 12).to_spec()))

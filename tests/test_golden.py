@@ -17,7 +17,9 @@ dimensions and first witness are the bytes the pairwise checks printed.
 The same cases, with and without ``--pretty`` and on stdout and ``--output``,
 are also compared with the emitter the streamed one replaced: one
 ``json.dumps`` of the whole payload, whose ``layout``, ``eta`` and
-``formulas`` come from ``natural_parameters`` and ``render_formulas``.
+``formulas`` come from ``natural_parameters`` and ``render_formulas``.  So
+are ``inspect`` and ``expfam --symbolic`` on a 400-level caterpillar, whose
+entries of several KiB each end the writes at other places.
 """
 
 import json
@@ -27,7 +29,7 @@ import pytest
 from stagedtree.cli import _load_theta, _load_tree, _round, build_parser, run
 from stagedtree.expfam import natural_parameters, render_formulas
 from stagedtree.errors import StagedTreeError
-from conftest import DATA, data_path
+from conftest import DATA, caterpillar, data_path
 
 TREES = ("example1", "fig1a", "fig1b")
 NAMED = TREES + ("ternary_downward",)  # the trees whose names are printed
@@ -101,11 +103,22 @@ def oracle_output(argv: list[str], pretty: bool) -> str:
     return json.dumps(payload, indent=2 if pretty else None, sort_keys=False) + "\n"
 
 
+# cases on caterpillar(400), written to a file by the test: its deepest atoms
+# and formulas are several KiB each, so the writes end between long entries
+CATERPILLAR = {
+    "inspect_caterpillar": ["inspect", "caterpillar.json"],
+    "expfam_caterpillar": ["expfam", "caterpillar.json", "--symbolic"],
+}
+
+
 @pytest.mark.parametrize("sink", ["stdout", "output"])
 @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
-@pytest.mark.parametrize("name", sorted(CASES) + sorted(ERRORS))
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(ERRORS) + sorted(CATERPILLAR))
 def test_output_matches_whole_document_dump(capsys, tmp_path, name, pretty, sink):
-    argv = CASES[name] if name in CASES else ERRORS[name]
+    argv = {**CASES, **ERRORS, **CATERPILLAR}[name]
+    if name in CATERPILLAR:
+        (tmp_path / argv[1]).write_text(json.dumps(caterpillar(400).to_spec()))
+        argv = [argv[0], str(tmp_path / argv[1]), *argv[2:]]
     argv = [str(data_path(a)) if (DATA / a).is_file() else a for a in argv]
     expected = oracle_output(argv, pretty)
     extra = ["--pretty"] * pretty

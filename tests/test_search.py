@@ -8,13 +8,14 @@ the tied candidates by floating-point rounding, so the test checks that the
 first step where they part is such a tie.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from stagedtree import AtomTable, SearchConfig, StagedTree, bic, product_tree, select_staging
-from stagedtree.errors import ZeroStageTraffic
+from stagedtree.errors import StagedTreeError, ZeroStageTraffic
 from stagedtree.fit import MergeStep, SearchResult
 from conftest import BINARY_GRAPH
 
@@ -253,3 +254,56 @@ def test_search_builds_no_tree_per_candidate(monkeypatch):
 def test_tree_depth_matches_oracle_depths(name):
     tree = TREES[name]()
     assert tree.depth == _depths(tree)
+
+
+class TestSearchPairLimit:
+    """A search whose groups hold over MAX_SEARCH_PAIRS candidate pairs is
+    refused before any pair is scored.  product_tree([2] * 5) has
+    0 + 1 + 6 + 28 + 120 = 155 pairs of same-depth stages.
+    """
+
+    TREE = product_tree([2] * 5)
+    COUNTS = list(range(1, 33))
+
+    def test_library_refuses_past_the_bound(self, monkeypatch):
+        from stagedtree import fit
+        table = AtomTable(self.TREE, self.COUNTS)
+        monkeypatch.setattr(fit, "MAX_SEARCH_PAIRS", 155)
+        assert select_staging(self.TREE, table).trace
+        monkeypatch.setattr(fit, "MAX_SEARCH_PAIRS", 154)
+        scored = []
+        monkeypatch.setattr(fit, "_stage_loglik", lambda *a: scored.append(a) or 0.0)
+        with pytest.raises(StagedTreeError,
+                           match=r"^search would cache 155 candidate pairs, over 154$"):
+            select_staging(self.TREE, table)
+        # one log-likelihood per stage of the start, and no pair scored
+        assert len(scored) == self.TREE.k
+        # without same_depth every binary stage is in one group: 31 * 30 / 2 pairs
+        monkeypatch.setattr(fit, "MAX_SEARCH_PAIRS", 464)
+        with pytest.raises(StagedTreeError, match=r"^search would cache 465 candidate pairs"):
+            select_staging(self.TREE, table, SearchConfig(same_depth=False))
+
+    def test_cli_exits_2_past_the_bound(self, monkeypatch, capsys, tmp_path):
+        from stagedtree import fit
+        from stagedtree.cli import run
+        tree, data = tmp_path / "tree.json", tmp_path / "counts.csv"
+        tree.write_text(json.dumps(self.TREE.to_spec()))
+        data.write_text("atom_id,count\n" + "".join(f"{i},{c}\n" for i, c in
+                                                     enumerate(self.COUNTS, start=1)))
+        argv = ["select", "--tree-graph", str(tree), "--data", str(data)]
+        monkeypatch.setattr(fit, "MAX_SEARCH_PAIRS", 154)
+        assert run(argv) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": {
+            "type": "StagedTreeError",
+            "message": "search would cache 155 candidate pairs, over 154",
+        }}
+        monkeypatch.setattr(fit, "MAX_SEARCH_PAIRS", 155)
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["trace"]
+
+    def test_the_bound_refuses_twelve_binary_variables(self):
+        # counted, not run: the sum over the levels of m(m - 1) / 2
+        from stagedtree import fit
+        count = {n: sum(2**d * (2**d - 1) // 2 for d in range(n)) for n in (5, 11, 12, 14)}
+        assert count == {5: 155, 11: 698_027, 12: 2_794_155, 14: 44_731_051}
+        assert count[11] <= fit.MAX_SEARCH_PAIRS < count[12]
