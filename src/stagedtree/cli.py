@@ -153,7 +153,8 @@ def _stages_json(tree, pretty: bool):
 
 def _json_items(texts, brackets: str, pretty: bool):
     """The JSON text of a list (``brackets`` ``"[]"``) or an object (``"{}"``)
-    with the given entry texts, one entry per piece.
+    with the given entry texts, one entry per piece, which
+    :func:`_write_object` joins into its writes of about ``WRITE_SIZE``.
 
     Under ``pretty`` each entry starts a line one level in, so an entry text
     that spans lines indents them as ``json.dumps(..., indent=2)`` does one

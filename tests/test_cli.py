@@ -309,7 +309,7 @@ class TestContract:
 
 
 class TestStreamedOutput:
-    """The object is written key by key, and inspect's atoms from one walk."""
+    """The object is written in joined batches, and inspect's atoms come from one walk."""
 
     # ids with a quote, a backslash, control characters, non-ASCII and a
     # character beyond the BMP, which JSON writes as a surrogate pair
