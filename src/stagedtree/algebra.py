@@ -26,7 +26,7 @@ import math
 import operator
 from collections import Counter
 
-from .tree import StagedTree, _Record, _set, _single_index, dimensions
+from .tree import StagedTree, _Record, _single_index, dimensions
 
 Label = tuple[str, int]
 Monomial = tuple[Label, ...]  # sorted tuple, repeats = exponents
@@ -311,8 +311,7 @@ class ConstraintMatrix(_Record):
     __slots__ = ("coords", "rows")
 
     def __init__(self, coords: tuple[tuple[str, int], ...], rows: tuple[tuple[int, int], ...]):
-        _set(self, "coords", coords)
-        _set(self, "rows", rows)
+        super().__init__(coords, rows)
 
     @property
     def rank(self) -> int:
@@ -363,15 +362,7 @@ class StageEquation(_Record):
                  rhs_eta: tuple[str, int],
                  lhs_logs: tuple[FormalPolynomial, FormalPolynomial],
                  rhs_logs: tuple[FormalPolynomial, FormalPolynomial], linear: bool):
-        _set(self, "vi", vi)
-        _set(self, "vs", vs)
-        _set(self, "j", j)
-        _set(self, "kappa", kappa)
-        _set(self, "lhs_eta", lhs_eta)
-        _set(self, "rhs_eta", rhs_eta)
-        _set(self, "lhs_logs", lhs_logs)
-        _set(self, "rhs_logs", rhs_logs)
-        _set(self, "linear", linear)
+        super().__init__(vi, vs, j, kappa, lhs_eta, rhs_eta, lhs_logs, rhs_logs, linear)
 
     def pretty(self, tree: StagedTree) -> str:
         def side(eta_term, logs):

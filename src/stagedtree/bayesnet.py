@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import OrderInconsistentWithDAG, StagedTreeError, int_text, loads
 from .tree import (
-    SUM_TOL, ParameterVector, StagedTree, _is_integer, _is_real, _Record, _set, _state_name,
+    SUM_TOL, ParameterVector, StagedTree, _is_integer, _is_real, _Record, _state_name,
 )
 
 
@@ -33,10 +33,7 @@ class DiscreteBN(_Record):
     def __init__(self, variables: tuple[str, ...], cards: dict[str, int],
                  edges: tuple[tuple[str, str], ...],
                  cpts: Optional[dict[str, list[list[float]]]] = None):
-        _set(self, "variables", variables)
-        _set(self, "cards", cards)
-        _set(self, "edges", edges)
-        _set(self, "cpts", cpts)
+        super().__init__(variables, cards, edges, cpts)
         for name in self.variables:
             if not isinstance(name, str):
                 raise StagedTreeError(f"variable name {name!r} is not a string")
@@ -369,9 +366,7 @@ class BNReport(_Record):
 
     def __init__(self, decomposable: bool, simple_ordering: Optional[tuple[str, ...]],
                  regular_certified: bool):
-        _set(self, "decomposable", decomposable)
-        _set(self, "simple_ordering", simple_ordering)
-        _set(self, "regular_certified", regular_certified)
+        super().__init__(decomposable, simple_ordering, regular_certified)
 
 
 def classify_bn(bn: DiscreteBN) -> BNReport:

@@ -17,7 +17,7 @@ from collections.abc import Iterator, Mapping
 
 from .errors import NontrivialStaging, StagedTreeError
 from .tree import (
-    Atom, ParameterVector, StagedTree, _is_real, _Record, _require_atom_of, _set, _single_index,
+    Atom, ParameterVector, StagedTree, _is_real, _Record, _require_atom_of, _single_index,
 )
 
 
@@ -64,9 +64,7 @@ class ExpFamForm(_Record):
 
     def __init__(self, layout: tuple[tuple[str, int], ...], eta: dict[tuple[str, int], float],
                  psi: float):
-        _set(self, "layout", layout)
-        _set(self, "eta", eta)
-        _set(self, "psi", psi)
+        super().__init__(layout, eta, psi)
 
 
 def _eta(tree: StagedTree, theta: ParameterVector, log_n: list[float], edges) -> list[float]:

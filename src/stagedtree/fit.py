@@ -26,7 +26,7 @@ from .errors import (
     int_text,
 )
 from .tree import (
-    Atom, ParameterVector, StagedTree, _is_integer, _is_real, _Record, _require_atom_of, _set,
+    Atom, ParameterVector, StagedTree, _is_integer, _is_real, _Record, _require_atom_of,
     dimensions,
 )
 
@@ -251,12 +251,7 @@ class FitResult(_Record):
 
     def __init__(self, theta: ParameterVector, log_likelihood: float, d: int, n_obs: int,
                  bic: float, boundary: bool):
-        _set(self, "theta", theta)
-        _set(self, "log_likelihood", log_likelihood)
-        _set(self, "d", d)
-        _set(self, "n_obs", n_obs)
-        _set(self, "bic", bic)
-        _set(self, "boundary", boundary)
+        super().__init__(theta, log_likelihood, d, n_obs, bic, boundary)
 
     def as_dict(self) -> dict:
         return {
@@ -308,19 +303,14 @@ class SearchConfig(_Record):
         if not isinstance(same_depth, bool):
             raise StagedTreeError(f"same_depth must be a boolean, got {same_depth!r}")
         _check_alpha(alpha)
-        _set(self, "max_merges", max_merges)
-        _set(self, "same_depth", same_depth)
-        _set(self, "alpha", alpha)
+        super().__init__(max_merges, same_depth, alpha)
 
 
 class MergeStep(_Record):
     __slots__ = ("kept", "absorbed", "bic_before", "bic_after")
 
     def __init__(self, kept: str, absorbed: str, bic_before: float, bic_after: float):
-        _set(self, "kept", kept)
-        _set(self, "absorbed", absorbed)
-        _set(self, "bic_before", bic_before)
-        _set(self, "bic_after", bic_after)
+        super().__init__(kept, absorbed, bic_before, bic_after)
 
     @property
     def delta(self) -> float:
@@ -331,9 +321,7 @@ class SearchResult(_Record):
     __slots__ = ("tree", "fit", "trace")
 
     def __init__(self, tree: StagedTree, fit: FitResult, trace: tuple[MergeStep, ...]):
-        _set(self, "tree", tree)
-        _set(self, "fit", fit)
-        _set(self, "trace", trace)
+        super().__init__(tree, fit, trace)
 
 
 def _stage_loglik(counts: Sequence[int], alpha: float) -> float:

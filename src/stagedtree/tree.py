@@ -51,19 +51,21 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-_set = object.__setattr__  # how a record's own __init__ writes its fields
-
-
 class _Record:
     """Base of the immutable result records, which behave as frozen dataclasses.
 
-    A record lists its fields in ``__slots__``, in constructor order, and sets
-    them in its own ``__init__`` with ``_set``; its repr leaves out ``_hidden``.
-    Copy and pickle rebuild a record through its constructor.
+    A record lists its fields in ``__slots__``, in constructor order.  Its own
+    ``__init__`` checks its arguments and passes them on in that order, and
+    ``_Record.__init__`` sets the fields in slot order; its repr leaves out
+    ``_hidden``.  Copy and pickle rebuild a record through its constructor.
     """
 
     __slots__ = ()
     _hidden: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
