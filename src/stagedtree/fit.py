@@ -26,8 +26,8 @@ from .errors import (
     int_text,
 )
 from .tree import (
-    Atom, ParameterVector, StagedTree, _is_integer, _is_real, _Record, _require_atom_of,
-    dimensions,
+    Atom, ParameterVector, StagedTree, _is_integer, _is_real, _log_label, _Record,
+    _require_atom_of, dimensions,
 )
 
 
@@ -103,7 +103,7 @@ def ingest_csv(
     * one categorical column per tree level: each row traces a root-to-leaf
       path.  Cells hold 0-based integer states, or category names when a
       ``levels`` mapping (column name -> ordered category list) is given.
-      Trailing cells beyond the leaf must be empty.
+      Trailing cells beyond the leaf, and past the header, must be empty.
 
     Counts are aligned with ``tree.atoms``, whose order is unchanged.  A BOM
     before the header is dropped.  Input that is not UTF-8 text or that the
@@ -163,9 +163,12 @@ def _count_rows(tree: StagedTree, rows, column_levels) -> AtomTable:
     # a 0-based state written the canonical way maps straight onto its edge;
     # every other cell, and a state past the out-degree, goes to _resolve_step
     edge_of_state = {str(i): i + 1 for i in range(max(degree))}
+    width = len(column_levels)
     for row, times in Counter(map(tuple, rows)).items():
         if not any(cell.strip() for cell in row):
             continue
+        if len(row) > width and any(cell.strip() for cell in row[width:]):
+            raise RowDoesNotReachLeaf(f"row {list(row)} has a cell past column {width}")
         p = 0
         for levels, cell in zip(column_levels, row):
             cell = cell.strip()
@@ -232,7 +235,8 @@ def _mle(tree: StagedTree, visits: dict, edges: dict, alpha: float) -> Parameter
 
 
 def log_likelihood(tree: StagedTree, theta: ParameterVector, table: AtomTable) -> float:
-    """Sum of count-weighted log atom probabilities; 0 * log 0 counts as 0.
+    """Sum of count-weighted log atom probabilities; 0 * log 0 counts as 0,
+    and a positive count on a zero label gives -inf.
 
     An atom's log-probability is the sum of the log-labels along its path, so
     the sum over atoms regroups by stage edge into that of n_sj * log(theta_sj)
@@ -242,7 +246,8 @@ def log_likelihood(tree: StagedTree, theta: ParameterVector, table: AtomTable) -
 
 
 def _pooled_log_likelihood(theta: ParameterVector, edges: dict) -> float:
-    return math.fsum(n * math.log(theta[key]) for key, n in edges.items() if n)
+    # a zero count adds 0 * log 0 = 0, but a label that theta lacks is refused
+    return math.fsum(n * _log_label(theta, e) for e, n in edges.items() if n or e not in theta)
 
 
 class FitResult(_Record):
@@ -432,7 +437,7 @@ def select_staging(
 
 
 def table_from_rows(tree: StagedTree, rows: Sequence[Sequence[int]]) -> AtomTable:
-    """Convenience: build a table from 0-based state rows (testing, notebooks)."""
+    """Build a table from 0-based state rows, none past the tree's depth (tests, notebooks)."""
     depth = max(tree._depth)
     cells = ([("" if c is None else str(c)) for c in row] for row in rows)
     return _count_rows(tree, cells, [None] * depth)

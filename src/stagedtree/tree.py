@@ -654,7 +654,7 @@ def _read_description(text, cls: type = StagedTree) -> Optional[tuple]:
 
 
 class ParameterVector(Mapping):
-    """Edge probabilities keyed by (stage id, edge index).
+    """Edge probabilities keyed by (stage id, edge index >= 1).
 
     Entries are validated to lie strictly in (0, 1) and to sum to one within
     each stage (the correctly rounded sum, within SUM_TOL).  Boundary values
@@ -669,7 +669,10 @@ class ParameterVector(Mapping):
     ):
         self.allow_boundary = allow_boundary
         # the range is checked before float(), which overflows on a huge int
-        for (s, j), p in values.items():
+        for key, p in values.items():
+            s, j = key if isinstance(key, tuple) and len(key) == 2 else (key, None)
+            if not (_is_integer(j) and j >= 1):
+                raise StagedTreeError(f"label key {key!r} is not a (stage, edge index >= 1) pair")
             if not _is_real(p):
                 raise StagedTreeError(f"label theta[{s},{j}]={p!r} is not a real number")
             lo_ok = p > 0.0 if not allow_boundary else p >= 0.0
@@ -762,14 +765,22 @@ class AtomDistribution(Mapping):
 # -- core operations ----------------------------------------------------------
 
 
+def _log_label(theta: Mapping[tuple[str, int], float], key: tuple[str, int]) -> float:
+    """log theta[key], and -inf at a zero label; a label theta lacks is refused."""
+    p = theta.get(key)
+    if p is None:
+        raise StagedTreeError(f"parameter vector lacks the label theta[{key[0]},{key[1]}]")
+    return math.log(p) if p else -math.inf
+
+
 def _log_atom_probability(tree: StagedTree, theta: ParameterVector, atom: Atom) -> float:
     """The log of an atom's probability, for an atom known to be of ``tree``."""
-    return math.fsum(math.log(theta.label(tree, v, j)) for v, j in atom.steps)
+    return math.fsum(_log_label(theta, (tree.stage_of[v], j)) for v, j in atom.steps)
 
 
 def log_atom_probability(tree: StagedTree, theta: ParameterVector, atom: Atom) -> float:
-    """Sum of the logs of the traversed edge labels; refuses an atom that is
-    not a root-to-leaf path of ``tree``.
+    """Sum of the logs of the traversed edge labels, -inf where one is 0;
+    refuses an atom that is not a root-to-leaf path of ``tree``.
     """
     _require_atom_of(tree, atom)
     return _log_atom_probability(tree, theta, atom)
@@ -808,9 +819,11 @@ def labels_from_distribution(tree: StagedTree, p: Mapping[Atom, float]) -> Param
     """
     if not tree.is_saturated():
         raise NontrivialStaging("labels_from_distribution requires the trivial staging")
-    mass = [p[x] for x in tree.atoms]
-    if any(px <= 0.0 for px in mass):
-        raise ZeroMass("atom distribution has a zero entry")
+    mass = [p.get(x) for x in tree.atoms]
+    for x, px in zip(tree.atoms, mass):
+        if not (_is_real(px) and 0.0 < px < math.inf):  # NaN fails the comparison
+            kind = ZeroMass if _is_real(px) and px <= 0.0 else StagedTreeError
+            raise kind(f"atom at leaf {x.leaf!r} has mass {px!r}, not a positive number")
     vals = {}
     ids = tree.stage_ids
     for s, edges in zip(tree._stage, tree._edge_totals(mass)):

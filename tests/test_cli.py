@@ -232,6 +232,23 @@ class TestFitSelect:
             "message": f"atom counts total {sum(counts)}, over 2**53",
         }
 
+    @pytest.mark.parametrize("command, tree_flag", [("fit", "--tree"), ("select", "--tree-graph")])
+    def test_a_cell_past_the_header_exits_2(self, capsys, tmp_path, command, tree_flag):
+        # xyz_rows.csv with a cell past its three columns on the first row; the
+        # cell was dropped, and the output was that of the unchanged file
+        header, first, *rest = data_path("xyz_rows.csv").read_text().splitlines()
+        data, tree = tmp_path / "rows.csv", str(data_path("fig1a.json"))
+
+        def fit(first_row):
+            data.write_text("\n".join([header, first_row, *rest]) + "\n")
+            return invoke(capsys, command, tree_flag, tree, "--data", str(data))
+
+        assert fit(first + ",1") == (2, {"error": {
+            "type": "RowDoesNotReachLeaf",
+            "message": "row ['0', '0', '0', '1'] has a cell past column 3",
+        }})
+        assert fit(first + ", ,") == fit(first)
+
 
 class TestContract:
     def test_byte_stable_output(self, capsys):

@@ -14,6 +14,7 @@ from stagedtree import (
     ingest_csv,
     log_likelihood,
     mle,
+    product_tree,
     select_staging,
     star,
 )
@@ -24,6 +25,7 @@ from stagedtree.errors import (
     UnknownCategory,
     ZeroStageTraffic,
 )
+from stagedtree.fit import table_from_rows
 from stagedtree.random_trees import random_staged_tree
 from conftest import data_path
 
@@ -88,6 +90,27 @@ class TestIngest:
         else:
             table = ingest_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), tree, levels)
         assert table.counts == csv_table(text, tree, levels).counts == (2, 1) + (0,) * 7
+
+    @pytest.mark.parametrize(
+        "text, width",
+        [("X,Y,Z\n0,0,0,1\n", 3), ("X,Y,Z\n0,1,1\n1,0,0,, 1\n", 3), ("X,Y\n0,0,0\n", 2)],
+        ids=["fourth-cell", "fifth-cell", "past-a-short-header"],
+    )
+    def test_a_cell_past_the_header_is_refused(self, fig1a, text, width):
+        # zip stopped at the header's last column, so the cell was dropped unread
+        with pytest.raises(RowDoesNotReachLeaf, match=rf"\] has a cell past column {width}$"):
+            csv_table(text, fig1a)
+
+    def test_empty_cells_past_the_header_are_accepted(self, fig1a):
+        table = csv_table("X,Y,Z\n0,0,0,\n0,1,1, ,\n", fig1a)
+        assert table.counts == csv_table("X,Y,Z\n0,0,0\n0,1,1\n", fig1a).counts
+
+    def test_table_from_rows_refuses_a_state_past_the_depth(self, example1):
+        message = r"row \['0', '0', '0', '1'\] has a cell past column 3"
+        with pytest.raises(RowDoesNotReachLeaf, match=message):
+            table_from_rows(example1, [[0, 0, 0, 1], [0, 1, 1]])
+        table = table_from_rows(example1, [[0, 0, 0, None], [0, 1, 1]])
+        assert table.counts == (1, 0, 0, 1, 0, 0, 0, 0)
 
     def test_ragged_tree_rows(self):
         # left branch is a leaf at depth one, right branch goes deeper
@@ -219,6 +242,27 @@ class TestLogLikelihood:
     def test_empty_table_is_zero(self, example1):
         theta = ParameterVector.uniform(example1)
         assert log_likelihood(example1, theta, AtomTable(example1, [0] * 8)) == 0.0
+
+    def test_a_positive_count_on_a_zero_label_gives_minus_infinity(self):
+        t = product_tree([2])
+        theta = mle(t, AtomTable(t, [0, 3]))  # the labels 0 and 1
+        assert log_likelihood(t, theta, AtomTable(t, [1, 1])) == -math.inf
+        # a zero count on the zero label adds 0 * log 0 = 0
+        assert log_likelihood(t, theta, AtomTable(t, [0, 2])) == 0.0
+
+    def test_an_mle_fit_scored_on_new_data(self):
+        t = star(3)
+        theta = mle(t, AtomTable(t, [3, 0, 1]))
+        assert log_likelihood(t, theta, AtomTable(t, [2, 1, 1])) == -math.inf
+        expected = 2 * math.log(0.75) + math.log(0.25)
+        assert log_likelihood(t, theta, AtomTable(t, [2, 0, 1])) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("counts", [[1, 1], [0, 0]], ids=str)
+    def test_a_label_theta_lacks_is_refused(self, counts):
+        t = product_tree([2])
+        theta = ParameterVector({("other", 1): 0.5, ("other", 2): 0.5})
+        with pytest.raises(StagedTreeError, match=r"lacks the label theta\[v_root,1\]"):
+            log_likelihood(t, theta, AtomTable(t, counts))
 
     def test_saturated_mle_multinomial_identity(self, rng):
         t = star(6)

@@ -3,7 +3,9 @@ printed as dataclasses print them, and rebuilt by copy and pickle.
 """
 
 import copy
+import inspect
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -23,6 +25,7 @@ from stagedtree import (
     stage_equations,
     star,
 )
+from stagedtree.algebra import FormalPolynomial
 from stagedtree.errors import StagedTreeError
 from stagedtree.fit import MergeStep
 
@@ -106,9 +109,49 @@ CASES = {
 }
 
 
+def poly(c):
+    return FormalPolynomial(Counter({(): c}))
+
+
+# per record: a distinct valid value for each field, by name
+FIELD_VALUES = {
+    "FitResult": dict(theta=THETA, log_likelihood=-2.25, d=1, n_obs=4, bic=5.886, boundary=False),
+    "SearchConfig": dict(max_merges=2, same_depth=True, alpha=0.5),
+    "MergeStep": dict(kept="v2", absorbed="v3", bic_before=12.5, bic_after=11.0),
+    "SearchResult": dict(tree=TREE, fit=fit_result(), trace=(merge_step(),)),
+    "ConstraintMatrix": dict(coords=(("v1", 1), ("v2", 1)), rows=((0, 1),)),
+    "StageEquation": dict(
+        vi="a", vs="b", j=1, kappa=2, lhs_eta=("a", 1), rhs_eta=("b", 1),
+        lhs_logs=(poly(1), poly(2)), rhs_logs=(poly(3), poly(4)), linear=True,
+    ),
+    "DiscreteBN": dict(
+        variables=("A", "B"), cards={"A": 2, "B": 3}, edges=(("A", "B"),),
+        cpts={"A": [[0.5, 0.5]], "B": [[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]]},
+    ),
+    "BNReport": dict(decomposable=True, simple_ordering=("A", "B"), regular_certified=False),
+    "ExpFamForm": dict(layout=(("r", 1), ("r", 2)), eta={("r", 1): 0.5, ("r", 2): 0.0}, psi=1.5),
+}
+
+
 @pytest.fixture(params=sorted(CASES))
 def case(request):
     return CASES[request.param]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_constructor_parameters_are_the_slots_in_order(name):
+    cls = type(CASES[name][0]())
+    assert list(inspect.signature(cls).parameters) == list(cls.__slots__)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_each_value_is_stored_under_its_own_name(name):
+    values = FIELD_VALUES[name]
+    assert len({(type(v), repr(v)) for v in values.values()}) == len(values)  # distinct
+    record = type(CASES[name][0]())(**values)
+    assert list(values) == list(record.__slots__)
+    for field, value in values.items():
+        assert getattr(record, field) is value, field
 
 
 def test_the_nine_records_are_covered():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -253,6 +254,21 @@ class TestParameterVector:
         with pytest.raises(StagedTreeError, match=r"label theta\[s,1\]=.* is not a real number"):
             ParameterVector({("s", 1): label, ("s", 2): 0.5}, allow_boundary=True)
 
+    @pytest.mark.parametrize(
+        "key", [("s", 1.5), ("s", True), ("s", 0), ("s", -1), ("s", "a"), ("s", 1, 2), "s1", None],
+        ids=repr,
+    )
+    def test_key_that_is_no_stage_edge_pair_refused(self, key):
+        # int() turned 1.5 and True into edge 1, and "s1" unpacked into ("s", "1")
+        message = re.escape(f"label key {key!r} is not a (stage, edge index >= 1) pair")
+        for allow_boundary in (False, True):
+            with pytest.raises(StagedTreeError, match=message):
+                ParameterVector({key: 0.5, ("s", 2): 0.5}, allow_boundary=allow_boundary)
+
+    def test_integer_edge_index_of_numpy_becomes_an_int(self):
+        theta = ParameterVector({("s", np.int64(1)): 0.5, ("s", 2): 0.5})
+        assert [type(j) for _, j in theta] == [int, int] and theta[("s", 1)] == 0.5
+
     def test_uniform_on_a_wide_star(self):
         # 36217 labels of 1/36217 add up, one after another, to 1 + 1.005e-12;
         # their correctly rounded sum is within SUM_TOL of 1
@@ -320,6 +336,22 @@ class TestAtomProbability:
             with pytest.raises(ZeroMass, match=r"label theta\[r,2\] is 0"):
                 fn(t, theta)
 
+    def test_a_zero_label_on_the_path_gives_probability_zero(self):
+        t = product_tree([2])
+        theta = ParameterVector({("v_root", 1): 0.0, ("v_root", 2): 1.0}, allow_boundary=True)
+        zero, one = t.atoms
+        assert atom_probability(t, theta, zero) == 0.0
+        assert log_atom_probability(t, theta, zero) == -math.inf
+        assert atom_probability(t, theta, one) == 1.0
+        assert log_atom_probability(t, theta, one) == 0.0
+
+    @pytest.mark.parametrize("fn", [atom_probability, log_atom_probability])
+    def test_a_label_theta_lacks_is_refused(self, fn):
+        t = product_tree([2])
+        theta = ParameterVector({("other", 1): 0.5, ("other", 2): 0.5})
+        with pytest.raises(StagedTreeError, match=r"lacks the label theta\[v_root,1\]"):
+            fn(t, theta, t.atoms[0])
+
     def test_underflowing_atom_refused_with_zero_mass(self):
         # 2**-1074 is the smallest positive double; 2**-1075 rounds to 0
         t = caterpillar(1074)
@@ -356,6 +388,24 @@ class TestLabelsFromDistribution:
         p = dict(zip(t.atoms, [0.5, 0.5, 0.0]))
         with pytest.raises(ZeroMass):
             labels_from_distribution(t, p)
+
+    def test_negative_mass_rejected_as_zero_mass(self):
+        t = star(2)
+        with pytest.raises(ZeroMass, match="atom at leaf 'e1' has mass -0.5, not a positive"):
+            labels_from_distribution(t, dict(zip(t.atoms, [-0.5, 1.5])))
+
+    def test_a_missing_atom_is_refused(self):
+        t = product_tree([2])
+        with pytest.raises(StagedTreeError, match="atom at leaf 'v_1' has mass None, not a"):
+            labels_from_distribution(t, {t.atoms[0]: 1.0})
+
+    @pytest.mark.parametrize("mass", ["0.5", None, math.nan, math.inf, True], ids=repr)
+    def test_a_mass_that_is_no_positive_real_is_refused(self, mass):
+        t = product_tree([2])
+        message = re.escape(f"atom at leaf 'v_0' has mass {mass!r}, not a positive number")
+        with pytest.raises(StagedTreeError, match=message) as info:
+            labels_from_distribution(t, {t.atoms[0]: mass, t.atoms[1]: 0.5})
+        assert info.type is StagedTreeError
 
     def test_nontrivial_staging_rejected(self, fig1a):
         p = dict(zip(fig1a.atoms, [0.125] * 8))
