@@ -269,54 +269,26 @@ def bn_edge_labels(bn: DiscreteBN, order: Optional[Sequence[str]] = None) -> Par
     return ParameterVector(vals)
 
 
-def skeleton(bn: DiscreteBN) -> dict[str, set[str]]:
-    """Adjacency sets of the undirected graph underlying the DAG."""
-    adj: dict[str, set[str]] = {v: set() for v in bn.variables}
-    for a, b in bn.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
-
-
 def has_immorality(bn: DiscreteBN) -> bool:
     """True iff some vertex has two non-adjacent parents (a v-structure)."""
-    adj = skeleton(bn)
+    edges = {tuple(e) for e in bn.edges}
     for ps in _parents_table(bn).values():
         for a, b in itertools.combinations(ps, 2):
-            if b not in adj[a]:
+            if (a, b) not in edges and (b, a) not in edges:
                 return True
     return False
 
 
-def _is_chordal(adj: dict[str, set[str]]) -> bool:
-    """Chordality by maximum cardinality search (Tarjan & Yannakakis 1984).
-
-    Visit next a vertex with the most visited neighbours.  The graph is
-    chordal iff the reverse visit order eliminates perfectly, that is iff
-    for every vertex, its neighbours visited before it, other than the
-    latest one, are all adjacent to that latest one.  Self-loops must be
-    absent.
-    """
-    weight = dict.fromkeys(adj, 0)
-    visited: dict[str, int] = {}  # vertex -> visit number
-    while weight:
-        v = max(weight, key=weight.get)
-        del weight[v]
-        earlier = [u for u in adj[v] if u in visited]
-        if earlier:
-            latest = max(earlier, key=visited.get)
-            if any(u != latest and u not in adj[latest] for u in earlier):
-                return False
-        visited[v] = len(visited)
-        for u in adj[v]:
-            if u in weight:
-                weight[u] += 1
-    return True
-
-
 def is_decomposable(bn: DiscreteBN) -> bool:
-    """No immoralities and a chordal skeleton."""
-    return not has_immorality(bn) and _is_chordal(skeleton(bn))
+    """No immoralities, which already makes the skeleton chordal.
+
+    Take a chordless cycle of four or more vertices in the skeleton, and its
+    vertex v that comes last in a topological order.  Both cycle neighbours
+    of v come earlier, so they are parents of v, and they are not adjacent,
+    since the cycle has no chord: an immorality at v.  (Lauritzen, *Graphical
+    Models*, 1996: a DAG model is decomposable iff the DAG is perfect.)
+    """
+    return not has_immorality(bn)
 
 
 def find_simple_ordering(bn: DiscreteBN) -> Optional[tuple[str, ...]]:

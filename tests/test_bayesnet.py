@@ -19,7 +19,7 @@ from stagedtree import (
     is_simple,
 )
 from stagedtree import bayesnet
-from stagedtree.bayesnet import _is_chordal, _topological_order, skeleton
+from stagedtree.bayesnet import _topological_order, has_immorality
 from stagedtree.errors import OrderInconsistentWithDAG, StagedTreeError
 
 
@@ -458,24 +458,23 @@ class TestGraphOracles:
         return g
 
     def check(self, nodes, edges):
+        """Topological order against networkx; on a DAG, also the theorem that
+        ``is_decomposable`` rests on: no immorality makes the skeleton chordal.
+        """
         g = self.digraph(nodes, edges)
         expected = tuple(nx.topological_sort(g)) if nx.is_directed_acyclic_graph(g) else None
         assert _topological_order(nodes, edges) == expected, (nodes, edges)
         loopless = [(a, b) for a, b in edges if a != b]
-        adj = {v: set() for v in nodes}
-        for a, b in loopless:
-            adj[a].add(b)
-            adj[b].add(a)
         chordal = nx.is_chordal(nx.Graph(loopless)) if loopless else True
-        assert _is_chordal(adj) == chordal, (nodes, edges)
+        if expected is not None:
+            bn = binary_bn(nodes, dict.fromkeys(edges))
+            assert is_decomposable(bn) == (not has_immorality(bn) and chordal), (nodes, edges)
         return expected is None, chordal
 
     def test_every_dag_over_at_most_four_nodes(self):
         verdicts = Counter()
         for n in range(1, 5):
             for bn in all_dags(n):
-                undirected = nx.Graph(self.digraph(bn.variables, bn.edges))
-                assert skeleton(bn) == {v: set(undirected[v]) for v in bn.variables}
                 verdicts[self.check(list(bn.variables), list(bn.edges))] += 1
         assert verdicts[(False, False)] > 0 and verdicts[(False, True)] > 0
 
