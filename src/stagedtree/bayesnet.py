@@ -297,7 +297,9 @@ def find_simple_ordering(bn: DiscreteBN) -> Optional[tuple[str, ...]]:
     Returns None when no topological ordering satisfies the containment.
     Depth-first search over partial orders, pruning as soon as the condition
     fails for the vertex just placed.  An explicit stack holds, per placed
-    prefix, the candidates for the next place, in name order.
+    prefix, the candidates for the next place, in name order.  They depend
+    only on the (last vertex, placed set) state, so a state whose candidates
+    all failed is never entered again: at most n * 2**n states, not (n - 1)!.
 
     The first vertex has no parents, so every w with parents follows some
     u != w with pa(w) <= {u} + pa(u).  A BN in which some w has no such u
@@ -311,12 +313,14 @@ def find_simple_ordering(bn: DiscreteBN) -> Optional[tuple[str, ...]]:
             return None
     placed: list[str] = []
     done: set[str] = set()
+    failed: set[tuple[str, frozenset]] = set()  # (last, placed) states with no completion
 
     def candidates():
         # each placed vertex's parents lie in ``done``, so ``allowed`` does too;
         # a frame is resumed only once ``done`` is back to its own prefix
         allowed = {placed[-1]} | parents[placed[-1]] if placed else set()
-        return (v for v in names if v not in done and parents[v] <= allowed)
+        return (v for v in names if v not in done and parents[v] <= allowed
+                and (v, frozenset(done | {v})) not in failed)
 
     stack = [candidates()]
     while len(placed) < len(names):
@@ -325,6 +329,7 @@ def find_simple_ordering(bn: DiscreteBN) -> Optional[tuple[str, ...]]:
             stack.pop()
             if not stack:
                 return None
+            failed.add((placed[-1], frozenset(done)))
             done.discard(placed.pop())
         else:
             placed.append(v)

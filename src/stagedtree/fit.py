@@ -134,8 +134,8 @@ def _read_csv(reader, tree: StagedTree, levels) -> AtomTable:
         for row in reader:
             if not row or not any(cell.strip() for cell in row):
                 continue
-            try:
-                atom_id, count = map(_csv_int, row)
+            try:  # empty trailing cells are dropped, as in the row layout
+                atom_id, count = map(_csv_int, row if any(map(str.strip, row[2:])) else row[:2])
             except ValueError:
                 raise StagedTreeError(
                     f"line {reader.line_num}: expected two integers 'atom_id,count', got {row}"

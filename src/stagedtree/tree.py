@@ -168,7 +168,8 @@ class StagedTree:
         that is not an inner vertex is refused.
     downward:
         optional mapping from stage id (or inner vertex id) to the 1-based
-        index of the downward edge; defaults to the last edge.
+        index of the downward edge; defaults to the last edge.  A key names a
+        vertex only when no stage has that id.
     """
 
     def __init__(
@@ -238,12 +239,12 @@ class StagedTree:
         """Return downward edge index per stage id: first the stages that
         ``spec`` names, in its order, then the others in stage order.
         """
-        keys = {str(key) for key in spec}
+        keys = {str(key) for key in spec}.difference(ids)  # a stage id names that stage
         stage_of = {v: self.stage_ids[s] for v, s in zip(inner, self._stage) if v in keys}
         per_stage: dict[str, int] = {}
         for key, j in spec.items():
             key = str(key)
-            stage = stage_of.get(key, key if key in ids else None)
+            stage = key if key in ids else stage_of.get(key)
             if stage is None:
                 raise StagedTreeError(f"downward key {key!r} is neither a vertex nor a stage")
             if not _is_integer(j):
@@ -654,7 +655,8 @@ def _read_description(text, cls: type = StagedTree) -> Optional[tuple]:
 
 
 class ParameterVector(Mapping):
-    """Edge probabilities keyed by (stage id, edge index >= 1).
+    """Edge probabilities keyed by (stage id, edge index >= 1).  A stage id is
+    read through ``str``, as in ``StagedTree``; two keys naming one label are refused.
 
     Entries are validated to lie strictly in (0, 1) and to sum to one within
     each stage (the correctly rounded sum, within SUM_TOL).  Boundary values
@@ -669,17 +671,21 @@ class ParameterVector(Mapping):
     ):
         self.allow_boundary = allow_boundary
         # the range is checked before float(), which overflows on a huge int
+        named: dict[tuple[str, int], tuple] = {}  # each label's key, as given
         for key, p in values.items():
             s, j = key if isinstance(key, tuple) and len(key) == 2 else (key, None)
             if not (_is_integer(j) and j >= 1):
                 raise StagedTreeError(f"label key {key!r} is not a (stage, edge index >= 1) pair")
+            first = named.setdefault((str(s), int(j)), key)
+            if first is not key:
+                raise StagedTreeError(f"label keys {first!r} and {key!r} both name theta[{s},{j}]")
             if not _is_real(p):
                 raise StagedTreeError(f"label theta[{s},{j}]={p!r} is not a real number")
             lo_ok = p > 0.0 if not allow_boundary else p >= 0.0
             hi_ok = p < 1.0 if not allow_boundary else p <= 1.0
             if not (lo_ok and hi_ok):
                 raise StagedTreeError(f"label theta[{s},{j}]={p} outside the open unit interval")
-        self._values = {(str(s), int(j)): float(p) for (s, j), p in values.items()}
+        self._values = {label: float(values[key]) for label, key in named.items()}
         by_stage: dict[str, list[float]] = {}
         for (s, j), p in self._values.items():
             by_stage.setdefault(s, []).append(p)

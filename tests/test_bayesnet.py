@@ -273,6 +273,14 @@ class TestSimpleOrdering:
         bn = binary_bn("ABCD", [("A", "C"), ("A", "D"), ("B", "C"), ("B", "D"), ("C", "D")])
         assert find_simple_ordering(bn) is None is recursive_simple_ordering(bn)
 
+    def test_no_ordering_among_isolated_variables_is_found_without_trying_every_order(self):
+        # the DAG above passes the necessary check; the eight isolated variables
+        # fit anywhere, so a search without its memo of failed (last vertex,
+        # placed set) states tries the orders of all of them (about 14 s at 12)
+        names = ["A", "B", "C", "D"] + [f"X{i}" for i in range(8)]
+        edges = [("A", "C"), ("A", "D"), ("B", "C"), ("B", "D"), ("C", "D")]
+        assert find_simple_ordering(binary_bn(names, edges)) is None
+
     def test_matches_the_recursive_search_on_every_dag_over_at_most_four_nodes(self):
         for n in range(1, 5):
             for bn in all_dags(n):

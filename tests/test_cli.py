@@ -38,6 +38,21 @@ class TestInspect:
         assert out["d0"] == 7 and out["d"] == 6
         assert out["stages"]["v2"] == "cyan"
 
+    def test_downward_key_that_is_a_stage_id_names_that_stage(self, capsys, tmp_path):
+        # "v1" is the stage of vertex w and also the id of vertex v1, in stage
+        # "s"; the index was put on "s", where "downward": {stage: index} puts
+        # it on stage "v1"
+        vertices = [{"id": "r", "children": ["v1", "w"]},
+                    {"id": "v1", "children": ["a", "b", "c"]},
+                    {"id": "w", "children": ["d", "e", "f"]}]
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps({"vertices": vertices, "stages": {"v1": "s", "w": "v1"},
+                                    "downward": {"v1": 1}}))
+        code, out = invoke(capsys, "inspect", str(tree))
+        assert code == 0
+        assert out["stages"] == {"r": "r", "v1": "s", "w": "v1"}
+        assert out["downward"] == {"v1": 1, "r": 2, "s": 3}
+
 
 class TestExpfam:
     def test_uniform_example1(self, capsys):
@@ -248,6 +263,24 @@ class TestFitSelect:
             "message": "row ['0', '0', '0', '1'] has a cell past column 3",
         }})
         assert fit(first + ", ,") == fit(first)
+
+    @pytest.mark.parametrize("command, tree_flag", [("fit", "--tree"), ("select", "--tree-graph")])
+    def test_empty_trailing_cells_of_atom_counts_are_read(self, capsys, tmp_path, command,
+                                                          tree_flag):
+        # '1,5,' was refused as "expected two integers", though the row layout reads it
+        header, first, *rest = data_path("atom_counts.csv").read_text().splitlines()
+        data, tree = tmp_path / "counts.csv", str(data_path("example1.json"))
+
+        def fit(first_row):
+            data.write_text("\n".join([header, first_row, *rest]) + "\n")
+            return invoke(capsys, command, tree_flag, tree, "--data", str(data))
+
+        assert first == "1,5" and fit(first)[0] == 0
+        assert fit(first + ",") == fit(first + ", , ") == fit(first)
+        assert fit(first + ",,7") == (2, {"error": {
+            "type": "StagedTreeError",
+            "message": "line 2: expected two integers 'atom_id,count', got ['1', '5', '', '7']",
+        }})
 
 
 class TestContract:

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,14 @@ class TestIngest:
     def test_empty_cells_past_the_header_are_accepted(self, fig1a):
         table = csv_table("X,Y,Z\n0,0,0,\n0,1,1, ,\n", fig1a)
         assert table.counts == csv_table("X,Y,Z\n0,0,0\n0,1,1\n", fig1a).counts
+
+    def test_empty_trailing_cells_of_atom_counts_are_accepted(self, fig1a):
+        # '1,5,' was refused as "expected two integers", though the row layout reads it
+        table = csv_table("atom_id,count\n1,5,\n2,3, , \n", fig1a)
+        assert table.counts == csv_table("atom_id,count\n1,5\n2,3\n", fig1a).counts
+        message = re.escape("line 2: expected two integers 'atom_id,count', got ['1', '5', '', '7']")
+        with pytest.raises(StagedTreeError, match=message):
+            csv_table("atom_id,count\n1,5,,7\n", fig1a)
 
     def test_table_from_rows_refuses_a_state_past_the_depth(self, example1):
         message = r"row \['0', '0', '0', '1'\] has a cell past column 3"

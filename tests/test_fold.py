@@ -1304,7 +1304,7 @@ class OracleTree:
         per_stage = {}
         for key, j in spec.items():
             key = str(key)
-            stage = self.stage_of.get(key, key if key in self.stage_degrees else None)
+            stage = key if key in self.stage_degrees else self.stage_of.get(key)
             if stage is None:
                 raise StagedTreeError(f"downward key {key!r} is neither a vertex nor a stage")
             if not (isinstance(j, int) and not isinstance(j, bool)):

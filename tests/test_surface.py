@@ -2,6 +2,7 @@
 traced benchmark run finds every name it calls there.
 """
 
+import ast
 import inspect
 import json
 import math
@@ -95,6 +96,18 @@ def test_pyproject_lists_no_runtime_dependency():
     project = tomllib.loads(PYPROJECT.read_text())["project"]
     assert project.get("dependencies", []) == []
     assert "numpy" in " ".join(project["optional-dependencies"]["test"])
+
+
+def test_the_package_parses_under_its_oldest_python():
+    # this interpreter may be newer than the requires-python floor, whose
+    # grammar lacks later syntax such as except* (3.11) and type aliases (3.12)
+    tomllib = pytest.importorskip("tomllib")
+    floor = tomllib.loads(PYPROJECT.read_text())["project"]["requires-python"]
+    major, minor = map(int, re.fullmatch(r">=(\d+)\.(\d+)", floor).groups())
+    sources = sorted((ROOT / "src" / "stagedtree").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=(major, minor))
 
 
 def test_dir_lists_every_public_name():

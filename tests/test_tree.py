@@ -75,6 +75,21 @@ class TestConstruction:
                 downward={"a": 1, "b": 2},
             )
 
+    def test_downward_key_that_is_a_stage_id_survives_the_spec_round_trip(self):
+        # vertex w is in stage "v1", vertex v1 in stage "s": the key "v1" was
+        # read as the vertex, so to_spec's {"v1": 1} came back on stage "s"
+        children = {"r": ["v1", "w"], "v1": ["a", "b", "c"], "w": ["d", "e", "f"]}
+        stages = {"v1": "s", "w": "v1"}
+        by_vertex = StagedTree(children, stages=stages, downward={"w": 1})
+        by_stage = StagedTree(children, stages=stages, downward={"v1": 1})
+        assert by_vertex.downward == by_stage.downward == {"v1": 1, "r": 2, "s": 3}
+        assert by_vertex.to_spec()["downward"] == {"v1": 1}
+        rebuilt = StagedTree.from_spec(by_vertex.to_spec())
+        assert (rebuilt.downward, rebuilt.stage_of) == (by_vertex.downward, by_vertex.stage_of)
+        # a key names a vertex only when no stage has that id
+        assert StagedTree(children, stages=stages, downward={"r": 1}).downward["r"] == 1
+        assert StagedTree(children, stages={"v1": "s"}, downward={"v1": 1}).downward["s"] == 1
+
     def test_downward_defaults_to_last_edge(self, fig1b):
         assert all(j == 2 for j in fig1b.downward.values())
 
@@ -264,6 +279,23 @@ class TestParameterVector:
         for allow_boundary in (False, True):
             with pytest.raises(StagedTreeError, match=message):
                 ParameterVector({key: 0.5, ("s", 2): 0.5}, allow_boundary=allow_boundary)
+
+    @pytest.mark.parametrize("values", [
+        {(1, 1): 0.9, ("1", 1): 0.5, ("1", 2): 0.5},
+        {(1, 1): 0.5, ("1", 1): 0.5},
+    ], ids=["one label dropped", "sum misread"])
+    def test_two_keys_naming_one_label_refused(self, values):
+        # str() of the stage made both keys ('1', 1): the later value silently
+        # replaced the earlier, or the sum test blamed a sum of 0.5
+        message = re.escape("label keys (1, 1) and ('1', 1) both name theta[1,1]")
+        for allow_boundary in (False, True):
+            with pytest.raises(StagedTreeError, match=message):
+                ParameterVector(values, allow_boundary=allow_boundary)
+
+    def test_stage_that_is_no_string_is_converted_as_the_tree_converts_it(self):
+        theta = ParameterVector({(1, 1): 0.25, (1, 2): 0.75})
+        assert dict(theta) == {("1", 1): 0.25, ("1", 2): 0.75}
+        theta.validate_for(StagedTree({"r": ["a", "b"]}, stages={"r": 1}))
 
     def test_integer_edge_index_of_numpy_becomes_an_int(self):
         theta = ParameterVector({("s", np.int64(1)): 0.5, ("s", 2): 0.5})
