@@ -276,7 +276,7 @@ class TestSimpleOrdering:
     def test_no_ordering_among_isolated_variables_is_found_without_trying_every_order(self):
         # the DAG above passes the necessary check; the eight isolated variables
         # fit anywhere, so a search without its memo of failed (last vertex,
-        # placed set) states tries the orders of all of them (about 14 s at 12)
+        # placed set) states tries the orders of all of them (over 10 s at 12)
         names = ["A", "B", "C", "D"] + [f"X{i}" for i in range(8)]
         edges = [("A", "C"), ("A", "D"), ("B", "C"), ("B", "D"), ("C", "D")]
         assert find_simple_ordering(binary_bn(names, edges)) is None
@@ -475,7 +475,7 @@ class TestGraphOracles:
         loopless = [(a, b) for a, b in edges if a != b]
         chordal = nx.is_chordal(nx.Graph(loopless)) if loopless else True
         if expected is not None:
-            bn = binary_bn(nodes, dict.fromkeys(edges))
+            bn = binary_bn(nodes, dict.fromkeys(edges))  # DiscreteBN refuses repeated edges
             assert is_decomposable(bn) == (not has_immorality(bn) and chordal), (nodes, edges)
         return expected is None, chordal
 

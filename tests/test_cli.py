@@ -40,8 +40,7 @@ class TestInspect:
 
     def test_downward_key_that_is_a_stage_id_names_that_stage(self, capsys, tmp_path):
         # "v1" is the stage of vertex w and also the id of vertex v1, in stage
-        # "s"; the index was put on "s", where "downward": {stage: index} puts
-        # it on stage "v1"
+        # "s"; "downward": {stage: index} puts the index on stage "v1"
         vertices = [{"id": "r", "children": ["v1", "w"]},
                     {"id": "v1", "children": ["a", "b", "c"]},
                     {"id": "w", "children": ["d", "e", "f"]}]
@@ -267,7 +266,7 @@ class TestFitSelect:
     @pytest.mark.parametrize("command, tree_flag", [("fit", "--tree"), ("select", "--tree-graph")])
     def test_empty_trailing_cells_of_atom_counts_are_read(self, capsys, tmp_path, command,
                                                           tree_flag):
-        # '1,5,' was refused as "expected two integers", though the row layout reads it
+        # the row layout reads empty trailing cells too
         header, first, *rest = data_path("atom_counts.csv").read_text().splitlines()
         data, tree = tmp_path / "counts.csv", str(data_path("example1.json"))
 

@@ -107,7 +107,7 @@ class TestIngest:
         assert table.counts == csv_table("X,Y,Z\n0,0,0\n0,1,1\n", fig1a).counts
 
     def test_empty_trailing_cells_of_atom_counts_are_accepted(self, fig1a):
-        # '1,5,' was refused as "expected two integers", though the row layout reads it
+        # the row layout reads empty trailing cells too
         table = csv_table("atom_id,count\n1,5,\n2,3, , \n", fig1a)
         assert table.counts == csv_table("atom_id,count\n1,5\n2,3\n", fig1a).counts
         message = re.escape("line 2: expected two integers 'atom_id,count', got ['1', '5', '', '7']")

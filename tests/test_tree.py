@@ -76,8 +76,8 @@ class TestConstruction:
             )
 
     def test_downward_key_that_is_a_stage_id_survives_the_spec_round_trip(self):
-        # vertex w is in stage "v1", vertex v1 in stage "s": the key "v1" was
-        # read as the vertex, so to_spec's {"v1": 1} came back on stage "s"
+        # vertex w is in stage "v1" and vertex v1 in stage "s", so the key "v1"
+        # names a stage and also a vertex of another stage
         children = {"r": ["v1", "w"], "v1": ["a", "b", "c"], "w": ["d", "e", "f"]}
         stages = {"v1": "s", "w": "v1"}
         by_vertex = StagedTree(children, stages=stages, downward={"w": 1})
@@ -285,8 +285,8 @@ class TestParameterVector:
         {(1, 1): 0.5, ("1", 1): 0.5},
     ], ids=["one label dropped", "sum misread"])
     def test_two_keys_naming_one_label_refused(self, values):
-        # str() of the stage made both keys ('1', 1): the later value silently
-        # replaced the earlier, or the sum test blamed a sum of 0.5
+        # str() of the stage makes both keys ('1', 1), so neither value may
+        # silently replace the other
         message = re.escape("label keys (1, 1) and ('1', 1) both name theta[1,1]")
         for allow_boundary in (False, True):
             with pytest.raises(StagedTreeError, match=message):
