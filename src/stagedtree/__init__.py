@@ -38,9 +38,8 @@ _EXPORTS = {
         ),
         "random_trees": ("random_staged_tree",),
         "tree": (
-            "Atom", "AtomDistribution", "ParameterVector", "StagedTree", "atom_probability",
-            "dimensions", "distribution_from_labels", "labels_from_distribution",
-            "product_tree", "star",
+            "Atom", "ParameterVector", "StagedTree", "atom_probability", "dimensions",
+            "distribution_from_labels", "labels_from_distribution", "product_tree", "star",
         ),
     }.items()
     for name in names

@@ -747,27 +747,6 @@ class ParameterVector(Mapping):
             raise ZeroMass(f"label theta[{s},{j}] is 0, a boundary value with no log")
 
 
-class AtomDistribution(Mapping):
-    """A strictly positive probability distribution over the atoms of a tree."""
-
-    def __init__(self, probs: Mapping[Atom, float]):
-        self._probs = dict(probs)
-        total = math.fsum(self._probs.values())
-        if abs(total - 1.0) > SUM_TOL:
-            raise StagedTreeError(f"atom probabilities sum to {total}, not 1")
-        if any(p <= 0.0 for p in self._probs.values()):
-            raise ZeroMass("atom distribution has a non-positive entry")
-
-    def __getitem__(self, atom):
-        return self._probs[atom]
-
-    def __iter__(self):
-        return iter(self._probs)
-
-    def __len__(self):
-        return len(self._probs)
-
-
 # -- core operations ----------------------------------------------------------
 
 
@@ -799,10 +778,10 @@ def atom_probability(tree: StagedTree, theta: ParameterVector, atom: Atom) -> fl
     return math.exp(log_atom_probability(tree, theta, atom))
 
 
-def distribution_from_labels(tree: StagedTree, theta: ParameterVector) -> AtomDistribution:
-    """The atom probabilities; refused where one underflows to 0.0, which
-    happens below exp(-745), e.g. for uniform binary labels from depth 1075 on.
-    The tree's own atoms need no membership check.
+def distribution_from_labels(tree: StagedTree, theta: ParameterVector) -> dict[Atom, float]:
+    """The atom probabilities, keyed in ``tree.atoms`` order; refused where one
+    underflows to 0.0, which happens below exp(-745), e.g. for uniform binary
+    labels from depth 1075 on. The tree's own atoms need no membership check.
     """
     theta.validate_for(tree)
     probs = {x: math.exp(_log_atom_probability(tree, theta, x)) for x in tree.atoms}
@@ -813,7 +792,7 @@ def distribution_from_labels(tree: StagedTree, theta: ParameterVector) -> AtomDi
                 f"the atom at leaf {x.leaf!r} has probability exp({log_p:.6g}),"
                 " below the smallest positive double"
             )
-    return AtomDistribution(probs)
+    return probs
 
 
 def labels_from_distribution(tree: StagedTree, p: Mapping[Atom, float]) -> ParameterVector:

@@ -26,7 +26,8 @@ def test_public_names_resolve_and_the_traced_run_finds_its_own():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(stagedtree, name) is not None
-    for gone in ("downward_invariance_probe", "star_form", "StarForm", "downward_products"):
+    for gone in ("downward_invariance_probe", "star_form", "StarForm", "downward_products",
+                 "AtomDistribution"):
         assert gone not in names and not hasattr(stagedtree, gone)
     for cls, gone in ((stagedtree.StagedTree, "indicator"),
                       (stagedtree.StagedTree, "indicator_vertex"), (stagedtree.Atom, "visits"),
