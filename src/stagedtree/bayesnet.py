@@ -95,6 +95,9 @@ class DiscreteBN(_Record):
                     raise StagedTreeError(f"CPT row for {var!r} has wrong width")
                 if abs(math.fsum(row) - 1.0) > SUM_TOL:
                     raise StagedTreeError(f"CPT row for {var!r} sums to {math.fsum(row)}")
+        extra = self.cpts.keys() - set(self.variables)
+        if extra:
+            raise StagedTreeError(f"cpts name variables not in the BN: {sorted(extra, key=repr)}")
 
     def parents(self, var: str) -> tuple[str, ...]:
         """Parents of var, sorted by position in the variable list."""
@@ -129,6 +132,9 @@ class DiscreteBN(_Record):
             isinstance(entry, dict) and {"name", "card"} <= set(entry) for entry in entries
         ):
             raise StagedTreeError("BN variables must be a list of objects with 'name' and 'card'")
+        unknown = set().union(*entries) - {"name", "card"}
+        if unknown:
+            raise StagedTreeError(f"unknown variable fields: {sorted(unknown, key=repr)}")
         edges = spec.get("edges", [])
         if not isinstance(edges, list):
             raise StagedTreeError(f"BN edges must be a list of pairs, got {edges!r}")

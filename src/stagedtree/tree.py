@@ -161,7 +161,8 @@ class StagedTree:
     children:
         mapping from vertex id to its ordered list of children; leaves may be
         omitted or mapped to an empty list.  The root is the one vertex that
-        no list names, and at least one vertex must have children.
+        no list names, and at least one vertex must have children.  Ids are
+        read through ``str``; two keys naming one vertex are refused.
     stages:
         optional mapping from inner vertex id to stage id; vertices not
         listed form their own singleton stage (stage id = vertex id).  A key
@@ -178,6 +179,10 @@ class StagedTree:
         stages: Optional[Mapping[str, str]] = None,
         downward: Optional[Mapping[str, int]] = None,
     ):
+        names = dict(zip(map(str, children), children))  # each vertex's last key
+        if len(names) < len(children):
+            v = next(v for v in children if names[str(v)] is not v)
+            raise StagedTreeError(f"children keys {v!r} and {names[str(v)]!r} both name {str(v)!r}")
         kids = {str(v): tuple(str(c) for c in cs) for v, cs in children.items() if cs}
         self._set_shape(kids)
         self._set_stages(stages or {}, downward or {})

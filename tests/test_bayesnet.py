@@ -434,6 +434,21 @@ class TestJointEquality:
         assert bn.cards == {"A": kappa}
 
 
+class TestMalformedSpec:
+    def test_unknown_variable_field_refused(self):
+        spec = {"variables": [{"name": "X", "card": 2, "crad": 3}, {"name": "Y", "card": 2}],
+                "edges": [["X", "Y"]]}
+        with pytest.raises(StagedTreeError, match=re.escape("unknown variable fields: ['crad']")):
+            DiscreteBN.from_spec(spec)
+
+    def test_cpt_of_no_variable_refused(self):
+        spec = {"variables": [{"name": "X", "card": 2}], "edges": [],
+                "cpts": {"X": [[0.5, 0.5]], "Q": [[0.3, 0.7]]}}
+        with pytest.raises(StagedTreeError,
+                           match=re.escape("cpts name variables not in the BN: ['Q']")):
+            DiscreteBN.from_spec(spec)
+
+
 def random_digraphs(rng, count, max_nodes=9):
     """Seeded digraphs over 1..max_nodes shuffled nodes, edges in shuffled order.
 

@@ -848,6 +848,30 @@ class TestMalformedInput:
                 lambda bn: bn["edges"].append(["X", "Y"]),
                 "repeated edges: [('X', 'Y')]",
             ),
+            (
+                lambda bn: bn["variables"][0].update(crad=3),
+                "unknown variable fields: ['crad']",
+            ),
+            (
+                lambda bn: bn["cpts"].update(Q=[[0.3, 0.7]]),
+                "cpts name variables not in the BN: ['Q']",
+            ),
+            (
+                lambda bn: bn["cpts"].pop("Z"),
+                "missing CPT for 'Z'",
+            ),
+            (
+                lambda bn: bn.update(cpts=[[0.4, 0.6]]),
+                "cpts must map each variable to its list of rows",
+            ),
+            (
+                lambda bn: bn["cpts"]["Y"].pop(),
+                "CPT for 'Y' has 1 rows, expected 2",
+            ),
+            (
+                lambda bn: bn["cpts"].update(X=[[0.2, 0.3, 0.5]]),
+                "CPT row for 'X' has wrong width",
+            ),
         ],
         ids=[
             "edge-triple",
@@ -861,6 +885,12 @@ class TestMalformedInput:
             "cpt-nan-cell",
             "repeated-name",
             "repeated-edge",
+            "unknown-variable-field",
+            "cpt-of-no-variable",
+            "cpt-missing",
+            "cpts-not-an-object",
+            "cpt-rows-short",
+            "cpt-row-too-wide",
         ],
     )
     def test_bn_spec_exits_2(self, capsys, tmp_path, edit, message):
@@ -891,6 +921,16 @@ class TestMalformedInput:
         path.write_text(json.dumps(theta))
         code, out = invoke(capsys, "expfam", str(data_path("fig1a.json")), "--theta", str(path))
         assert code == 2
+        assert out["error"] == {"type": "StagedTreeError", "message": message}
+
+    def test_theta_file_without_a_stage_exits_2(self, capsys, tmp_path):
+        theta = load_json("fig1a_theta.json")
+        del theta["v4"]
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(theta))
+        code, out = invoke(capsys, "expfam", str(data_path("fig1a.json")), "--theta", str(path))
+        assert code == 2
+        message = "parameter vector lacks labels for [('v4', 1), ('v4', 2)]"
         assert out["error"] == {"type": "StagedTreeError", "message": message}
 
     @pytest.mark.parametrize(

@@ -114,6 +114,23 @@ class TestIngest:
         with pytest.raises(StagedTreeError, match=message):
             csv_table("atom_id,count\n1,5,,7\n", fig1a)
 
+    def test_category_outside_the_levels_refused(self, fig1a):
+        levels = {"X": ["no", "yes"], "Y": ["no", "yes"], "Z": ["no", "yes"]}
+        with pytest.raises(UnknownCategory) as err:
+            csv_table("X,Y,Z\nno,maybe,yes\n", fig1a, levels=levels)
+        assert str(err.value) == "category 'maybe' not among ['no', 'yes']"
+
+    def test_blank_lines_of_atom_counts_are_skipped(self, fig1a):
+        table = csv_table("atom_id,count\n1,5\n\n,\n2,3\n", fig1a)
+        assert table.counts == (5, 3) + (0,) * 6
+
+    @pytest.mark.parametrize("atom_id", [0, 9])
+    def test_atom_id_out_of_range_refused(self, fig1a, atom_id):
+        with pytest.raises(StagedTreeError) as err:
+            csv_table(f"atom_id,count\n1,5\n{atom_id},3\n", fig1a)
+        assert type(err.value) is StagedTreeError
+        assert str(err.value) == f"atom_id {atom_id} out of range 1..8"
+
     def test_table_from_rows_refuses_a_state_past_the_depth(self, example1):
         message = r"row \['0', '0', '0', '1'\] has a cell past column 3"
         with pytest.raises(RowDoesNotReachLeaf, match=message):
@@ -133,6 +150,16 @@ class TestAtomTable:
     def test_non_integer_counts_rejected(self, counts):
         with pytest.raises(StagedTreeError, match="atom counts must be integers"):
             AtomTable(star(2), counts)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [([1, 2], "expected 3 counts, got 2"), ([1, -2, 3], "atom counts must be non-negative")],
+        ids=["wrong-length", "negative"],
+    )
+    def test_malformed_counts_refused(self, counts, message):
+        with pytest.raises(StagedTreeError) as err:
+            AtomTable(star(3), counts)
+        assert type(err.value) is StagedTreeError and str(err.value) == message
 
     def test_count_looks_up_the_atom_position(self, fig1a):
         table = AtomTable(fig1a, range(10, 18))

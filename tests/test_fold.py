@@ -1069,6 +1069,23 @@ def test_classify_matches_oracle_on_the_fuzz_family():
         assert stage_equations(tree) == oracle_equations
 
 
+def test_exact_tables_give_the_verdicts_when_every_fingerprint_agrees(monkeypatch):
+    # the fingerprints refute every tree that is not balanced before the exact
+    # tables are built; with every fingerprint 0 the exact tables must refute it
+    trees = ALGEBRA_FAMILIES["fixtures"] + list(itertools.islice(fuzz_family(), 400))
+    expected = [classify(tree) for tree in trees]
+    build = _Codes.__init__
+
+    def blind(self, tree):
+        build(self, tree)
+        self.fp = [0] * len(self.fp)
+
+    monkeypatch.setattr(_Codes, "__init__", blind)
+    assert _Codes(trees[0]).fp == [0] * len(trees[0].vertices)
+    assert [classify(tree) for tree in trees] == expected
+    assert {(e["balanced"], e["simple"]) for e in expected} == {
+        (False, False), (True, False), (True, True)}
+
 def difference(a: Counter, b: Counter) -> Counter:
     """a - b as a formal sum, with the terms that cancel dropped."""
     out = Counter(a)

@@ -90,6 +90,15 @@ class TestConstruction:
         assert StagedTree(children, stages=stages, downward={"r": 1}).downward["r"] == 1
         assert StagedTree(children, stages={"v1": "s"}, downward={"v1": 1}).downward["s"] == 1
 
+    def test_two_keys_naming_one_vertex_refused(self):
+        # the children of the int key 1 were dropped without a word
+        with pytest.raises(StagedTreeError) as err:
+            StagedTree({"r": ["1", "z"], 1: ["a", "b"], "1": ["c", "d"]})
+        assert str(err.value) == "children keys 1 and '1' both name '1'"
+        with pytest.raises(StagedTreeError, match=re.escape("keys 1 and '1' both name '1'")):
+            StagedTree({"r": ["1", "z"], 1: [], "1": ["c", "d"]})
+        assert StagedTree({"r": [1, "z"], 1: ["a", "b"]}).children["1"] == ("a", "b")
+
     def test_downward_defaults_to_last_edge(self, fig1b):
         assert all(j == 2 for j in fig1b.downward.values())
 
