@@ -29,31 +29,25 @@ PACKAGE = ROOT / "src" / "stagedtree"
 
 def statement_spans(source: str) -> list[tuple[int, int, int]]:
     """(first line, last line, reported line) of every statement that runs."""
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    nodes = list(ast.walk(ast.parse(source)))
+    docstrings = {
+        id(node.body[0]) for node in nodes
+        if isinstance(node, owners) and ast.get_docstring(node, clean=False) is not None
+    }
     spans = []
-    for node in ast.walk(ast.parse(source)):
-        body = getattr(node, "body", None)
-        if isinstance(body, list) and body and _is_docstring(node, body[0]):
-            body[0].docstring = True
-        if not isinstance(node, ast.stmt) or isinstance(node, (ast.Global, ast.Nonlocal)):
-            continue
-        if getattr(node, "docstring", False):
+    for node in nodes:
+        if (not isinstance(node, ast.stmt) or isinstance(node, (ast.Global, ast.Nonlocal))
+                or id(node) in docstrings):
             continue
         first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+        body = getattr(node, "body", None)
         if isinstance(body, list) and body:
             last = max(node.lineno, body[0].lineno - 1)  # the header only
         else:
             last = node.end_lineno
         spans.append((first, last, node.lineno))
     return sorted(spans)
-
-
-def _is_docstring(owner: ast.AST, stmt: ast.stmt) -> bool:
-    return (
-        isinstance(owner, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-        and isinstance(stmt, ast.Expr)
-        and isinstance(stmt.value, ast.Constant)
-        and isinstance(stmt.value.value, str)
-    )
 
 
 def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
